@@ -19,13 +19,18 @@
 //! Within an element, terms are stored in descending exponent order (the
 //! `TermExpr` invariant), so per-element truncation is "keep the first
 //! `s`" and the receding-water scan can drop a suffix without reordering.
+//!
+//! The constructors read each code's terms from the encoding's code-term
+//! table ([`tr_encoding::TermTable`]) rather than encoding per element, so
+//! building the planes allocates nothing per element; the planes are the
+//! same bytes the encoder would give.
 
 use crate::config::TrConfig;
 use crate::error::TrError;
 use crate::reveal::observe_group;
 use crate::seal::{fnv1a_bytes, fnv1a_bytes_wordwise, fnv1a_word, mix, FNV_OFFSET};
 use crate::termmatrix::TermMatrix;
-use tr_encoding::{Encoding, Term, TermExpr};
+use tr_encoding::{CodeTerms, Encoding, Term, TermExpr, TermTable, TABLE_MAX_TERMS};
 use tr_obs::Counter;
 use tr_quant::QTensor;
 
@@ -175,9 +180,7 @@ impl PackedTermMatrix {
         if i.is_multiple_of(64) {
             self.signs.push(0);
         }
-        if neg {
-            self.signs[i / 64] |= 1u64 << (i % 64);
-        }
+        self.signs[i / 64] |= u64::from(neg) << (i % 64);
         self.exps.push(exp);
     }
 
@@ -194,13 +197,64 @@ impl PackedTermMatrix {
         self.close_element();
     }
 
+    /// Append one element holding `code`'s terms, read from the
+    /// encoding's code-term table (the encoder only beyond its range).
+    #[inline]
+    fn push_code(&mut self, table: &TermTable, code: i32) {
+        match table.get(code) {
+            Some(t) => {
+                self.push_code_terms(t);
+                self.close_element();
+            }
+            None => self.push_expr(&table.encoding().terms_of(code)),
+        }
+    }
+
+    /// Append a table entry's terms without a per-term branch: the
+    /// exponent array is copied whole and the length trimmed back, and
+    /// the sign mask is OR-ed into the bitset at the term cursor (spilling
+    /// into the next word when it straddles one). The planes end up
+    /// exactly as [`Self::push_term`] per term would leave them: padding
+    /// exponents never survive the trim and padding sign bits are clear.
+    #[inline]
+    fn push_code_terms(&mut self, t: CodeTerms) {
+        let start = self.exps.len();
+        let end = start + usize::from(t.len);
+        self.exps.extend_from_slice(&t.exps);
+        self.exps.truncate(end);
+        self.signs.resize(end.div_ceil(64), 0);
+        let (word, bit) = (start / 64, start % 64);
+        let mask = u64::from(t.signs);
+        if let Some(w) = self.signs.get_mut(word) {
+            *w |= mask << bit;
+        }
+        if bit > 64 - TABLE_MAX_TERMS {
+            if let Some(next) = self.signs.get_mut(word + 1) {
+                *next |= mask >> (64 - bit);
+            }
+        }
+    }
+
     /// Decompose a weight matrix `(M, K)` in one pass: row `m` is the
     /// weight vector of output `m`, grouped along `K`.
     pub fn from_weights(q: &QTensor, encoding: Encoding) -> PackedTermMatrix {
         let (rows, len) = q.as_matrix();
+        Self::from_codes(q.values(), rows, len, encoding)
+    }
+
+    /// Decompose row-major integer codes `(rows, len)` in one pass — the
+    /// [`PackedTermMatrix::from_weights`] layout without a [`QTensor`]
+    /// around the codes, for callers that already hold them (the
+    /// activation pack of the integer forward).
+    ///
+    /// # Panics
+    /// If `codes.len() != rows * len`.
+    pub fn from_codes(codes: &[i32], rows: usize, len: usize, encoding: Encoding) -> PackedTermMatrix {
+        assert_eq!(codes.len(), rows * len, "codes do not fill a {rows}x{len} matrix");
+        let table = encoding.table();
         let mut out = Self::with_capacity(rows, len, encoding, rows * len * 2);
-        for &v in q.values() {
-            out.push_expr(&encoding.terms_of(v));
+        for &v in codes {
+            out.push_code(table, v);
         }
         out.seal()
     }
@@ -211,10 +265,11 @@ impl PackedTermMatrix {
     pub fn from_data_transposed(q: &QTensor, encoding: Encoding) -> PackedTermMatrix {
         let (k, n) = q.as_matrix();
         let vals = q.values();
+        let table = encoding.table();
         let mut out = Self::with_capacity(n, k, encoding, k * n * 2);
         for col in 0..n {
             for row in 0..k {
-                out.push_expr(&encoding.terms_of(vals[row * n + col]));
+                out.push_code(table, vals[row * n + col]);
             }
         }
         out.seal()
@@ -222,11 +277,7 @@ impl PackedTermMatrix {
 
     /// Decompose a flat vector as a single row.
     pub fn from_vector(values: &[i32], encoding: Encoding) -> PackedTermMatrix {
-        let mut out = Self::with_capacity(1, values.len(), encoding, values.len() * 2);
-        for &v in values {
-            out.push_expr(&encoding.terms_of(v));
-        }
-        out.seal()
+        Self::from_codes(values, 1, values.len(), encoding)
     }
 
     /// Number of dot-product vectors.

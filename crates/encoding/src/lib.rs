@@ -21,7 +21,9 @@
 //!   paper's one-pass, two-bit-window FSM (§IV-B, Fig. 8a/8b);
 //! * [`hese::hese_streams`] — the bit-serial (magnitude, sign) stream pair
 //!   produced by the hardware HESE encoder (§V-D);
-//! * [`stats`] — term-count distributions and CDFs (Fig. 8c).
+//! * [`stats`] — term-count distributions and CDFs (Fig. 8c);
+//! * [`TermTable`] — every 8-bit code's terms under one encoding, built
+//!   once and read on the hot paths instead of re-encoding per value.
 //!
 //! ```
 //! use tr_encoding::{hese, naf, Encoding};
@@ -42,6 +44,7 @@ pub mod hese;
 pub mod naf;
 pub mod sdr;
 pub mod stats;
+pub mod table;
 pub mod term;
 
 pub use binary::binary_terms;
@@ -50,6 +53,7 @@ pub use hese::{hese, hese_width, minimize_sdr, minimize_sdr_rewrite};
 pub use naf::naf;
 pub use sdr::Sdr;
 pub use stats::{term_count_histogram, TermCdf};
+pub use table::{CodeTerms, TermTable, TABLE_MAX_TERMS, TABLE_RANGE};
 pub use term::{Term, TermExpr};
 
 /// The encodings compared throughout the paper's evaluation.

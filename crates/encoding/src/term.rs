@@ -24,6 +24,7 @@ impl Term {
     }
 
     /// The term's numeric value.
+    #[inline]
     pub fn value(self) -> i64 {
         let v = 1i64 << self.exp;
         if self.neg {

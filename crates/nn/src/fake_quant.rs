@@ -12,11 +12,23 @@
 //! tMAC computes over kept terms (`tr_core::matmul` proves the identity),
 //! so fake quantization yields the same accuracy as bit-true execution
 //! while keeping inference fast enough for parameter sweeps.
+//!
+//! The activation transform (c) is the software form of the paper's
+//! on-the-fly HESE encoder: each element is quantized, capped to its top
+//! `s` terms, and dequantized. The cap reads the encoding's shared
+//! code-term table ([`tr_encoding::TermTable`], built once per process),
+//! where a code's top-`s` value is a single load — no per-value encoding
+//! and no allocation, and the same f32 bits the encoder-based cap gave.
+//! [`FakeQuant::transform_input_codes`] also returns the capped codes,
+//! so integer consumers pack exactly what the cap produced (including
+//! the `2^(bits-1)` a cap can round up to) instead of re-quantizing the
+//! dequantized floats.
 
 use std::sync::Arc;
 use tr_core::seal::{fnv1a_word, mix, FNV_OFFSET};
 use tr_core::{term_pairs_total_packed, BitPlaneMatrix, MatmulPlanner, PackedTermMatrix, TrConfig};
-use tr_encoding::Encoding;
+use tr_encoding::{Encoding, TermTable};
+use tr_quant::truncate::truncate_with;
 use tr_quant::{calibrate_max_abs, quantize, truncate_terms, QuantParams};
 use tr_tensor::Tensor;
 
@@ -122,6 +134,14 @@ impl PairCounts {
     }
 }
 
+/// A site's activation quantizer resolved for one call: the quantizer
+/// and, when capped, the cap encoding's code-term table and budget `s`.
+#[derive(Clone, Copy)]
+struct ActQuantizer {
+    params: QuantParams,
+    cap: Option<(&'static TermTable, usize)>,
+}
+
 /// Per-site fake-quantization state (one per weight matrix).
 #[derive(Debug, Clone, Default)]
 pub struct FakeQuant {
@@ -195,20 +215,48 @@ impl FakeQuant {
     /// dequantize). Identity while inactive or calibrating.
     pub fn transform_input(&mut self, x: &Tensor) -> Tensor {
         self.observe(x);
-        let Some(params) = self.act_params else {
+        let Some(q) = self.act_quantizer() else {
             return x.clone();
         };
+        match q.cap {
+            None => x.map(|v| q.params.real(q.params.code(v))),
+            Some((table, s)) => x.map(|v| q.params.real(truncate_with(table, q.params.code(v), s))),
+        }
+    }
+
+    /// [`FakeQuant::transform_input`] that also hands back the capped
+    /// integer codes behind its output (`None` while inactive or
+    /// calibrating). Element `i` of the tensor is `real(codes[i])`, so
+    /// integer consumers — the packed matmul, pair counting — read the
+    /// codes the cap produced instead of re-quantizing the floats, which
+    /// would clamp a cap that rounded up to `2^(bits-1)` (HESE at `s = 1`
+    /// turns `127 = 2^7 - 2^0` into 128) back to `qmax`.
+    pub fn transform_input_codes(&mut self, x: &Tensor) -> (Tensor, Option<Vec<i32>>) {
+        self.observe(x);
+        let Some(q) = self.act_quantizer() else {
+            return (x.clone(), None);
+        };
+        let codes: Vec<i32> = match q.cap {
+            None => x.data().iter().map(|&v| q.params.code(v)).collect(),
+            Some((table, s)) => {
+                x.data().iter().map(|&v| truncate_with(table, q.params.code(v), s)).collect()
+            }
+        };
+        let real = codes.iter().map(|&c| q.params.real(c)).collect();
+        (Tensor::from_vec(real, x.shape().clone()), Some(codes))
+    }
+
+    /// The activation quantizer and cap in effect, with the cap's
+    /// code-term table fetched once for the whole tensor. `None` while
+    /// inactive or calibrating.
+    fn act_quantizer(&self) -> Option<ActQuantizer> {
         if self.calibrating {
-            return x.clone();
+            return None;
         }
-        match self.act_cap {
-            None => x.map(|v| params.real(params.code(v))),
-            Some((enc, s)) => x.map(|v| {
-                let code = params.code(v);
-                let capped = tr_quant::truncate::truncate_value(enc, code, s);
-                params.real(capped)
-            }),
-        }
+        Some(ActQuantizer {
+            params: self.act_params?,
+            cap: self.act_cap.map(|(enc, s)| (enc.table(), s)),
+        })
     }
 
     /// The weight tensor inference should use.

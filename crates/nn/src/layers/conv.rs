@@ -5,7 +5,7 @@ use crate::layer::{ForwardCtx, Layer, QuantSite};
 use crate::param::Param;
 use crate::scratch::ScratchArena;
 use tr_core::{PackedTermMatrix, TrError};
-use tr_quant::{QTensor, QuantParams};
+use tr_encoding::Encoding;
 use tr_tensor::matmul::matmul_into;
 use tr_tensor::{col2im, im2col, im2col_into, Conv2dGeometry, Rng, Shape, Tensor};
 
@@ -93,21 +93,19 @@ impl Conv2d {
         Ok(g)
     }
 
-    fn count_pairs(&mut self, cols: &[f32], patch_len: usize, n_patches: usize, samples: u64) {
-        if !self.fq.count_pairs || self.fq.weight_terms.is_none() {
-            return;
-        }
-        let Some(act) = self.fq.act_params else { return };
-        let enc = self.fq.act_cap.map(|(e, _)| e).unwrap_or(tr_encoding::Encoding::Binary);
-        let codes: Vec<i32> = cols.iter().map(|&v| act.code(v)).collect();
-        let q = QTensor::from_codes(
-            codes,
-            QuantParams { scale: act.scale.max(f32::MIN_POSITIVE), bits: act.bits },
-            Shape::d2(patch_len, n_patches),
-        );
+    /// Count term pairs for one image of capped activation codes (CHW,
+    /// as the cap produced them), unrolled to the patch columns the
+    /// weight rows meet in the matmul.
+    fn count_pairs(&mut self, image_codes: &[i32], g: &Conv2dGeometry) {
+        let enc = self.fq.act_cap.map_or(Encoding::Binary, |(e, _)| e);
+        let mut cols = Vec::new();
+        im2col_into(image_codes, g, &mut cols);
         // cols is (patch_len, n_patches): columns are the dot vectors.
-        let dm = PackedTermMatrix::from_data_transposed(&q, enc);
-        self.fq.count_matmul(&dm, samples);
+        let (patch, np) = (g.patch_len(), g.n_patches());
+        let cols = &cols;
+        let dots: Vec<i32> = (0..np).flat_map(|n| (0..patch).map(move |k| cols[k * np + n])).collect();
+        let dm = PackedTermMatrix::from_codes(&dots, np, patch, enc);
+        self.fq.count_matmul(&dm, 1);
     }
 }
 
@@ -125,17 +123,29 @@ impl Layer for Conv2d {
         // Borrow the input when no activation transform applies — the
         // common eval case, where a per-forward clone would be the last
         // remaining batch-sized allocation.
+        let per_in = g.in_channels * g.in_h * g.in_w;
         let xq_owned;
         let xq: &Tensor = if self.fq.input_passthrough() {
             x
+        } else if self.fq.count_pairs && self.fq.weight_terms.is_some() {
+            // Count pairs on the first image only (one representative
+            // sample per batch keeps counting passes affordable), scaled
+            // by the batch size at the accounting level.
+            let (t, codes) = self.fq.transform_input_codes(x);
+            if let Some(codes) = codes.filter(|_| n > 0) {
+                self.count_pairs(&codes[..per_in], &g);
+            }
+            xq_owned = t;
+            &xq_owned
         } else {
             xq_owned = self.fq.transform_input(x);
             &xq_owned
         };
-        let w = self.fq.effective_weight(&self.weight.value).clone();
+        // Borrowed, not cloned: the fields the loops below write are
+        // disjoint from the quant site and the weight parameter.
+        let w = self.fq.effective_weight(&self.weight.value);
         let mut out = Tensor::zeros(Shape::d4(n, self.out_channels, oh, ow));
         self.cached_cols.clear();
-        let per_in = g.in_channels * g.in_h * g.in_w;
         let per_out = self.out_channels * oh * ow;
         let (patch, np) = (g.patch_len(), g.n_patches());
         if ctx.train {
@@ -143,12 +153,6 @@ impl Layer for Conv2d {
             // backward pass, so this path allocates as before.
             for i in 0..n {
                 let cols = im2col(&xq.data()[i * per_in..(i + 1) * per_in], &g);
-                // Count pairs on the first image only (one representative
-                // sample per batch keeps counting passes affordable),
-                // scaled by the batch size at the accounting level.
-                if i == 0 {
-                    self.count_pairs(cols.data(), patch, np, 1);
-                }
                 let y = w.matmul(&cols);
                 let dst = &mut out.data_mut()[i * per_out..(i + 1) * per_out];
                 dst.copy_from_slice(y.data());
@@ -168,9 +172,6 @@ impl Layer for Conv2d {
             let mut cols = self.scratch.take_cols();
             for i in 0..n {
                 im2col_into(&xq.data()[i * per_in..(i + 1) * per_in], &g, &mut cols);
-                if i == 0 {
-                    self.count_pairs(&cols, patch, np, 1);
-                }
                 let dst = &mut out.data_mut()[i * per_out..(i + 1) * per_out];
                 matmul_into(w.data(), &cols, dst, self.out_channels, patch, np);
                 for (c, chunk) in dst.chunks_mut(oh * ow).enumerate() {

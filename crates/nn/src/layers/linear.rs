@@ -4,7 +4,7 @@ use crate::fake_quant::FakeQuant;
 use crate::layer::{ForwardCtx, Layer, QuantSite};
 use crate::param::Param;
 use tr_core::PackedTermMatrix;
-use tr_quant::{QTensor, QuantParams};
+use tr_encoding::Encoding;
 use tr_tensor::{Rng, Shape, Tensor};
 
 /// `y = x W^T + b` over a batch: `x (N, in) -> y (N, out)`.
@@ -53,53 +53,42 @@ impl Linear {
         &self.weight
     }
 
-    /// Count term pairs for an already-transformed input batch.
-    fn count_pairs(&mut self, x: &Tensor) {
+    /// Count term pairs for a batch of capped activation codes
+    /// (`batch` rows of `in` codes each, as the cap produced them).
+    fn count_pairs(&mut self, codes: &[i32], batch: usize) {
         if !self.fq.count_pairs || self.fq.weight_terms.is_none() {
             return;
         }
-        let Some(act) = self.fq.act_params else { return };
-        let enc = self.fq.act_cap.map(|(e, _)| e).unwrap_or(tr_encoding::Encoding::Binary);
-        // x rows are already dot-product vectors of length `in`.
-        let codes: Vec<i32> = x.data().iter().map(|&v| act.code(v)).collect();
-        let q = QTensor::from_codes(
-            codes,
-            QuantParams { scale: act.scale.max(f32::MIN_POSITIVE), bits: act.bits },
-            Shape::d2(x.shape().dim(0), self.in_features),
-        );
-        let dm = PackedTermMatrix::from_weights(&q, enc);
-        let n = x.shape().dim(0) as u64;
-        self.fq.count_matmul(&dm, n);
+        let enc = self.fq.act_cap.map_or(Encoding::Binary, |(e, _)| e);
+        // Rows are already dot-product vectors of length `in`.
+        let dm = PackedTermMatrix::from_codes(codes, batch, self.in_features, enc);
+        self.fq.count_matmul(&dm, batch as u64);
     }
 
     /// Bit-true integer forward over the packed/bit-plane kernels.
     ///
-    /// Recovers the quantized input codes from the already-transformed
-    /// `xq` (exact — `transform_input` emits `code · scale`), packs them,
-    /// and multiplies against the cached weight term planes with
-    /// [`tr_core::try_packed_term_matmul_i64_cached`], which dispatches
-    /// to the popcount kernel when the rung has drained enough planes
-    /// and reuses the prepared weight-side [`tr_core::BitPlaneMatrix`].
-    /// The exact `i64` dot products are rescaled by the two quantizer
-    /// scales, so the only float rounding is one multiply per output —
-    /// the same arithmetic the paper's tMAC array performs.
+    /// Packs the capped input codes `transform_input_codes` produced
+    /// (`batch` rows of `in` codes) and multiplies them against the
+    /// cached weight term planes through the prepared planner, which
+    /// dispatches to the popcount kernel when the rung has drained
+    /// enough planes and reuses the prepared weight-side
+    /// [`tr_core::BitPlaneMatrix`]. The exact `i64` dot products are
+    /// rescaled by the two quantizer scales, so the only float rounding
+    /// is one multiply per output — the same arithmetic the paper's tMAC
+    /// array performs.
     ///
     /// `None` when the site lacks integer state (float mode, calibrating,
     /// no packed weights): the caller falls back to the float-simulated
     /// path.
-    fn integer_forward(&self, xq: &Tensor) -> Option<Tensor> {
+    fn integer_forward(&self, codes: &[i32], batch: usize) -> Option<Tensor> {
         if !self.fq.exec_integer || self.fq.calibrating {
             return None;
         }
         let act = self.fq.act_params?;
         let wp = self.fq.weight_params?;
         let wt = self.fq.weight_terms.as_deref()?;
-        let act = QuantParams { scale: act.scale.max(f32::MIN_POSITIVE), bits: act.bits };
-        let enc = self.fq.act_cap.map_or(tr_encoding::Encoding::Hese, |(e, _)| e);
-        let batch = xq.shape().dim(0);
-        let codes: Vec<i32> = xq.data().iter().map(|&v| act.code(v)).collect();
-        let q = QTensor::from_codes(codes, act, Shape::d2(batch, self.in_features));
-        let data = PackedTermMatrix::from_weights(&q, enc);
+        let enc = self.fq.act_cap.map_or(Encoding::Hese, |(e, _)| e);
+        let data = PackedTermMatrix::from_codes(codes, batch, self.in_features, enc);
         // Route selection: the prepared planner memoizes the plan per
         // batch size (one lookup); sites without a planner fall back to
         // the exact two-scan decision.
@@ -119,7 +108,7 @@ impl Linear {
             ),
         }
         .ok()?;
-        let scale = act.scale * wp.scale;
+        let scale = act.scale.max(f32::MIN_POSITIVE) * wp.scale;
         let out: Vec<f32> = y.iter().map(|&v| v as f32 * scale).collect();
         Some(Tensor::from_vec(out, Shape::d2(batch, self.out_features)))
     }
@@ -139,12 +128,20 @@ impl Layer for Linear {
             let (rows, cols) = x.shape().as_matrix();
             x.reshape(Shape::d2(rows, cols))
         };
-        let xq = self.fq.transform_input(&x2);
-        self.count_pairs(&xq);
+        let batch = x2.shape().dim(0);
+        // Only the integer consumers need the capped codes themselves.
+        let (xq, codes) = if self.fq.exec_integer || self.fq.count_pairs {
+            self.fq.transform_input_codes(&x2)
+        } else {
+            (self.fq.transform_input(&x2), None)
+        };
+        if let Some(codes) = &codes {
+            self.count_pairs(codes, batch);
+        }
         if ctx.train {
             self.cached_input = Some(xq.clone());
         }
-        let mut y = match self.integer_forward(&xq) {
+        let mut y = match codes.and_then(|c| self.integer_forward(&c, batch)) {
             Some(y) => y,
             None => xq.matmul_transb(self.fq.effective_weight(&self.weight.value)),
         };
@@ -189,6 +186,7 @@ impl Layer for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tr_quant::QuantParams;
 
     /// Finite-difference gradient check on a scalar loss `sum(y)`.
     #[test]
@@ -275,13 +273,13 @@ mod tests {
         let mut ctx = ForwardCtx::eval(&mut rng);
         let y = layer.forward(&x, &mut ctx);
 
-        // Reference: transform the input the same way, pack, multiply.
+        // Reference: quantize and cap the input independently, pack the
+        // capped codes, multiply.
         let act = layer.fq.act_params.unwrap();
-        let xq = layer.fq.clone().transform_input(&x);
-        let codes: Vec<i32> = xq.data().iter().map(|&v| act.code(v)).collect();
-        let q = QTensor::from_codes(codes, act, Shape::d2(4, 32));
-        let enc = layer.fq.act_cap.unwrap().0;
-        let data = PackedTermMatrix::from_weights(&q, enc);
+        let (enc, s) = layer.fq.act_cap.unwrap();
+        let codes: Vec<i32> =
+            x.data().iter().map(|&v| tr_quant::truncate::truncate_value(enc, act.code(v), s)).collect();
+        let data = PackedTermMatrix::from_codes(&codes, 4, 32, enc);
         let wt = layer.fq.weight_terms.as_ref().unwrap();
         let exact = tr_core::packed_term_matmul_i64(&data, wt);
         let scale = act.scale * layer.fq.weight_params.unwrap().scale;
@@ -322,6 +320,31 @@ mod tests {
         let mut ctx = ForwardCtx::eval(&mut rng);
         let b = plain.forward(&xs, &mut ctx);
         assert_eq!(a, b);
+    }
+
+    /// At `s = 1` the HESE cap rounds code 127 (`2^7 - 2^0`) up to 128,
+    /// one past the 8-bit `qmax`. The integer path must multiply the
+    /// capped 128, as the float simulation does, not a re-quantized 127.
+    #[test]
+    fn integer_forward_tracks_the_float_simulation_at_one_data_term() {
+        let mut rng = Rng::seed_from_u64(13);
+        let mut layer = Linear::new(8, 4, &mut rng);
+        let cfg = tr_core::TrConfig::new(8, 8).with_data_terms(1);
+        let precision = crate::fake_quant::Precision::Tr(cfg);
+        layer.fq.install_weights(&layer.weight.value.clone(), &precision);
+        layer.fq.install_act_cap(&precision);
+        let act = QuantParams { scale: 1.0 / 127.0, bits: 8 };
+        layer.fq.act_params = Some(act);
+        let x = Tensor::from_vec(vec![1.0, 0.99, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0], Shape::d2(1, 8));
+        let (_, codes) = layer.fq.clone().transform_input_codes(&x);
+        assert_eq!(codes.unwrap()[0], 128, "the cap rounds 127 up");
+
+        let mut ctx = ForwardCtx::eval(&mut rng);
+        let y_float = layer.forward(&x, &mut ctx);
+        layer.fq.exec_integer = true;
+        let mut ctx = ForwardCtx::eval(&mut rng);
+        let y_int = layer.forward(&x, &mut ctx);
+        assert!(y_float.rel_l2(&y_int) < 1e-5, "rel {}", y_float.rel_l2(&y_int));
     }
 
     #[test]

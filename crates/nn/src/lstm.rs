@@ -13,7 +13,6 @@ use crate::fake_quant::FakeQuant;
 use crate::layer::QuantSite;
 use crate::param::Param;
 use tr_core::PackedTermMatrix;
-use tr_quant::{QTensor, QuantParams};
 use tr_tensor::{Rng, Shape, Tensor};
 
 fn sigmoid(x: f32) -> f32 {
@@ -104,12 +103,8 @@ impl LstmLm {
         let hdim = self.hidden;
         let xt = Tensor::from_vec(x.to_vec(), Shape::d2(1, x.len()));
         let ht = Tensor::from_vec(h.to_vec(), Shape::d2(1, hdim));
-        let xq = self.fq_ih.transform_input(&xt);
-        let hq = self.fq_hh.transform_input(&ht);
-        if count_pairs {
-            count_site(&mut self.fq_ih, &xq);
-            count_site(&mut self.fq_hh, &hq);
-        }
+        let xq = transform_and_count(&mut self.fq_ih, &xt, count_pairs);
+        let hq = transform_and_count(&mut self.fq_hh, &ht, count_pairs);
         let wih = self.fq_ih.effective_weight(&self.w_ih.value);
         let whh = self.fq_hh.effective_weight(&self.w_hh.value);
         let zx = xq.matmul_transb(wih);
@@ -171,10 +166,7 @@ impl LstmLm {
                 masks.push(mask);
             }
             let ht = Tensor::from_vec(h_out.clone(), Shape::d2(1, hdim));
-            let hq = self.fq_out.transform_input(&ht);
-            if count_pairs {
-                count_site(&mut self.fq_out, &hq);
-            }
+            let hq = transform_and_count(&mut self.fq_out, &ht, count_pairs);
             let wout = self.fq_out.effective_weight(&self.w_out.value);
             let y = hq.matmul_transb(wout);
             for (v, (yv, bv)) in
@@ -287,22 +279,23 @@ impl LstmLm {
     }
 }
 
-fn count_site(fq: &mut FakeQuant, xq: &Tensor) {
-    if !fq.count_pairs || fq.weight_terms.is_none() {
-        return;
+/// Apply a site's activation transform to one step's `1 × n` input and,
+/// when counting, count its term pairs on the capped codes the transform
+/// produced.
+fn transform_and_count(fq: &mut FakeQuant, x: &Tensor, count_pairs: bool) -> Tensor {
+    if !(count_pairs && fq.count_pairs && fq.weight_terms.is_some()) {
+        return fq.transform_input(x);
     }
-    let Some(act) = fq.act_params else { return };
-    let enc = fq.act_cap.map(|(e, _)| e).unwrap_or(tr_encoding::Encoding::Binary);
-    let codes: Vec<i32> = xq.data().iter().map(|&v| act.code(v)).collect();
-    let q = QTensor::from_codes(
-        codes,
-        QuantParams { scale: act.scale.max(f32::MIN_POSITIVE), bits: act.bits },
-        Shape::d2(1, xq.numel()),
-    );
-    let dm = PackedTermMatrix::from_weights(&q, enc);
-    // One timestep is a fraction of a sample; the caller normalizes by
-    // token count, so record samples = 0 here and patch counts upstream.
-    fq.count_matmul(&dm, 0);
+    let (xq, codes) = fq.transform_input_codes(x);
+    if let Some(codes) = codes {
+        let enc = fq.act_cap.map_or(tr_encoding::Encoding::Binary, |(e, _)| e);
+        let dm = PackedTermMatrix::from_codes(&codes, 1, codes.len(), enc);
+        // One timestep is a fraction of a sample; the caller normalizes
+        // by token count, so record samples = 0 here and patch counts
+        // upstream.
+        fq.count_matmul(&dm, 0);
+    }
+    xq
 }
 
 #[cfg(test)]

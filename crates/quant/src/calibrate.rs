@@ -30,21 +30,31 @@ impl QuantParams {
     }
 
     /// Quantize one value to its integer code.
+    #[inline]
     pub fn code(&self, x: f32) -> i32 {
         if self.scale == 0.0 {
             return 0;
         }
-        // Saturating float→int: non-finite and huge inputs pin to ±qmax
-        // (`as` from f32 to i64 already saturates; the clamp then brings
-        // the code into the ≤ 16-bit band, so the i32 narrowing is exact).
+        // `(x / scale).round()` (half away from zero) clamped to ±qmax,
+        // without the `roundf` library call that dominated the
+        // per-element cost. The saturating cast truncates toward zero
+        // (NaN to 0, ±inf to the i32 extremes, as `round() as i64` does
+        // before its clamp); the remainder `y - t` is exact (Sterbenz
+        // for 1 ≤ |y| < 2^31, `y` itself below 1, 0 once `y` is an
+        // integer), so comparing it with ±0.5 takes the rounding step
+        // exactly, and the saturating step keeps the extremes in range.
+        let qmax = self.qmax();
+        let y = x / self.scale;
         #[allow(clippy::cast_possible_truncation)]
-        {
-            let q = (x / self.scale).round() as i64;
-            q.clamp(-i64::from(self.qmax()), i64::from(self.qmax())) as i32
-        }
+        let t = y as i32;
+        let rem = y - t as f32;
+        t.saturating_add(i32::from(rem >= 0.5))
+            .saturating_sub(i32::from(rem <= -0.5))
+            .clamp(-qmax, qmax)
     }
 
     /// Real value of an integer code.
+    #[inline]
     pub fn real(&self, code: i32) -> f32 {
         code as f32 * self.scale
     }
@@ -141,6 +151,35 @@ mod tests {
         let p = QuantParams { scale: 0.01, bits: 8 };
         assert_eq!(p.code(100.0), 127);
         assert_eq!(p.code(-100.0), -127);
+    }
+
+    /// The library-call-free rounding in `code` is exactly
+    /// `(x / scale).round()` saturated to ±qmax: every half-step around
+    /// every code, both saturation edges, non-finite inputs, and a
+    /// stride through all f32 bit patterns.
+    #[test]
+    #[allow(clippy::cast_possible_truncation)]
+    fn code_matches_round_then_clamp_exactly() {
+        let reference = |p: &QuantParams, x: f32| -> i32 {
+            let q = (x / p.scale).round() as i64;
+            q.clamp(-i64::from(p.qmax()), i64::from(p.qmax())) as i32
+        };
+        let mut xs: Vec<f32> = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+        xs.extend((0..=u32::MAX).step_by(4099).map(f32::from_bits));
+        for bits in [2u8, 4, 8, 12, 16] {
+            for scale in [1.0f32, 0.37, 1.0 / 127.0, 3e-5, 7.5e3] {
+                let p = QuantParams { scale, bits };
+                let edge = p.qmax() + 2;
+                let mut local = Vec::new();
+                for h in -2 * edge..=2 * edge {
+                    let x = h as f32 * 0.5 * scale;
+                    local.extend([x, f32::from_bits(x.to_bits() + 1), f32::from_bits(x.to_bits().max(1) - 1)]);
+                }
+                for &x in xs.iter().chain(&local) {
+                    assert_eq!(p.code(x), reference(&p, x), "bits {bits} scale {scale} x {x:e}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,25 +8,34 @@
 //! ("keep the top s terms of each data value").
 
 use crate::qtensor::QTensor;
-use tr_encoding::Encoding;
+use tr_encoding::{Encoding, TermTable};
 
 /// Truncate one code to its top `k` terms under `encoding`.
 pub fn truncate_value(encoding: Encoding, code: i32, k: usize) -> i32 {
-    if code == 0 {
-        return 0;
-    }
-    // Dropping terms only shrinks the magnitude, so the truncated value
-    // stays inside the i32 band the code came from.
-    #[allow(clippy::cast_possible_truncation)]
-    {
-        encoding.terms_of(code).truncate_top(k).value() as i32
+    truncate_with(encoding.table(), code, k)
+}
+
+/// [`truncate_value`] against an already-fetched code-term table: the
+/// sum of the code's top `k` table terms, read from the table's running
+/// sums for any code within [`tr_encoding::TABLE_RANGE`] (no encoding,
+/// no allocation) and from the encoder beyond it. Hot loops fetch the
+/// table once and call this per element.
+#[inline]
+pub fn truncate_with(table: &TermTable, code: i32, k: usize) -> i32 {
+    match table.truncated(code, k) {
+        Some(v) => v,
+        // Dropping terms only shrinks the magnitude, so the truncated
+        // value stays inside the i32 band the code came from.
+        #[allow(clippy::cast_possible_truncation)]
+        None => table.encoding().terms_of(code).truncate_top(k).value() as i32,
     }
 }
 
 /// Truncate every code in a slice (in place) to its top `k` terms.
 pub fn truncate_values(encoding: Encoding, codes: &mut [i32], k: usize) {
+    let table = encoding.table();
     for c in codes.iter_mut() {
-        *c = truncate_value(encoding, *c, k);
+        *c = truncate_with(table, *c, k);
     }
 }
 

@@ -86,3 +86,19 @@ proptest! {
         }
     }
 }
+
+/// The table-driven truncation is the `TermExpr` path, exhaustively: all
+/// four encodings, every code in ±1024 (across the table's ±255 edge into
+/// the encoder fallback), every budget up to twice the widest expansion.
+#[test]
+fn table_truncation_matches_the_term_expr_path_exhaustively() {
+    for enc in Encoding::ALL {
+        for code in -1024i32..=1024 {
+            let expr = enc.terms_of(code);
+            for k in 0usize..=16 {
+                let expect = expr.truncate_top(k).value();
+                assert_eq!(i64::from(truncate_value(enc, code, k)), expect, "{enc} {code} k={k}");
+            }
+        }
+    }
+}

@@ -115,10 +115,6 @@ pub fn im2col(input: &[f32], g: &Conv2dGeometry) -> Tensor {
     Tensor::from_vec(out, Shape::d2(g.patch_len(), g.n_patches()))
 }
 
-/// [`im2col`] into a caller-owned buffer, resized to `patch_len ×
-/// n_patches`. Every slot (including padding zeros) is written, so a dirty
-/// buffer reused across the images of a batch needs no clearing — this is
-/// what lets the conv layers unroll a whole batch with one allocation.
 /// Map a padded (possibly negative) input coordinate to an in-bounds
 /// index: `Some(i)` iff `0 <= v < limit`.
 #[inline]
@@ -126,13 +122,19 @@ fn in_bounds(v: isize, limit: usize) -> Option<usize> {
     usize::try_from(v).ok().filter(|&i| i < limit)
 }
 
-pub fn im2col_into(input: &[f32], g: &Conv2dGeometry, out: &mut Vec<f32>) {
+/// [`im2col`] into a caller-owned buffer, resized to `patch_len ×
+/// n_patches`. Every slot (including padding zeros) is written, so a dirty
+/// buffer reused across the images of a batch needs no clearing — this is
+/// what lets the conv layers unroll a whole batch with one allocation.
+/// Generic over the element so integer activation codes unroll the same
+/// way (padding is `T::default()`, i.e. `0.0` or code 0).
+pub fn im2col_into<T: Copy + Default>(input: &[T], g: &Conv2dGeometry, out: &mut Vec<T>) {
     g.check();
     assert_eq!(input.len(), g.in_channels * g.in_h * g.in_w, "input length mismatch");
     let (oh, ow) = (g.out_h(), g.out_w());
     let rows = g.patch_len();
     let cols = oh * ow;
-    out.resize(rows * cols, 0.0);
+    out.resize(rows * cols, T::default());
     let mut row = 0usize;
     for c in 0..g.in_channels {
         let chan = &input[c * g.in_h * g.in_w..(c + 1) * g.in_h * g.in_w];
@@ -146,7 +148,7 @@ pub fn im2col_into(input: &[f32], g: &Conv2dGeometry, out: &mut Vec<f32>) {
                         let ix = (ox * g.stride + kw) as isize - g.pad as isize;
                         orow[p] = match (in_bounds(iy, g.in_h), in_bounds(ix, g.in_w)) {
                             (Some(y), Some(x)) => chan[y * g.in_w + x],
-                            _ => 0.0,
+                            _ => T::default(),
                         };
                         p += 1;
                     }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The full local gate: release build, the whole test suite, clippy over
+# The full local gate: release build, the whole test suite, the
+# benchmark package's build and tests, clippy over
 # every target with warnings denied (the workspace cast/unwrap lints now
 # cover every crate, tests and benches included), the static bit-width
 # proof of the hardware datapath, the whole-model soundness
@@ -10,6 +11,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
 cargo test -q --workspace
+# The end-to-end benchmark is its own Cargo workspace over the crates'
+# public APIs: building and testing it here makes an API change that
+# breaks it fail this gate, not the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo run -q --release -p tr-bench --bin repro -- verify-widths
 # Whole-model soundness certificates: every default ladder rung of the

@@ -329,3 +329,101 @@ proptest! {
         }
     }
 }
+
+/// Every code in ±1024 — across the code-term table's ±255 edge into the
+/// encoder fallback — for all four encodings.
+fn exhaustive_codes() -> Vec<i32> {
+    (-1024..=1024).collect()
+}
+
+#[test]
+fn code_term_table_matches_the_encoder_exhaustively() {
+    for enc in Encoding::ALL {
+        let table = enc.table();
+        for code in exhaustive_codes() {
+            let expect = enc.terms_of(code);
+            match table.get(code) {
+                Some(t) => assert_eq!(t.iter().collect::<Vec<_>>(), expect.terms(), "{enc} {code}"),
+                None => assert!(code.abs() > tr_encoding::TABLE_RANGE, "{enc} {code} missing"),
+            }
+        }
+    }
+}
+
+#[test]
+fn table_built_planes_match_the_legacy_conversion_exhaustively() {
+    let codes = exhaustive_codes();
+    // 2049 = 3 x 683; 16-bit codes so every value is in range.
+    let q = QTensor::from_codes(
+        codes.clone(),
+        tr_quant::QuantParams { scale: 1.0, bits: 16 },
+        Shape::d2(3, 683),
+    );
+    for enc in Encoding::ALL {
+        let pairs = [
+            (PackedTermMatrix::from_vector(&codes, enc), TermMatrix::from_vector(&codes, enc).to_packed()),
+            (PackedTermMatrix::from_weights(&q, enc), TermMatrix::from_weights(&q, enc).to_packed()),
+            (
+                PackedTermMatrix::from_data_transposed(&q, enc),
+                TermMatrix::from_data_transposed(&q, enc).to_packed(),
+            ),
+            (
+                PackedTermMatrix::from_codes(&codes, 683, 3, enc),
+                TermMatrix::from_vector(&codes, enc).to_packed(),
+            ),
+        ];
+        for (i, (table_built, legacy)) in pairs.iter().enumerate() {
+            assert_eq!(table_built.total_terms(), legacy.total_terms(), "{enc} #{i}");
+            assert_eq!(table_built.offsets(), legacy.offsets(), "{enc} #{i}");
+            assert_eq!(table_built.exps(), legacy.exps(), "{enc} #{i}");
+            for t in 0..legacy.total_terms() {
+                assert_eq!(table_built.sign(t), legacy.sign(t), "{enc} #{i} sign bit {t}");
+            }
+            // The shape-free constructor differs from the vector oracle
+            // only in its row split, which the checksum covers.
+            if i < 3 {
+                assert_eq!(table_built.checksum(), legacy.checksum(), "{enc} #{i}");
+            }
+        }
+    }
+}
+
+/// The table-capped activation transform emits exactly the f32 bits of
+/// `real(truncate_value(code(v)))` — the `TermExpr` path — at every
+/// activation width, cap encoding and budget, over inputs that reach
+/// every code and saturate past `±qmax`.
+#[test]
+fn activation_transform_matches_the_term_expr_path_bitwise() {
+    use tr_encoding::Term;
+    use tr_nn::FakeQuant;
+    use tr_quant::QuantParams;
+    for bits in 2u8..=8 {
+        let params = QuantParams { scale: 0.37, bits };
+        let qmax = params.qmax();
+        let xs: Vec<f32> =
+            (-(qmax + 3) * 4..=(qmax + 3) * 4).map(|i| i as f32 * params.scale * 0.25).collect();
+        let x = Tensor::from_vec(xs.clone(), Shape::d2(1, xs.len()));
+        let caps = std::iter::once(None)
+            .chain(Encoding::ALL.iter().flat_map(|&e| (0..=8).map(move |s| Some((e, s)))));
+        for cap in caps {
+            let mut fq = FakeQuant { act_params: Some(params), act_cap: cap, ..FakeQuant::default() };
+            let y = fq.transform_input(&x);
+            let (y2, codes) = fq.transform_input_codes(&x);
+            let codes = codes.expect("an active quantizer yields codes");
+            for (i, &v) in xs.iter().enumerate() {
+                let code = params.code(v);
+                let capped = match cap {
+                    None => code,
+                    Some((enc, s)) => {
+                        let kept: Vec<Term> = enc.terms_of(code).terms().iter().take(s).copied().collect();
+                        i32::try_from(kept.iter().map(|t| t.value()).sum::<i64>()).unwrap()
+                    }
+                };
+                let expect = params.real(capped).to_bits();
+                assert_eq!(y.data()[i].to_bits(), expect, "bits {bits} cap {cap:?} x {v}");
+                assert_eq!(y2.data()[i].to_bits(), expect, "bits {bits} cap {cap:?} x {v}");
+                assert_eq!(codes[i], capped, "bits {bits} cap {cap:?} x {v}");
+            }
+        }
+    }
+}
