@@ -1,7 +1,7 @@
 //! Sealed soundness certificates and the table tr-serve enforces.
 //!
 //! A [`ProofCertificate`] is the durable artifact of one
-//! [`analyze_model`](crate::model::analyze_model) run: for a (model
+//! [`analyze_model`] run: for a (model
 //! fingerprint, rung) pair it records every layer's proved accumulator
 //! interval and minimal sound width, and is sealed with the same
 //! word-wise FNV-1a construction ([`tr_core::seal`]) that seals packed

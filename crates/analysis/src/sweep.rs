@@ -1,4 +1,4 @@
-//! Exhaustive Table-I sweep: run [`analyze`](crate::datapath::analyze)
+//! Exhaustive Table-I sweep: run [`analyze`]
 //! over *every* valid register configuration and aggregate the proof.
 //!
 //! The register file is 18 bits, so the space is tiny (≈45k valid

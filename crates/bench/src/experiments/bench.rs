@@ -32,11 +32,12 @@
 //!   against the arena eval path;
 //! * **hw** — cycle schedules of paper-sized layers under QT vs TR
 //!   registers, plus the functional array's per-tile cycle histogram;
-//! * **serve** — a short deterministic burst against the batched service,
-//!   reporting p50/p99 completed latency from the shared histogram;
-//! * **serve_sharded** — the same burst through the sharded multi-tenant
-//!   service with a single tenant, proving the shard/dispatch layer does
-//!   not regress single-tenant tail latency;
+//! * **serve** — a short deterministic burst against a one-shard,
+//!   one-worker service, reporting p50/p99 completed latency from the
+//!   shared histogram;
+//! * **serve_sharded** — the same burst through a four-shard multi-tenant
+//!   configuration, proving the shard/dispatch layer does not regress
+//!   single-tenant tail latency;
 //! * **integrity_overhead** — the chaos-overhead gate: checksum
 //!   verification must cost < 2% of the packed matmul it protects;
 //! * **tune** — the tune table in force during the kernel sections
@@ -55,7 +56,7 @@
 //!
 //! The artifact goes to `BENCH_PR10.json` (override with `TR_BENCH_OUT`).
 
-use crate::experiments::serve::{mlp_factory, wait_settled};
+use crate::experiments::serve::{mlp_factory, submit, wait_settled};
 use crate::report::Table;
 use crate::zoo::Zoo;
 use std::time::{Duration, Instant};
@@ -74,9 +75,7 @@ use tr_nn::fake_quant::Precision;
 use tr_nn::layer::{ForwardCtx, Layer};
 use tr_nn::layers::{Conv2d, DepthwiseConv2d};
 use tr_obs::{recorder, set_enabled, JsonValue, Snapshot};
-use tr_serve::{
-    DeadlineClass, Service, ServiceConfig, ShardedConfig, ShardedService, TenantPolicy,
-};
+use tr_serve::{DeadlineClass, ShardedConfig, ShardedService, TenantPolicy};
 use tr_tensor::{im2col, Conv2dGeometry, Rng, Shape, Tensor};
 
 /// Schema tag of the emitted artifact; bump only on breaking layout
@@ -503,23 +502,22 @@ fn hw_section(zoo: &Zoo, table: &mut Table) -> JsonValue {
 
 fn serve_section(zoo: &Zoo, table: &mut Table) -> JsonValue {
     let ds = zoo.digits();
-    let cfg = ServiceConfig {
-        queue_capacity: 128,
+    let cfg = ShardedConfig {
+        shards: 1,
+        workers_per_shard: 1,
+        shard_queue_capacity: 128,
         max_batch: 4,
         batch_linger: Duration::from_millis(2),
         service_estimate: Duration::from_millis(8),
-        workers: 1,
         ladder: tr_serve::LadderConfig::default_tr_ladder(),
-        monitor_window: 8,
-        monitor_silent_threshold: 0,
-        ..ServiceConfig::default()
+        ..ShardedConfig::default()
     };
     let n = if zoo.quick { 24 } else { 60 };
-    let svc = Service::start(cfg, mlp_factory(zoo, Duration::from_micros(100)))
+    let svc = ShardedService::start(cfg, mlp_factory(zoo, Duration::from_micros(100)))
         .expect("valid service config");
     let t0 = Instant::now();
     for i in 0..n {
-        let _ = svc.submit(ds.test.x.row(i % ds.test.len()).to_vec(), Duration::from_secs(10));
+        let _ = submit(&svc, ds.test.x.row(i % ds.test.len()).to_vec(), Duration::from_secs(10));
         std::thread::sleep(Duration::from_millis(1));
     }
     wait_settled(&svc, Duration::from_secs(30));
@@ -555,11 +553,11 @@ fn serve_section(zoo: &Zoo, table: &mut Table) -> JsonValue {
 }
 
 /// The PR 8 non-regression probe: the same single-tenant burst as
-/// [`serve_section`] pushed through the *sharded* multi-tenant service
+/// [`serve_section`] pushed through a *multi-shard* configuration
 /// (4 shards, one worker each, tenant-hash dispatch, per-tenant ladder).
 /// One tenant homes onto one shard, so this measures exactly what the
-/// shard/dispatch layer adds over the plain service on the path a
-/// single-tenant deployment pays.
+/// shard/dispatch layer adds over the one-shard configuration on the
+/// path a single-tenant deployment pays.
 ///
 /// Every shard worker builds its own engine replica at spawn; on a
 /// small host those builds serialize and would otherwise dominate the
@@ -1205,83 +1203,4 @@ pub fn run(zoo: &Zoo) -> Vec<Table> {
         Err(e) => table.note(format!("could not write {path}: {e}")),
     }
     vec![table]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::zoo::test_zoo;
-
-    #[test]
-    fn bench_emits_schema_stable_json() {
-        let _gate = crate::experiments::common::timing_gate();
-        let zoo = test_zoo();
-        let dir = zoo.dir().join("bench-out");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_TEST.json");
-        // The env var is process-global; restore it so parallel tests in
-        // this binary see a clean environment.
-        std::env::set_var("TR_BENCH_OUT", &path);
-        let tables = run(&zoo);
-        std::env::remove_var("TR_BENCH_OUT");
-        assert_eq!(tables.len(), 1);
-        let text = std::fs::read_to_string(&path).expect("artifact written");
-        for key in [
-            "\"schema\": \"tr-bench/v1\"",
-            "\"pr\": 10",
-            "\"tune\"",
-            "\"bitplane\"",
-            "\"isa\"",
-            "\"kernel_digest\"",
-            "\"bitplane_deep_k\"",
-            "\"speedup_vs_pr9\"",
-            "\"code_wall_ms\"",
-            "\"bit_wall_ms\"",
-            "\"peak_speedup\"",
-            "\"k2_s1\"",
-            "\"integrity_overhead\"",
-            "\"verify_overhead_pct\"",
-            "\"verify_wall_ms\"",
-            "\"cache_repairs\"",
-            "\"core\"",
-            "\"qt8\"",
-            "\"tr_g8_k12_s3\"",
-            "\"packed_wall_ms\"",
-            "\"packed_speedup\"",
-            "\"terms_per_mac\"",
-            "\"nn\"",
-            "\"mlp_qt8\"",
-            "\"mlp_tr_g8_k12_s3\"",
-            "\"conv_forward\"",
-            "\"arena_wall_ms\"",
-            "\"layers\"",
-            "\"hw\"",
-            "\"functional\"",
-            "\"serve\"",
-            "\"serve_sharded\"",
-            "\"steals\"",
-            "\"p99_ms\"",
-            "\"baseline\"",
-            "\"verdict\"",
-        ] {
-            assert!(text.contains(key), "artifact missing {key}:\n{text}");
-        }
-
-        // The PR4 artifact reported zeroed reveal counters in the TR row
-        // (the recorder was reset after the reveal pass ran); the counter
-        // window now covers operand preparation, so the TR row must show
-        // the scan and the QT row must legitimately show none.
-        let json = JsonValue::parse(&text).expect("artifact parses");
-        let reveal = |row: &str, key: &str| {
-            json.get("core")
-                .and_then(|c| c.get(row))
-                .and_then(|r| r.get("counters"))
-                .and_then(|c| c.get(key))
-                .and_then(JsonValue::as_u64)
-                .expect("counter present")
-        };
-        assert!(reveal("tr_g8_k12_s3", "reveal_groups") > 0, "TR reveal counters are dead");
-        assert!(reveal("tr_g8_k12_s3", "reveal_terms_kept") > 0, "TR reveal counters are dead");
-        assert_eq!(reveal("qt8", "reveal_groups"), 0, "QT row must not reveal");
-    }
 }

@@ -21,7 +21,7 @@
 //! extracted from the corruption scenario's event log.
 
 use crate::experiments::faults::functional_point;
-use crate::experiments::serve::{mlp_engine_builder, wait_settled, with_quiet_panics};
+use crate::experiments::serve::{mlp_engine_builder, submit, wait_settled, with_quiet_panics};
 use crate::report::{count, Table};
 use crate::zoo::Zoo;
 use std::time::Duration;
@@ -29,7 +29,7 @@ use tr_core::TrConfig;
 use tr_hw::{FaultConfig, Mitigation};
 use tr_serve::{
     chaos_nn_factory, ChaosConfig, Engine, EventKind, LadderConfig, MetricsSnapshot, RetryPolicy,
-    Service, ServiceConfig, ServiceReport,
+    ShardedConfig, ShardedReport, ShardedService,
 };
 
 /// Root seed of every chaos campaign in this experiment.
@@ -42,21 +42,20 @@ fn ladder() -> LadderConfig {
     LadderConfig { patience: 2, cooldown: 3, ..LadderConfig::default_tr_ladder() }
 }
 
-/// Service shape shared by every sweep scenario: two workers (so one
-/// can die while the other serves), a fast batch cadence, and the
-/// fault monitor wired exactly as the serve ramp wires it.
-fn chaos_service_config() -> ServiceConfig {
-    ServiceConfig {
-        queue_capacity: 64,
+/// Service shape shared by every sweep scenario: one shard with two
+/// workers (so one can die while the other serves; they share the
+/// shard's breaker) and a fast batch cadence.
+fn chaos_service_config() -> ShardedConfig {
+    ShardedConfig {
+        shards: 1,
+        workers_per_shard: 2,
+        shard_queue_capacity: 64,
         max_batch: 4,
         batch_linger: Duration::from_millis(1),
         service_estimate: Duration::from_millis(2),
-        workers: 2,
         ladder: ladder(),
-        monitor_window: 8,
-        monitor_silent_threshold: 0,
         retry: RetryPolicy { base: Duration::from_micros(200), ..RetryPolicy::default() },
-        ..ServiceConfig::default()
+        ..ShardedConfig::default()
     }
 }
 
@@ -170,7 +169,7 @@ struct ScenarioOutcome {
     /// `serve.cache.*` deltas: (integrity violations, repairs).
     cache: (u64, u64),
     final_rung: usize,
-    report: ServiceReport,
+    report: ShardedReport,
 }
 
 fn obs_counters() -> (u64, u64, u64, u64, u64, u64) {
@@ -191,7 +190,7 @@ fn obs_counters() -> (u64, u64, u64, u64, u64, u64) {
 /// requests always get a generous deadline; under `storm`, odd-indexed
 /// ones get a deadline far below the batch linger, so they expire.
 fn drive_until(
-    svc: &Service,
+    svc: &ShardedService,
     test_x: &tr_tensor::Tensor,
     per_round: usize,
     rounds: usize,
@@ -210,7 +209,7 @@ fn drive_until(
             let input = test_x.row(sample % n).to_vec();
             sample += 1;
             let deadline = if storm && i % 2 == 1 { Duration::from_micros(300) } else { DEADLINE };
-            if svc.submit(input, deadline).is_ok() {
+            if submit(svc, input, deadline).is_ok() {
                 sent += 1;
             }
             std::thread::sleep(interval);
@@ -228,7 +227,7 @@ fn drive_until(
 /// the cached target rung — and the very next delegated switch must
 /// detect and repair it before a single inference runs on it.
 fn drive_latch_cycles(
-    svc: &Service,
+    svc: &ShardedService,
     test_x: &tr_tensor::Tensor,
     cycles: usize,
     per_half: usize,
@@ -241,11 +240,11 @@ fn drive_latch_cycles(
     let n = test_x.shape().dims()[0];
     let mut sent = 0u64;
     let mut sample = 0usize;
-    let half = |svc: &Service, sent: &mut u64, sample: &mut usize| {
+    let half = |svc: &ShardedService, sent: &mut u64, sample: &mut usize| {
         for _ in 0..per_half {
             let input = test_x.row(*sample % n).to_vec();
             *sample += 1;
-            if svc.submit(input, DEADLINE).is_ok() {
+            if submit(svc, input, DEADLINE).is_ok() {
                 *sent += 1;
             }
             std::thread::sleep(Duration::from_millis(1));
@@ -400,9 +399,9 @@ fn run_scenario(zoo: &Zoo, sc: &Scenario) -> ScenarioOutcome {
     }
     let before = obs_counters();
     let factory = chaos_nn_factory(mlp_engine_builder(zoo, Duration::ZERO), sc.cfg.clone());
-    let svc = Service::start(cfg, factory).expect("valid config");
+    let svc = ShardedService::start(cfg, factory).expect("valid config");
     // Warm the engines (first request pays the checkpoint load).
-    let _ = svc.submit(ds.test.x.row(0).to_vec(), Duration::from_secs(30));
+    let _ = submit(&svc, ds.test.x.row(0).to_vec(), Duration::from_secs(30));
     wait_settled(&svc, Duration::from_secs(30));
     let (per_round, rounds) = if zoo.quick { (24, 6) } else { (32, 10) };
     let submitted = if sc.latch_cycles {
@@ -421,7 +420,7 @@ fn run_scenario(zoo: &Zoo, sc: &Scenario) -> ScenarioOutcome {
         )
     };
     wait_settled(&svc, Duration::from_secs(30));
-    let final_rung = svc.current_rung();
+    let final_rung = svc.tenant_rung(0).expect("tenant 0 is configured");
     let latched = svc.fault_latched();
     let report = svc.shutdown();
     let after = obs_counters();

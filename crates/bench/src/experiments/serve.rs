@@ -29,7 +29,8 @@ use tr_core::TrConfig;
 use tr_hw::{FaultConfig, Mitigation};
 use tr_nn::exec::{apply_precision, calibrate_model, evaluate_accuracy};
 use tr_serve::{
-    EngineFactory, LadderConfig, Outcome, RequestId, Service, ServiceConfig, ServiceReport,
+    DeadlineClass, EngineFactory, LadderConfig, Outcome, RejectReason, RequestId, ShardedConfig,
+    ShardedReport, ShardedService,
 };
 use tr_tensor::Rng;
 
@@ -48,18 +49,27 @@ fn ladder() -> LadderConfig {
     LadderConfig { patience: 2, cooldown: 3, ..LadderConfig::default_tr_ladder() }
 }
 
-fn service_config() -> ServiceConfig {
-    ServiceConfig {
-        queue_capacity: 32,
+fn service_config() -> ShardedConfig {
+    ShardedConfig {
+        shards: 1,
+        workers_per_shard: 1,
+        shard_queue_capacity: 32,
         max_batch: 4,
         batch_linger: Duration::from_millis(2),
         service_estimate: Duration::from_millis(8),
-        workers: 1,
         ladder: ladder(),
-        monitor_window: 8,
-        monitor_silent_threshold: 0,
-        ..ServiceConfig::default()
+        ..ShardedConfig::default()
     }
+}
+
+/// Submit `input` as an interactive request of the single tenant the
+/// serve experiments configure.
+pub(crate) fn submit(
+    svc: &ShardedService,
+    input: Vec<f32>,
+    deadline: Duration,
+) -> Result<RequestId, RejectReason> {
+    svc.submit(0, DeadlineClass::Interactive, input, Some(deadline))
 }
 
 /// Builder for a fully-assembled [`tr_serve::NnEngine`] backed by the
@@ -137,7 +147,7 @@ struct Phase {
 /// Block until every submitted request has a terminal outcome (bounded
 /// wait) — the engine factories load checkpoints lazily, so this also
 /// serves as the post-start warmup barrier.
-pub(crate) fn wait_settled(svc: &Service, timeout: Duration) {
+pub(crate) fn wait_settled(svc: &ShardedService, timeout: Duration) {
     let t0 = std::time::Instant::now();
     loop {
         let s = svc.metrics_snapshot();
@@ -152,8 +162,8 @@ pub(crate) fn wait_settled(svc: &Service, timeout: Duration) {
 /// to finish its initial engine build and precision sync (each counts
 /// one reconfiguration) — so the measured phases start on a ready
 /// service.
-fn warm_up(svc: &Service, test_x: &tr_tensor::Tensor, workers: u64) {
-    let _ = svc.submit(test_x.row(0).to_vec(), Duration::from_secs(10));
+fn warm_up(svc: &ShardedService, test_x: &tr_tensor::Tensor, workers: u64) {
+    let _ = submit(svc, test_x.row(0).to_vec(), Duration::from_secs(10));
     let t0 = std::time::Instant::now();
     loop {
         let s = svc.metrics_snapshot();
@@ -187,7 +197,7 @@ struct PhaseRow {
 /// return the phase's metric delta. Labels of submitted requests are
 /// recorded for delivered-accuracy accounting.
 fn run_phase(
-    svc: &Service,
+    svc: &ShardedService,
     phase: &Phase,
     test_x: &tr_tensor::Tensor,
     labels: &[usize],
@@ -199,7 +209,7 @@ fn run_phase(
         let i = *next_sample % labels.len();
         *next_sample += 1;
         let input = test_x.row(i).to_vec();
-        if let Ok(id) = svc.submit(input, DEADLINE) {
+        if let Ok(id) = submit(svc, input, DEADLINE) {
             submitted_labels.insert(id, labels[i]);
         }
         std::thread::sleep(phase.interval);
@@ -214,12 +224,12 @@ fn run_phase(
         t0.elapsed(),
         s.terminal_total(),
         s.submitted,
-        svc.queue_depth()
+        svc.queue_depths().iter().sum::<usize>()
     );
     PhaseRow {
         name: phase.name,
         snap: svc.metrics_snapshot().since(before),
-        rung_after: svc.current_rung(),
+        rung_after: svc.tenant_rung(0).expect("tenant 0 is configured"),
         latched: svc.fault_latched(),
     }
 }
@@ -248,7 +258,7 @@ fn delivered_accuracy(
 }
 
 /// The deterministic ramp: warm → overload → recover → fault → cleared.
-fn ramp_table(zoo: &Zoo) -> (Table, ServiceReport) {
+fn ramp_table(zoo: &Zoo) -> (Table, ShardedReport) {
     let ds = zoo.digits();
     let labels = ds.test.y.clone();
     let scale = if zoo.quick { 3 } else { 1 };
@@ -265,7 +275,8 @@ fn ramp_table(zoo: &Zoo) -> (Table, ServiceReport) {
         Phase { name: "fault-latch", requests: 90 / scale, interval: Duration::from_millis(9) },
         Phase { name: "cleared", requests: 90 / scale, interval: Duration::from_millis(6) },
     ];
-    let svc = Service::start(service_config(), mlp_factory(zoo, PACE)).expect("valid config");
+    let svc =
+        ShardedService::start(service_config(), mlp_factory(zoo, PACE)).expect("valid config");
     warm_up(&svc, &ds.test.x, 1);
     let mut rows = Vec::new();
     let mut next_sample = 0usize;
@@ -328,8 +339,8 @@ fn ramp_table(zoo: &Zoo) -> (Table, ServiceReport) {
     }
     t.note(format!(
         "deepest rung {}; final rung {}; {} precision switches; conservation verified: {} submitted = {} outcomes",
-        report.deepest_rung,
-        report.final_rung,
+        report.tenants[0].deepest_rung,
+        report.tenants[0].final_rung,
         report.snapshot.reconfigurations,
         report.snapshot.submitted,
         report.completions.len(),
@@ -342,7 +353,7 @@ fn ramp_table(zoo: &Zoo) -> (Table, ServiceReport) {
     // The acceptance gates: ladder engaged and recovered; overload
     // produced backpressure; completed latency stayed under the deadline.
     let overload = &rows[1];
-    assert!(report.deepest_rung > 0, "overload must engage the ladder");
+    assert!(report.tenants[0].deepest_rung > 0, "overload must engage the ladder");
     assert!(
         overload.snap.rejected + overload.snap.expired() > 0,
         "overload must surface backpressure (rejections or expiries)"
@@ -381,8 +392,9 @@ fn soak_table(zoo: &Zoo) -> Table {
     // panic isolation and conservation, not backpressure (the ramp
     // covers that), so rejected and expired are asserted to be exactly
     // zero regardless of how loaded the host machine is.
-    let cfg = ServiceConfig { workers: 2, queue_capacity: n + 8, ..service_config() };
-    let svc = Service::start(cfg, mlp_factory(zoo, Duration::from_micros(100)))
+    let cfg =
+        ShardedConfig { workers_per_shard: 2, shard_queue_capacity: n + 8, ..service_config() };
+    let svc = ShardedService::start(cfg, mlp_factory(zoo, Duration::from_micros(100)))
         .expect("valid config");
     warm_up(&svc, &ds.test.x, 2);
     let mut rng = Rng::seed_from_u64(SEED ^ 0x50AC);
@@ -395,7 +407,7 @@ fn soak_table(zoo: &Zoo) -> Table {
             if is_poison {
                 input[0] = f32::NAN; // trips the engine's poison assertion
             }
-            match svc.submit(input, Duration::from_secs(60)) {
+            match submit(&svc, input, Duration::from_secs(60)) {
                 Ok(id) if is_poison => poison_ids.push(id),
                 _ => {}
             }

@@ -4,7 +4,7 @@
 //! The autotuner races the real kernels (code-plane vs bit-plane, flat
 //! vs panel-blocked, serial vs parallel fan-out) on synthetic operands
 //! derived from a fixed seed, and writes the measured crossovers into a
-//! sealed [`TuneTable`] for the host's detected ISA. The sealed JSON is
+//! sealed [`TuneTable`](tr_core::tune::TuneTable) for the host's detected ISA. The sealed JSON is
 //! the committed dispatch policy: `repro bench` (and the serve stack,
 //! via `tr_core::tune::install`) replays it deterministically instead
 //! of re-measuring, so two runs on the same table produce identical

@@ -22,8 +22,8 @@
 //! — one AND + popcount per 64 elements per live plane pair, with the
 //! pair's sign and shift hoisted out of the word loop entirely. Integer
 //! addition is associative and commutative (also modulo 2⁶⁴), so the
-//! result is **bit-identical** to [`packed_term_matmul_i64`]
-//! (crate::packed_term_matmul_i64) and to the pair-walk kernels for any
+//! result is **bit-identical** to
+//! [`packed_term_matmul_i64`](crate::packed_term_matmul_i64) and to the pair-walk kernels for any
 //! operand, regardless of summation order.
 //!
 //! Why this gets *faster as quantization gets more aggressive*: the cost

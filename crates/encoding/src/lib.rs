@@ -14,10 +14,10 @@
 //! * [`Sdr`] — a signed-digit representation with digits in `{-1, 0, 1}`;
 //! * [`binary_terms`] — the plain binary expansion (nonnegative terms only);
 //! * [`booth_radix4`] — classic Booth radix-4 recoding (§IV-A);
-//! * [`naf`] — the non-adjacent form, the textbook *minimal-weight* SDR,
+//! * [`naf()`] — the non-adjacent form, the textbook *minimal-weight* SDR,
 //!   used as the ground truth that HESE achieves the theoretical minimum
 //!   number of terms;
-//! * [`hese`] — **HESE** (Hybrid Encoding for Shortened Expressions), the
+//! * [`hese()`] — **HESE** (Hybrid Encoding for Shortened Expressions), the
 //!   paper's one-pass, two-bit-window FSM (§IV-B, Fig. 8a/8b);
 //! * [`hese::hese_streams`] — the bit-serial (magnitude, sign) stream pair
 //!   produced by the hardware HESE encoder (§V-D);

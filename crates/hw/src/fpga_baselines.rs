@@ -28,7 +28,7 @@ pub struct AcceleratorRow {
     pub frames_per_joule: f64,
 }
 
-/// The published comparison rows ([45]–[48] in the paper).
+/// The published comparison rows (\[45\]–\[48\] in the paper).
 pub fn published_baselines() -> Vec<AcceleratorRow> {
     vec![
         AcceleratorRow {

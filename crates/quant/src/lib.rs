@@ -5,7 +5,7 @@
 //! compared against throughout the evaluation.
 //!
 //! * [`QuantParams`] / [`quantize`] — symmetric fixed-point quantization at
-//!   4–8 bits with layerwise max-abs calibration (the [44]-style procedure
+//!   4–8 bits with layerwise max-abs calibration (the \[44\]-style procedure
 //!   of §VI);
 //! * [`QTensor`] — a quantized tensor: integer codes plus a scale;
 //! * [`truncate`] — per-value top-`s` term truncation under any encoding

@@ -1,12 +1,12 @@
-//! Per-worker circuit breakers.
+//! Per-shard circuit breakers.
 //!
-//! A breaker sits between a worker and its engine. While *Closed* it
-//! admits every batch. After `failure_threshold` consecutive failures it
-//! *Opens*: the worker stops offering work to the engine and lets the
-//! cooldown elapse instead of hammering a broken dependency. Once the
-//! cooldown passes, the next `admit` moves it to *HalfOpen* and lets a
-//! single probe batch through; a success closes the breaker, a failure
-//! re-opens it and restarts the cooldown.
+//! A breaker sits between a shard's workers and their engines. While
+//! *Closed* it admits every batch. After `failure_threshold` consecutive
+//! failures it *Opens*: the shard's workers stop offering work to their
+//! engines and let the cooldown elapse instead of hammering a broken
+//! dependency. Once the cooldown passes, the next `admit` moves it to
+//! *HalfOpen* and lets a single probe batch through; a success closes
+//! the breaker, a failure re-opens it and restarts the cooldown.
 //!
 //! The breaker is a pure state machine over explicit `now: Instant`
 //! values — it never reads a clock itself, so the service can drive it
@@ -53,8 +53,8 @@ impl Default for BreakerConfig {
     }
 }
 
-/// A single worker's breaker. Not thread-safe by itself; the service
-/// wraps each one in a mutex owned by its worker slot.
+/// A single shard's breaker. Not thread-safe by itself; the service
+/// wraps each one in a mutex shared by the shard's workers.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     cfg: BreakerConfig,

@@ -25,18 +25,19 @@ static EV_HOT_SWAP: Counter = Counter::new("serve.events.hot_swap");
 static EV_ENGINE_REBUILT: Counter = Counter::new("serve.events.engine_rebuilt");
 static EV_WORK_STOLEN: Counter = Counter::new("serve.events.work_stolen");
 
-/// What happened. Worker-scoped kinds carry the worker slot index.
+/// What happened. Breaker kinds carry the shard index; the other
+/// worker-scoped kinds carry the worker slot index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// The fault monitor tripped and the ladder latched to the fallback.
+    /// The fault monitor tripped and the ladders latched to the fallback.
     FaultLatchEngaged,
-    /// The operator cleared the latch; the ladder stepped home.
+    /// The operator cleared the latch; the ladders stepped home.
     FaultLatchCleared,
-    /// A worker's breaker tripped open.
+    /// A shard's breaker tripped open.
     BreakerOpened { worker: usize },
-    /// A worker's breaker admitted a half-open probe.
+    /// A shard's breaker admitted a half-open probe.
     BreakerHalfOpen { worker: usize },
-    /// A worker's breaker closed after a successful probe.
+    /// A shard's breaker closed after a successful probe.
     BreakerClosed { worker: usize },
     /// The watchdog recycled a stalled worker slot.
     WatchdogRecycled { worker: usize },

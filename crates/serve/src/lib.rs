@@ -18,14 +18,17 @@
 //!   down rung by rung (cheaper, slightly less accurate), and steps
 //!   back up when pressure subsides; a tripped fault monitor latches
 //!   the QT fallback rung instead;
-//! * [`engine::Engine`] — the per-worker model replica whose precision
+//! * [`engine::Engine`] — each worker's model replica, whose precision
 //!   is switched at run time, with service time paced by the §III-B
 //!   term-pair cost bound so throughput tracks what the accelerator
 //!   would deliver;
-//! * [`service::Service`] — workers with panic isolation
-//!   (`catch_unwind` + quarantine hunt + supervisor respawn) and a
-//!   conservation law: every submitted request reaches exactly one
-//!   terminal [`request::Outcome`].
+//! * [`shard::ShardedService`] — the service: per-shard queues and
+//!   worker pools with tenant-hash dispatch and work stealing,
+//!   per-tenant ladders and quotas, panic isolation (`catch_unwind` +
+//!   quarantine hunt + supervisor respawn), a fault-monitor latch, hot
+//!   swap, and a conservation law: every submitted request reaches
+//!   exactly one terminal [`request::Outcome`]. A single-queue
+//!   deployment is one shard serving one tenant.
 //!
 //! Everything is plain `std::thread` — no async runtime.
 
@@ -40,7 +43,6 @@ pub mod ladder;
 pub mod metrics;
 pub mod queue;
 pub mod request;
-pub mod service;
 pub mod shard;
 pub mod tenant;
 
@@ -57,6 +59,5 @@ pub use ladder::{per_value_pair_bound, Ladder, LadderConfig, Rung, StepReason, T
 pub use metrics::{ClassSnapshot, Metrics, MetricsSnapshot, TenantMetrics, TenantSnapshot};
 pub use queue::{BoundedQueue, Pull};
 pub use request::{Completion, ExpiredAt, Outcome, RejectReason, Request, RequestId};
-pub use service::{Service, ServiceConfig, ServiceReport};
 pub use shard::{CertificatePolicy, ShardedConfig, ShardedReport, ShardedService};
 pub use tenant::{DeadlineClass, QuotaConfig, TenantId, TenantPolicy, TokenBucket, CLASSES};

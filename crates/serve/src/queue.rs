@@ -4,10 +4,11 @@
 //! Admission is all-or-nothing at a fixed capacity — the queue never
 //! grows without bound; a full queue rejects with a reason instead of
 //! absorbing load it cannot serve. Internally the queue keeps one FIFO
-//! *lane per tenant* and forms batches by round-robin across lanes, so
-//! a single flooding tenant cannot starve the others: within each lane
-//! order is strict FIFO, across lanes service alternates. (A
-//! single-tenant queue degenerates to exactly the old global FIFO.)
+//! *lane per tenant*. Every batch is drawn from a single lane (so it can
+//! run at its tenant's own precision rung), and successive batches pick
+//! their lane round-robin, so a single flooding tenant cannot starve the
+//! others: within each lane order is strict FIFO, across lanes service
+//! alternates. (A single-tenant queue is exactly a global FIFO.)
 //! Batch formation skips (and reports) requests whose deadline can no
 //! longer be met given the configured service-time estimate, so dead
 //! work is shed before it wastes compute.
@@ -37,16 +38,6 @@ pub struct Pull {
     pub expired: Vec<Request>,
     /// Queue depth *after* the pull (the ladder's pressure signal).
     pub depth: usize,
-}
-
-/// Which lanes a pop may draw batch members from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LaneFilter {
-    /// Round-robin across every tenant lane (fair interleave).
-    Any,
-    /// Only the given tenant's lane (single-tenant batches, so each
-    /// batch can run at its tenant's own precision rung).
-    Only(TenantId),
 }
 
 /// The per-tenant FIFO lanes plus the fairness cursor. One mutex guards
@@ -100,32 +91,25 @@ impl Lanes {
         None
     }
 
-    /// Pop the next viable request honouring `filter`. `Any` serves
-    /// lanes round-robin from the cursor and advances it past the lane
-    /// served; `Only` drains a single lane and leaves the cursor alone.
-    fn pop_next(
+    /// Pop the next viable request from any lane, serving lanes
+    /// round-robin from the cursor and advancing it past the lane served.
+    fn pop_fair(
         &mut self,
-        filter: LaneFilter,
         now: Instant,
         service_estimate: Duration,
         expired: &mut Vec<Request>,
     ) -> Option<Request> {
-        match filter {
-            LaneFilter::Only(t) => self.pop_viable(t, now, service_estimate, expired),
-            LaneFilter::Any => {
-                let mut from = self.cursor;
-                // Each iteration either returns a request or empties the
-                // scanned lane (all-hopeless), so this terminates.
-                while let Some(t) = self.next_with_work(from) {
-                    if let Some(r) = self.pop_viable(t, now, service_estimate, expired) {
-                        self.cursor = t.wrapping_add(1);
-                        return Some(r);
-                    }
-                    from = t.wrapping_add(1);
-                }
-                None
+        let mut from = self.cursor;
+        // Each iteration either returns a request or empties the scanned
+        // lane (all-hopeless), so this terminates.
+        while let Some(t) = self.next_with_work(from) {
+            if let Some(r) = self.pop_viable(t, now, service_estimate, expired) {
+                self.cursor = t.wrapping_add(1);
+                return Some(r);
             }
+            from = t.wrapping_add(1);
         }
+        None
     }
 }
 
@@ -225,57 +209,29 @@ impl BoundedQueue {
         out
     }
 
-    /// Deadline-aware batch formation, round-robin fair across tenant
-    /// lanes.
+    /// Deadline-aware, single-tenant batch formation.
     ///
     /// Blocks until at least one viable request arrives (or `shutdown`
-    /// is observed), then keeps collecting until either `max_batch`
-    /// requests are gathered or the batch-close time is reached. The
-    /// close time is the earlier of `linger` from the first pull and the
-    /// moment the first request's remaining deadline slack equals
-    /// `service_estimate` — waiting any longer would spend slack the
-    /// execution itself needs. Requests whose deadline cannot be met
-    /// (deadline ≤ now + `service_estimate`) are expired instead of
-    /// batched.
+    /// is observed). The first viable request is found round-robin across
+    /// tenant lanes, so lane selection stays fair; it fixes the batch's
+    /// tenant, and the fill phase draws only from that tenant's lane
+    /// until either `max_batch` requests are gathered or the batch-close
+    /// time is reached. The close time is the earlier of `linger` from
+    /// the first pull and the moment the first request's remaining
+    /// deadline slack equals `service_estimate` — waiting any longer
+    /// would spend slack the execution itself needs. Requests whose
+    /// deadline cannot be met (deadline ≤ now + `service_estimate`) are
+    /// expired instead of batched.
     ///
     /// `max_idle` bounds how long an *empty* pull blocks: once that much
     /// clock time passes with no viable work, an empty [`Pull`] is
     /// returned so the caller can run its idle housekeeping (heartbeat
     /// the watchdog, re-check shutdown) and call again.
-    pub fn pop_batch(
-        &self,
-        max_batch: usize,
-        linger: Duration,
-        service_estimate: Duration,
-        max_idle: Duration,
-        shutdown: &AtomicBool,
-    ) -> Pull {
-        self.pop_batch_inner(false, max_batch, linger, service_estimate, max_idle, shutdown).0
-    }
-
-    /// [`BoundedQueue::pop_batch`] restricted to a *single tenant's*
-    /// lane: the first viable request (found round-robin, so lane
-    /// selection stays fair) fixes the batch's tenant and the fill phase
-    /// draws only from that lane. Returns the tenant alongside the pull
-    /// (`None` on an empty pull). Sharded serving uses this so every
-    /// batch can run at its tenant's own precision rung.
+    ///
+    /// Returns the batch's tenant alongside the pull (`None` on an empty
+    /// pull).
     pub fn pop_batch_tenant(
         &self,
-        max_batch: usize,
-        linger: Duration,
-        service_estimate: Duration,
-        max_idle: Duration,
-        shutdown: &AtomicBool,
-    ) -> (Pull, Option<TenantId>) {
-        self.pop_batch_inner(true, max_batch, linger, service_estimate, max_idle, shutdown)
-    }
-
-    /// Both pop flavours share this body. Phase 1 always scans fairly;
-    /// when `single_tenant` is set and the first request comes from lane
-    /// `t`, the fill phase continues on `Only(t)`, otherwise on `Any`.
-    fn pop_batch_inner(
-        &self,
-        single_tenant: bool,
         max_batch: usize,
         linger: Duration,
         service_estimate: Duration,
@@ -288,7 +244,7 @@ impl BoundedQueue {
         let idle_from = self.clock.now();
         let first = loop {
             let now = self.clock.now();
-            let found = g.pop_next(LaneFilter::Any, now, service_estimate, &mut expired);
+            let found = g.pop_fair(now, service_estimate, &mut expired);
             if let Some(r) = found {
                 break r;
             }
@@ -308,16 +264,14 @@ impl BoundedQueue {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             g = ng;
         };
-        // The caller asked for a single-tenant batch: pin the fill phase
-        // to the lane the fair scan landed on.
+        // Pin the fill phase to the lane the fair scan landed on.
         let tenant = first.tenant;
-        let fill = if single_tenant { LaneFilter::Only(tenant) } else { LaneFilter::Any };
         // Phase 2: fill the batch until close time or max_batch.
         let close = (self.clock.now() + linger).min(first.deadline - service_estimate);
         let mut batch = vec![first];
         while batch.len() < max_batch {
             let now = self.clock.now();
-            match g.pop_next(fill, now, service_estimate, &mut expired) {
+            match g.pop_viable(tenant, now, service_estimate, &mut expired) {
                 Some(r) => batch.push(r),
                 None => {
                     if now >= close || shutdown.load(Ordering::SeqCst) {
@@ -396,7 +350,7 @@ mod tests {
             q.try_push(req(id, Duration::from_secs(5))).unwrap();
         }
         let shutdown = AtomicBool::new(false);
-        let pull = q.pop_batch(3, Duration::from_millis(1), Duration::ZERO, IDLE, &shutdown);
+        let pull = q.pop_batch_tenant(3, Duration::from_millis(1), Duration::ZERO, IDLE, &shutdown).0;
         assert_eq!(pull.batch.len(), 3);
         assert_eq!(pull.batch[0].id, 0); // FIFO
         assert_eq!(pull.depth, 2);
@@ -413,7 +367,8 @@ mod tests {
         // Deadline inside the service estimate: also hopeless.
         q.try_push(req(3, Duration::from_millis(1))).unwrap();
         let shutdown = AtomicBool::new(false);
-        let pull = q.pop_batch(4, Duration::from_millis(1), Duration::from_millis(100), IDLE, &shutdown);
+        let (pull, _) =
+            q.pop_batch_tenant(4, Duration::from_millis(1), Duration::from_millis(100), IDLE, &shutdown);
         assert_eq!(pull.batch.len(), 1);
         assert_eq!(pull.batch[0].id, 2);
         let expired: Vec<u64> = pull.expired.iter().map(|r| r.id).collect();
@@ -427,7 +382,8 @@ mod tests {
         q.try_push(req(2, Duration::from_millis(1))).unwrap();
         let shutdown = AtomicBool::new(false);
         let t0 = Instant::now();
-        let pull = q.pop_batch(4, Duration::from_millis(1), Duration::from_millis(100), IDLE, &shutdown);
+        let (pull, _) =
+            q.pop_batch_tenant(4, Duration::from_millis(1), Duration::from_millis(100), IDLE, &shutdown);
         // Must not sit waiting for viable work while holding the
         // expired requests hostage.
         assert!(t0.elapsed() < Duration::from_millis(500));
@@ -440,7 +396,7 @@ mod tests {
     fn shutdown_unblocks_empty_pop() {
         let q = BoundedQueue::new(2);
         let shutdown = AtomicBool::new(true);
-        let pull = q.pop_batch(4, Duration::from_millis(1), Duration::ZERO, IDLE, &shutdown);
+        let pull = q.pop_batch_tenant(4, Duration::from_millis(1), Duration::ZERO, IDLE, &shutdown).0;
         assert!(pull.batch.is_empty());
         assert!(pull.expired.is_empty());
     }
@@ -451,7 +407,7 @@ mod tests {
         q.try_push(req(1, Duration::from_secs(5))).unwrap();
         let shutdown = AtomicBool::new(false);
         let t0 = Instant::now();
-        let pull = q.pop_batch(4, Duration::from_millis(20), Duration::ZERO, IDLE, &shutdown);
+        let pull = q.pop_batch_tenant(4, Duration::from_millis(20), Duration::ZERO, IDLE, &shutdown).0;
         assert_eq!(pull.batch.len(), 1);
         // Must have waited for the linger window, but not forever.
         assert!(t0.elapsed() >= Duration::from_millis(15));
@@ -463,8 +419,8 @@ mod tests {
         let q = BoundedQueue::new(2);
         let shutdown = AtomicBool::new(false);
         let t0 = Instant::now();
-        let pull =
-            q.pop_batch(4, Duration::from_millis(1), Duration::ZERO, Duration::from_millis(30), &shutdown);
+        let (pull, _) =
+            q.pop_batch_tenant(4, Duration::from_millis(1), Duration::ZERO, Duration::from_millis(30), &shutdown);
         assert!(pull.batch.is_empty() && pull.expired.is_empty());
         let waited = t0.elapsed();
         assert!(waited >= Duration::from_millis(25), "gave up too early: {waited:?}");
@@ -493,7 +449,7 @@ mod tests {
         clock.advance(Duration::from_secs(3600));
         let shutdown = AtomicBool::new(false);
         let t0 = Instant::now();
-        let pull = q.pop_batch(4, Duration::from_millis(1), Duration::ZERO, IDLE, &shutdown);
+        let pull = q.pop_batch_tenant(4, Duration::from_millis(1), Duration::ZERO, IDLE, &shutdown).0;
         assert!(pull.batch.is_empty());
         assert_eq!(pull.expired.len(), 1);
         assert!(t0.elapsed() < Duration::from_millis(500), "expiry must not wait in real time");
@@ -501,10 +457,10 @@ mod tests {
 
     /// The fairness regression the multi-tenant queue exists for: a 10:1
     /// flood from one tenant must not push the minority tenant's
-    /// requests behind the whole flood. Round-robin lanes bound the
-    /// minority's wait at one request per flooding tenant per batch
-    /// slot, so every minority request surfaces within the first couple
-    /// of batches.
+    /// requests behind the whole flood. Lanes take turns batch by batch,
+    /// so the minority waits at most one batch per flooding tenant and
+    /// every minority request surfaces within the first couple of
+    /// batches.
     #[test]
     fn flooding_tenant_cannot_starve_the_minority_lane() {
         let q = BoundedQueue::new(64);
@@ -518,7 +474,7 @@ mod tests {
         let shutdown = AtomicBool::new(false);
         let mut seen_minority = Vec::new();
         for batch_no in 0..4 {
-            let pull = q.pop_batch(4, Duration::ZERO, Duration::ZERO, IDLE, &shutdown);
+            let pull = q.pop_batch_tenant(4, Duration::ZERO, Duration::ZERO, IDLE, &shutdown).0;
             assert!(!pull.batch.is_empty());
             for r in &pull.batch {
                 if r.tenant == 1 {

@@ -1,9 +1,9 @@
 //! Request/response types and the failure taxonomy.
 //!
-//! Every request admitted by [`crate::Service::submit`] reaches **exactly
-//! one** terminal outcome — that conservation law is the backbone of the
-//! service's correctness story and is re-verified by
-//! [`crate::ServiceReport::verify_conservation`] after every run.
+//! Every request submitted to [`crate::ShardedService::submit`] reaches
+//! **exactly one** terminal outcome — that conservation law is the
+//! backbone of the service's correctness story and is re-verified by
+//! [`crate::ShardedReport::verify_conservation`] after every run.
 
 use crate::tenant::{DeadlineClass, TenantId};
 use std::time::{Duration, Instant};
@@ -16,8 +16,8 @@ pub type RequestId = u64;
 pub struct Request {
     /// Identifier assigned at submission.
     pub id: RequestId,
-    /// Owning tenant (index into the service's policy table; the
-    /// single-tenant [`crate::Service`] uses tenant 0 throughout).
+    /// Owning tenant (index into the service's policy table; a
+    /// single-tenant deployment uses tenant 0 throughout).
     pub tenant: TenantId,
     /// Urgency class: drives the default deadline and class-graded
     /// admission.
@@ -96,8 +96,7 @@ pub enum Outcome {
         /// (0 = full quality).
         rung: usize,
         /// Model generation that served the request (bumped by each
-        /// zero-downtime hot-swap; the single-model [`crate::Service`]
-        /// always reports generation 0).
+        /// zero-downtime hot-swap; 0 until the first swap).
         generation: u64,
     },
     /// Refused admission (backpressure, quota, or shutdown).

@@ -1,5 +1,6 @@
-//! Sharded multi-tenant serving: N worker shards, replica-aware
-//! dispatch, and per-tenant robustness policy.
+//! The batched inference service: N worker shards, replica-aware
+//! dispatch, and per-tenant robustness policy. A single-tenant,
+//! single-queue deployment is the 1×1 case (`shards: 1`, one tenant).
 //!
 //! ```text
 //!            submit(tenant, class, input)
@@ -40,6 +41,17 @@
 //! whose breaker is half-open, because the recovery probe needs that
 //! work to validate the shard.
 //!
+//! Every worker runs its batches under `catch_unwind`: a panicking
+//! batch is re-run request by request on a fresh replica (the
+//! quarantine hunt), solo panickers end `Quarantined`, and the
+//! supervisor respawns the worker. Every submitted request reaches
+//! exactly one terminal [`Outcome`], checked by
+//! [`ShardedReport::verify_conservation`].
+//!
+//! A datapath canary ([`ShardedService::record_fault_report`]) feeds a
+//! silent-corruption monitor; when it trips, every tenant ladder latches
+//! onto the QT fallback rung until [`ShardedService::clear_fault_latch`].
+//!
 //! Hot swap ([`ShardedService::hot_swap`]) publishes a new engine
 //! factory under a bumped generation through the [`HotSwap`] cell.
 //! Workers poll the generation between batches: in-flight batches
@@ -66,11 +78,18 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tr_analysis::CertificateTable;
 use tr_core::TrError;
+use tr_hw::{FaultMonitor, FaultReport};
 use tr_obs::NamedCounter;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
+
+/// Datapath-canary reports the fault monitor's sliding window holds.
+const MONITOR_WINDOW: usize = 8;
+/// Silent corruptions within the window tolerated before the monitor
+/// trips: any silent corruption latches the QT fallback.
+const MONITOR_SILENT_THRESHOLD: u64 = 0;
 
 /// Require a soundness certificate for every ladder rung, checked at
 /// startup via [`Ladder::new_certified`]: an uncertified or tampered
@@ -194,6 +213,8 @@ struct ShardShared {
     hot: HotSwap,
     metrics: Metrics,
     completions: Mutex<Vec<Completion>>,
+    /// Silent-corruption monitor over the shared datapath canary.
+    monitor: Mutex<FaultMonitor>,
     events: EventLog,
     shutdown: AtomicBool,
     next_id: AtomicU64,
@@ -235,6 +256,36 @@ impl ShardShared {
     fn home_shard(&self, tenant: TenantId) -> usize {
         let n = u64::try_from(self.queues.len().max(1)).unwrap_or(1);
         usize::try_from(mix(u64::from(tenant)) % n).unwrap_or(0)
+    }
+
+    /// Latch (or clear) the fault fallback on every tenant ladder.
+    /// Returns whether any ladder changed state.
+    fn set_fault_latch(&self, latched: bool) -> bool {
+        let mut changed = false;
+        for ts in &self.tenants {
+            let mut ladder = lock(&ts.ladder);
+            let was = ladder.fault_latched();
+            if latched {
+                ladder.latch_fault();
+            } else {
+                ladder.clear_fault();
+            }
+            changed |= ladder.fault_latched() != was;
+        }
+        changed
+    }
+
+    /// Resolve a request the engine classified as `class` at `now`:
+    /// completed when it beat its deadline, otherwise expired after
+    /// execution (a late result is discarded, so completed latency never
+    /// exceeds the deadline).
+    fn finish_executed(&self, r: &Request, class: usize, rung: usize, generation: u64, now: Instant) {
+        let outcome = if now > r.deadline {
+            Outcome::Expired(ExpiredAt::AfterExecution)
+        } else {
+            Outcome::Completed { class, latency: now.duration_since(r.submitted), rung, generation }
+        };
+        self.finish(r.id, r.tenant, r.class, outcome);
     }
 
     /// The single terminal-outcome funnel: global counters, per-tenant
@@ -477,9 +528,14 @@ impl ShardedService {
     /// Build the shared state without spawning any threads (tests drive
     /// worker logic deterministically on top of this).
     fn build_shared(cfg: ShardedConfig, factory: EngineFactory) -> Result<Arc<ShardShared>, TrError> {
-        if cfg.shards == 0 || cfg.workers_per_shard == 0 || cfg.max_batch == 0 {
+        if cfg.shards == 0
+            || cfg.workers_per_shard == 0
+            || cfg.shard_queue_capacity == 0
+            || cfg.max_batch == 0
+        {
             return Err(TrError::InvalidConfig(
-                "sharded service needs at least one shard, one worker, and a non-zero batch size"
+                "sharded service needs at least one shard, one worker, and a non-zero queue \
+                 capacity and batch size"
                     .to_string(),
             ));
         }
@@ -527,6 +583,7 @@ impl ShardedService {
             hot: HotSwap::new(factory, Arc::clone(&cfg.clock)),
             metrics: Metrics::default(),
             completions: Mutex::new(Vec::new()),
+            monitor: Mutex::new(FaultMonitor::new(MONITOR_WINDOW, MONITOR_SILENT_THRESHOLD)),
             events: EventLog::new(),
             shutdown: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
@@ -643,6 +700,34 @@ impl ShardedService {
         Ok(generation)
     }
 
+    /// Feed a datapath-canary fault report into the monitor. The canary
+    /// watches the datapath every tenant shares, so when the windowed
+    /// silent-corruption count trips the monitor, every tenant ladder
+    /// latches onto the QT fallback rung (logged once). Returns the
+    /// trip state.
+    pub fn record_fault_report(&self, report: &FaultReport) -> bool {
+        let tripped = lock(&self.shared.monitor).record(report);
+        if tripped && self.shared.set_fault_latch(true) {
+            self.shared.events.record(EventKind::FaultLatchEngaged);
+        }
+        tripped
+    }
+
+    /// Clear the fault latch on every tenant ladder (after repair or
+    /// re-verification) and reset the monitor window.
+    pub fn clear_fault_latch(&self) {
+        lock(&self.shared.monitor).reset();
+        if self.shared.set_fault_latch(false) {
+            self.shared.events.record(EventKind::FaultLatchCleared);
+        }
+    }
+
+    /// Whether the fault latch is engaged.
+    #[must_use]
+    pub fn fault_latched(&self) -> bool {
+        self.shared.tenants.iter().any(|ts| lock(&ts.ladder).fault_latched())
+    }
+
     /// The model generation new batches will be served on.
     #[must_use]
     pub fn generation(&self) -> u64 {
@@ -702,9 +787,8 @@ impl ShardedService {
         if let Some(handle) = self.supervisor.take() {
             let _ = handle.join();
         }
-        // Safety net (mirrors `Service::shutdown`): account for any
-        // leftovers so conservation holds even if the drain was cut
-        // short by tail panics.
+        // Safety net: account for any leftovers so conservation holds
+        // even if the drain was cut short by tail panics.
         for q in &self.shared.queues {
             for r in q.drain_all() {
                 self.shared.finish(
@@ -834,6 +918,17 @@ fn sync_precision(
     shared.metrics.reconfigurations.fetch_add(1, Ordering::SeqCst);
 }
 
+/// Install tenant 0's current rung on a freshly built replica before it
+/// accepts work: installing a precision can be expensive (it re-encodes
+/// every weight), and paying it lazily on the first batch would stall
+/// live requests right after a (re)start. The template ladder's rung set
+/// is shared by every tenant, so tenant 0's ladder serves for all.
+fn presync(shared: &ShardShared, engine: &mut Box<dyn Engine>, engine_rung: &mut Option<usize>) {
+    let ladder = &shared.tenants[0].ladder;
+    let rung = lock(ladder).current();
+    sync_precision(shared, ladder, engine, engine_rung, rung);
+}
+
 fn harvest_repairs(shared: &ShardShared, engine: &dyn Engine, last_repairs: &mut u64, slot: usize) {
     let (_violations, repairs) = engine.integrity_stats();
     if repairs > *last_repairs {
@@ -914,9 +1009,7 @@ fn worker_loop(shared: &Arc<ShardShared>, slot: usize, gen: u64) -> WorkerExit {
     let mut engine_rung: Option<usize> = None;
     let mut last_repairs = 0u64;
     shared.engine_generations[slot].store(model.generation, Ordering::SeqCst);
-    // Pre-sync rung 0 before accepting work (the template ladder's rung
-    // set is shared by every tenant, so any tenant's ladder works).
-    sync_precision(shared, &shared.tenants[0].ladder, &mut engine, &mut engine_rung, 0);
+    presync(shared, &mut engine, &mut engine_rung);
     shared.beat(slot);
     loop {
         if shared.generations[slot].load(Ordering::SeqCst) != gen {
@@ -938,7 +1031,7 @@ fn worker_loop(shared: &Arc<ShardShared>, slot: usize, gen: u64) -> WorkerExit {
             shared
                 .events
                 .record(EventKind::EngineRebuilt { worker: slot, generation: model.generation });
-            sync_precision(shared, &shared.tenants[0].ladder, &mut engine, &mut engine_rung, 0);
+            presync(shared, &mut engine, &mut engine_rung);
             shared.beat(slot);
         }
         // Shard breaker gate before pulling (or stealing) work.
@@ -1030,21 +1123,7 @@ fn worker_loop(shared: &Arc<ShardShared>, slot: usize, gen: u64) -> WorkerExit {
                 }
                 let now = clock.now();
                 for (r, class) in batch.iter().zip(preds) {
-                    if now > r.deadline {
-                        shared.finish(r.id, r.tenant, r.class, Outcome::Expired(ExpiredAt::AfterExecution));
-                    } else {
-                        shared.finish(
-                            r.id,
-                            r.tenant,
-                            r.class,
-                            Outcome::Completed {
-                                class,
-                                latency: now.duration_since(r.submitted),
-                                rung,
-                                generation: model.generation,
-                            },
-                        );
-                    }
+                    shared.finish_executed(r, class, rung, model.generation, now);
                 }
             }
             BatchAttempt::Failed => {
@@ -1084,25 +1163,12 @@ fn quarantine_hunt(
         let solo = catch_unwind(AssertUnwindSafe(|| engine.infer(&[r.input.as_slice()])));
         match solo {
             Ok(preds) if preds.len() == 1 => {
-                let now = clock.now();
-                if now > r.deadline {
-                    shared.finish(r.id, r.tenant, r.class, Outcome::Expired(ExpiredAt::AfterExecution));
-                } else {
-                    shared.finish(
-                        r.id,
-                        r.tenant,
-                        r.class,
-                        Outcome::Completed {
-                            class: preds[0],
-                            latency: now.duration_since(r.submitted),
-                            rung,
-                            generation: model.generation,
-                        },
-                    );
-                }
+                shared.finish_executed(&r, preds[0], rung, model.generation, clock.now());
             }
             Ok(_) | Err(_) => {
                 shared.finish(r.id, r.tenant, r.class, Outcome::Quarantined);
+                // The engine may be corrupted by the unwind: rebuild
+                // before touching the next request.
                 engine = (model.factory)();
                 engine_rung = None;
                 sync_precision(shared, ladder, &mut engine, &mut engine_rung, rung);
@@ -1118,26 +1184,51 @@ mod tests {
     use crate::engine::Engine;
     use tr_nn::Precision;
 
-    /// Classifies by the second feature, panics on NaN first feature.
+    /// Classifies by the second feature, panics on NaN first feature,
+    /// and sleeps `work` per sample.
     struct TestEngine {
         tag: usize,
+        work: Duration,
     }
 
     impl Engine for TestEngine {
         fn set_precision(&mut self, _p: &Precision, _c: f64) {}
         fn infer(&mut self, inputs: &[&[f32]]) -> Vec<usize> {
-            inputs
+            let out = inputs
                 .iter()
                 .map(|row| {
                     assert!(!row[0].is_nan(), "poison input");
                     self.tag + row.get(1).map_or(0, |v| usize::from(*v >= 0.0))
                 })
-                .collect()
+                .collect();
+            std::thread::sleep(self.work * u32::try_from(inputs.len()).unwrap_or(1));
+            out
         }
     }
 
     fn tagged_factory(tag: usize) -> EngineFactory {
-        Arc::new(move || Box::new(TestEngine { tag }))
+        Arc::new(move || Box::new(TestEngine { tag, work: Duration::ZERO }))
+    }
+
+    fn paced_factory(work: Duration) -> EngineFactory {
+        Arc::new(move || Box::new(TestEngine { tag: 0, work }))
+    }
+
+    /// One shard, one worker, one tenant: the single-queue deployment.
+    fn solo_cfg() -> ShardedConfig {
+        ShardedConfig {
+            shards: 1,
+            tenants: vec![TenantPolicy::new("solo")],
+            ..quick_cfg()
+        }
+    }
+
+    fn submit_solo(
+        svc: &ShardedService,
+        input: Vec<f32>,
+        deadline: Duration,
+    ) -> Result<RequestId, RejectReason> {
+        svc.submit(0, DeadlineClass::Interactive, input, Some(deadline))
     }
 
     fn quick_cfg() -> ShardedConfig {
@@ -1180,6 +1271,11 @@ mod tests {
         ));
         let none = ShardedConfig { tenants: Vec::new(), ..quick_cfg() };
         assert!(ShardedService::build_shared(none, tagged_factory(0)).is_err());
+        let no_room = ShardedConfig { shard_queue_capacity: 0, ..quick_cfg() };
+        assert!(matches!(
+            ShardedService::build_shared(no_room, tagged_factory(0)),
+            Err(TrError::InvalidConfig(_))
+        ));
     }
 
     #[test]
@@ -1359,8 +1455,140 @@ mod tests {
             .collect();
         assert!(tags.iter().all(|(g, t)| (*g == 0 && *t <= 101) || (*g == 1 && *t >= 200)));
         assert!(report.snapshot.engine_rebuilds > 0, "workers rebuilt onto generation 1");
-        // Swapping after shutdown is refused.
-        let report_generation = report.final_generation;
-        assert_eq!(report_generation, 1);
+        // The report records the generation current at shutdown.
+        assert_eq!(report.final_generation, 1);
+    }
+
+    #[test]
+    fn queue_full_rejects_with_reason() {
+        // One slow worker, tiny queue: a burst must bounce.
+        let cfg = ShardedConfig { shard_queue_capacity: 4, ..solo_cfg() };
+        let svc = ShardedService::start(cfg, paced_factory(Duration::from_millis(50))).unwrap();
+        let mut rejected = 0;
+        for i in 0..32 {
+            match submit_solo(&svc, vec![0.0, i as f32], Duration::from_secs(5)) {
+                Ok(_) => {}
+                Err(RejectReason::QueueFull { capacity }) => {
+                    assert_eq!(capacity, 4);
+                    rejected += 1;
+                }
+                Err(other) => panic!("unexpected reject: {other}"),
+            }
+        }
+        assert!(rejected > 0, "tiny queue under burst must reject");
+        let report = svc.shutdown();
+        report.verify_conservation().unwrap();
+        assert_eq!(report.snapshot.rejected, rejected);
+    }
+
+    #[test]
+    fn poison_requests_are_quarantined_not_fatal() {
+        let svc = ShardedService::start(solo_cfg(), tagged_factory(0)).unwrap();
+        let mut poison_ids = Vec::new();
+        for i in 0..40 {
+            let input =
+                if i % 10 == 3 { vec![f32::NAN, i as f32] } else { vec![0.0, i as f32] };
+            match submit_solo(&svc, input, Duration::from_secs(5)) {
+                Ok(id) if i % 10 == 3 => poison_ids.push(id),
+                _ => {}
+            }
+        }
+        // Let the service work through everything, then submit a clean
+        // tail to prove it still serves after the panics.
+        std::thread::sleep(Duration::from_millis(100));
+        let tail = submit_solo(&svc, vec![0.0, 1.0], Duration::from_secs(5)).unwrap();
+        let report = svc.shutdown();
+        report.verify_conservation().unwrap();
+        // Every poison request that was admitted ended quarantined (they
+        // had lavish deadlines).
+        for id in &poison_ids {
+            let c = report.completions.iter().find(|c| c.id == *id).unwrap();
+            assert_eq!(c.outcome, Outcome::Quarantined, "poison id {id}");
+        }
+        assert_eq!(report.snapshot.quarantined, u64::try_from(poison_ids.len()).unwrap());
+        assert!(report.snapshot.worker_panics > 0);
+        // The clean tail request completed.
+        let tail_outcome = report.completions.iter().find(|c| c.id == tail).unwrap();
+        assert!(matches!(tail_outcome.outcome, Outcome::Completed { .. }));
+    }
+
+    #[test]
+    fn submissions_after_shutdown_are_rejected() {
+        let svc = ShardedService::start(solo_cfg(), tagged_factory(0)).unwrap();
+        svc.shared.shutdown.store(true, Ordering::SeqCst);
+        let err = submit_solo(&svc, vec![0.0, 0.0], Duration::from_secs(1)).unwrap_err();
+        assert_eq!(err, RejectReason::ShuttingDown);
+        // A hot swap is refused once shutdown is flagged.
+        assert!(matches!(svc.hot_swap(tagged_factory(1)), Err(TrError::HotSwap(_))));
+        assert_eq!(svc.generation(), 0);
+        let report = svc.shutdown();
+        report.verify_conservation().unwrap();
+        assert_eq!(report.snapshot.rejected, 1);
+        assert_eq!(report.snapshot.hot_swaps, 0);
+    }
+
+    #[test]
+    fn fault_report_trips_qt_fallback_and_clears() {
+        let cfg = solo_cfg();
+        let fallback = cfg.ladder.fallback.unwrap();
+        let svc = ShardedService::start(cfg, tagged_factory(0)).unwrap();
+        let clean = FaultReport::default();
+        assert!(!svc.record_fault_report(&clean));
+        assert_eq!(svc.tenant_rung(0), Some(0));
+        let dirty = FaultReport {
+            injected: tr_hw::FaultCounts { exp_flips: 10, ..Default::default() },
+            detected: 0,
+            corrected: 0,
+        };
+        assert!(svc.record_fault_report(&dirty));
+        assert!(svc.fault_latched());
+        assert_eq!(svc.tenant_rung(0), Some(fallback));
+        svc.clear_fault_latch();
+        assert!(!svc.fault_latched());
+        assert_eq!(svc.tenant_rung(0), Some(0));
+        let report = svc.shutdown();
+        report.verify_conservation().unwrap();
+    }
+
+    #[test]
+    fn fault_latch_covers_every_tenant_and_logs_once() {
+        let svc = ShardedService::start(quick_cfg(), tagged_factory(0)).unwrap();
+        let fallback = quick_cfg().ladder.fallback.unwrap();
+        let dirty = FaultReport {
+            injected: tr_hw::FaultCounts { exp_flips: 10, ..Default::default() },
+            detected: 0,
+            corrected: 0,
+        };
+        assert!(svc.record_fault_report(&dirty));
+        assert!(svc.record_fault_report(&dirty), "the monitor stays tripped");
+        assert_eq!((svc.tenant_rung(0), svc.tenant_rung(1)), (Some(fallback), Some(fallback)));
+        svc.clear_fault_latch();
+        svc.clear_fault_latch();
+        assert_eq!((svc.tenant_rung(0), svc.tenant_rung(1)), (Some(0), Some(0)));
+        let report = svc.shutdown();
+        let count = |want: EventKind| report.events.iter().filter(|e| e.kind == want).count();
+        assert_eq!(count(EventKind::FaultLatchEngaged), 1);
+        assert_eq!(count(EventKind::FaultLatchCleared), 1);
+    }
+
+    #[test]
+    fn tight_deadlines_expire_instead_of_completing_late() {
+        let svc =
+            ShardedService::start(solo_cfg(), paced_factory(Duration::from_millis(30))).unwrap();
+        for i in 0..12 {
+            let _ = submit_solo(&svc, vec![0.0, i as f32], Duration::from_millis(40));
+        }
+        let report = svc.shutdown();
+        report.verify_conservation().unwrap();
+        assert!(
+            report.snapshot.expired() > 0,
+            "a 30ms/sample worker cannot serve 12 requests in 40ms: {:?}",
+            report.snapshot
+        );
+        // The deadline bound on completed latency (the histogram's max is
+        // exact, not bucket-rounded).
+        if let Some(max_us) = report.snapshot.latencies_us.max() {
+            assert!(max_us <= 40_000, "completed latency {max_us}us exceeds the 40ms deadline");
+        }
     }
 }

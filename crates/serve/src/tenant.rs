@@ -12,8 +12,8 @@
 //!
 //! All of it is pure state-machine logic over explicit [`Instant`]s fed
 //! from the injectable service [`Clock`](crate::clock::Clock), so every
-//! admission decision is unit-testable on a [`MockClock`]
-//! (crate::clock::MockClock) without real waiting.
+//! admission decision is unit-testable on a
+//! [`MockClock`](crate::clock::MockClock) without real waiting.
 
 use std::time::{Duration, Instant};
 use tr_core::TrError;

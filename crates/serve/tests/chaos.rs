@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tr_nn::Precision;
 use tr_serve::{
-    BreakerConfig, Engine, EngineError, EngineFactory, EventKind, MockClock, RetryPolicy, Service,
-    ServiceConfig, SharedClock,
+    BreakerConfig, DeadlineClass, Engine, EngineError, EngineFactory, EventKind, MockClock,
+    RejectReason, RequestId, RetryPolicy, ShardedConfig, ShardedService, SharedClock,
 };
 
 /// An engine whose first `budget` inference attempts fail the given
@@ -48,19 +48,29 @@ fn scripted_factory(budget: &Arc<AtomicI64>, transient: bool) -> EngineFactory {
     Arc::new(move || Box::new(ScriptedEngine { budget: Arc::clone(&budget), transient }))
 }
 
-fn one_worker_cfg() -> ServiceConfig {
-    ServiceConfig {
-        queue_capacity: 16,
+fn one_worker_cfg() -> ShardedConfig {
+    ShardedConfig {
+        shards: 1,
+        workers_per_shard: 1,
+        shard_queue_capacity: 16,
         max_batch: 4,
         batch_linger: Duration::from_millis(1),
         service_estimate: Duration::from_millis(1),
-        workers: 1,
-        ..ServiceConfig::default()
+        ..ShardedConfig::default()
     }
 }
 
+/// Submit `input` as an interactive request of the single tenant.
+fn submit(
+    svc: &ShardedService,
+    input: Vec<f32>,
+    deadline: Duration,
+) -> Result<RequestId, RejectReason> {
+    svc.submit(0, DeadlineClass::Interactive, input, Some(deadline))
+}
+
 /// Wait until the service has resolved `n` terminal outcomes.
-fn wait_terminal(svc: &Service, n: u64) {
+fn wait_terminal(svc: &ShardedService, n: u64) {
     let t0 = Instant::now();
     while svc.metrics_snapshot().terminal_total() < n {
         assert!(t0.elapsed() < Duration::from_secs(10), "service never resolved {n} outcomes");
@@ -73,12 +83,12 @@ fn transient_errors_are_retried_to_success() {
     // Two transient failures, then healthy: with 5 attempts the batch
     // must complete on the third try — no quarantine, no restart.
     let budget = Arc::new(AtomicI64::new(2));
-    let cfg = ServiceConfig {
+    let cfg = ShardedConfig {
         retry: RetryPolicy { max_attempts: 5, ..RetryPolicy::default() },
         ..one_worker_cfg()
     };
-    let svc = Service::start(cfg, scripted_factory(&budget, true)).unwrap();
-    let id = svc.submit(vec![0.0], Duration::from_secs(5)).unwrap();
+    let svc = ShardedService::start(cfg, scripted_factory(&budget, true)).unwrap();
+    let id = submit(&svc, vec![0.0], Duration::from_secs(5)).unwrap();
     wait_terminal(&svc, 1);
     let report = svc.shutdown();
     report.verify_conservation().unwrap();
@@ -100,12 +110,12 @@ fn exhausted_retries_fail_the_batch_and_log_the_event() {
     // log records the exhaustion, and the quarantine hunt still resolves
     // the request (budget runs out by then, so it completes solo).
     let budget = Arc::new(AtomicI64::new(3));
-    let cfg = ServiceConfig {
+    let cfg = ShardedConfig {
         retry: RetryPolicy { max_attempts: 3, base: Duration::from_micros(100), ..RetryPolicy::default() },
         ..one_worker_cfg()
     };
-    let svc = Service::start(cfg, scripted_factory(&budget, true)).unwrap();
-    svc.submit(vec![0.0], Duration::from_secs(5)).unwrap();
+    let svc = ShardedService::start(cfg, scripted_factory(&budget, true)).unwrap();
+    submit(&svc, vec![0.0], Duration::from_secs(5)).unwrap();
     wait_terminal(&svc, 1);
     let report = svc.shutdown();
     report.verify_conservation().unwrap();
@@ -121,25 +131,25 @@ fn exhausted_retries_fail_the_batch_and_log_the_event() {
 
 #[test]
 fn breaker_opens_probes_half_open_and_closes_in_order() {
-    // Scripted panics trip the worker-0 breaker (threshold 2), the
+    // Scripted panics trip the shard-0 breaker (threshold 2), the
     // cooldown admits a half-open probe, the probe succeeds, the breaker
     // closes — and the event log proves that exact order.
     let budget = Arc::new(AtomicI64::new(3));
-    let cfg = ServiceConfig {
+    let cfg = ShardedConfig {
         breaker: BreakerConfig { failure_threshold: 2, cooldown: Duration::from_millis(40) },
         retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
         ..one_worker_cfg()
     };
-    let svc = Service::start(cfg, scripted_factory(&budget, false)).unwrap();
+    let svc = ShardedService::start(cfg, scripted_factory(&budget, false)).unwrap();
     // Two submissions, resolved one at a time so each batch fails alone
     // and the failures are consecutive for the breaker.
-    svc.submit(vec![0.0], Duration::from_secs(5)).unwrap();
+    submit(&svc, vec![0.0], Duration::from_secs(5)).unwrap();
     wait_terminal(&svc, 1);
-    svc.submit(vec![0.0], Duration::from_secs(5)).unwrap();
+    submit(&svc, vec![0.0], Duration::from_secs(5)).unwrap();
     wait_terminal(&svc, 2);
     // Breaker is now open; this request must wait out the cooldown and
     // ride the half-open probe to completion.
-    let healed = svc.submit(vec![0.0], Duration::from_secs(5)).unwrap();
+    let healed = submit(&svc, vec![0.0], Duration::from_secs(5)).unwrap();
     wait_terminal(&svc, 3);
     let report = svc.shutdown();
     report.verify_conservation().unwrap();
@@ -186,16 +196,16 @@ fn watchdog_recycles_a_stalled_worker_and_service_keeps_serving() {
             Box::new(StallOnceEngine { fired: Arc::clone(&fired), stall: Duration::from_millis(400) })
         })
     };
-    let cfg = ServiceConfig {
+    let cfg = ShardedConfig {
         watchdog_interval: Duration::from_millis(10),
         watchdog_stall: Duration::from_millis(60),
         ..one_worker_cfg()
     };
-    let svc = Service::start(cfg, factory).unwrap();
-    let stalled = svc.submit(vec![0.0], Duration::from_secs(5)).unwrap();
+    let svc = ShardedService::start(cfg, factory).unwrap();
+    let stalled = submit(&svc, vec![0.0], Duration::from_secs(5)).unwrap();
     // While worker 0 is wedged, the replacement must pick up new work.
     std::thread::sleep(Duration::from_millis(150));
-    let fresh = svc.submit(vec![0.0], Duration::from_secs(5)).unwrap();
+    let fresh = submit(&svc, vec![0.0], Duration::from_secs(5)).unwrap();
     wait_terminal(&svc, 2);
     // Give the woken zombie time to notice its generation and exit.
     std::thread::sleep(Duration::from_millis(400));
@@ -227,15 +237,15 @@ fn mock_clock_makes_service_timing_deterministic() {
     // reproducible on loaded CI hosts.
     let clock = Arc::new(MockClock::new());
     let budget = Arc::new(AtomicI64::new(0));
-    let cfg = ServiceConfig {
+    let cfg = ShardedConfig {
         clock: Arc::clone(&clock) as SharedClock,
         // Keep the watchdog's virtual patience irrelevant: the frozen
         // clock never ages heartbeats.
         ..one_worker_cfg()
     };
-    let svc = Service::start(cfg, scripted_factory(&budget, true)).unwrap();
+    let svc = ShardedService::start(cfg, scripted_factory(&budget, true)).unwrap();
     for _ in 0..8 {
-        svc.submit(vec![0.0], Duration::from_millis(50)).unwrap();
+        submit(&svc, vec![0.0], Duration::from_millis(50)).unwrap();
     }
     wait_terminal(&svc, 8);
     let report = svc.shutdown();

@@ -9,7 +9,8 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 use tr_serve::{
-    nn_engine_factory, LadderConfig, Outcome, RequestId, Service, ServiceConfig,
+    nn_engine_factory, DeadlineClass, LadderConfig, Outcome, RejectReason, RequestId,
+    ShardedConfig, ShardedService,
 };
 use tr_tensor::Rng;
 
@@ -27,18 +28,26 @@ fn factory(pace: Duration) -> tr_serve::EngineFactory {
     )
 }
 
-fn soak_cfg() -> ServiceConfig {
-    ServiceConfig {
-        queue_capacity: 32,
+fn soak_cfg() -> ShardedConfig {
+    ShardedConfig {
+        shards: 1,
+        workers_per_shard: 3,
+        shard_queue_capacity: 32,
         max_batch: 4,
         batch_linger: Duration::from_millis(1),
         service_estimate: Duration::from_millis(2),
-        workers: 3,
         ladder: LadderConfig::default_tr_ladder(),
-        monitor_window: 8,
-        monitor_silent_threshold: 0,
-        ..ServiceConfig::default()
+        ..ShardedConfig::default()
     }
+}
+
+/// Submit `input` as an interactive request of the single tenant.
+fn submit(
+    svc: &ShardedService,
+    input: Vec<f32>,
+    deadline: Duration,
+) -> Result<RequestId, RejectReason> {
+    svc.submit(0, DeadlineClass::Interactive, input, Some(deadline))
 }
 
 /// One client thread's transcript of what it submitted.
@@ -48,7 +57,7 @@ struct ClientLog {
     rejected: u64,
 }
 
-fn run_client(svc: &Service, seed: u64, requests: usize) -> ClientLog {
+fn run_client(svc: &ShardedService, seed: u64, requests: usize) -> ClientLog {
     let mut rng = Rng::seed_from_u64(seed);
     let mut log = ClientLog { poison: Vec::new(), clean: Vec::new(), rejected: 0 };
     for _ in 0..requests {
@@ -65,7 +74,7 @@ fn run_client(svc: &Service, seed: u64, requests: usize) -> ClientLog {
             1 => Duration::from_millis(20),
             _ => Duration::from_secs(1),
         };
-        match svc.submit(input, deadline) {
+        match submit(svc, input, deadline) {
             Ok(id) if is_poison => log.poison.push(id),
             Ok(id) => log.clean.push(id),
             Err(_) => log.rejected += 1,
@@ -80,7 +89,7 @@ fn run_client(svc: &Service, seed: u64, requests: usize) -> ClientLog {
 
 #[test]
 fn soak_conserves_every_request_under_panics_deadlines_and_bursts() {
-    let svc = Arc::new(Service::start(soak_cfg(), factory(Duration::from_micros(200))).unwrap());
+    let svc = Arc::new(ShardedService::start(soak_cfg(), factory(Duration::from_micros(200))).unwrap());
     let clients = 4;
     let per_client = 150;
     let mut handles = Vec::new();
@@ -147,13 +156,13 @@ fn burst_overload_rejects_then_recovers() {
     // A single slow worker and a small queue: a synchronous burst must
     // overflow admission, and after the burst drains the service must
     // accept and complete new work.
-    let cfg = ServiceConfig { queue_capacity: 8, workers: 1, ..soak_cfg() };
-    let svc = Service::start(cfg, factory(Duration::from_millis(2))).unwrap();
+    let cfg = ShardedConfig { shard_queue_capacity: 8, workers_per_shard: 1, ..soak_cfg() };
+    let svc = ShardedService::start(cfg, factory(Duration::from_millis(2))).unwrap();
     let mut rng = Rng::seed_from_u64(0xFEED);
     let mut rejected = 0u64;
     for _ in 0..64 {
         let input: Vec<f32> = (0..INPUT_DIM).map(|_| rng.uniform_range(-1.0, 1.0)).collect();
-        if svc.submit(input, Duration::from_secs(2)).is_err() {
+        if submit(&svc, input, Duration::from_secs(2)).is_err() {
             rejected += 1;
         }
     }
@@ -161,7 +170,7 @@ fn burst_overload_rejects_then_recovers() {
     // Drain, then prove recovery.
     std::thread::sleep(Duration::from_millis(300));
     let input: Vec<f32> = (0..INPUT_DIM).map(|_| rng.uniform_range(-1.0, 1.0)).collect();
-    let late_id = svc.submit(input, Duration::from_secs(2)).expect("service recovers after burst");
+    let late_id = submit(&svc, input, Duration::from_secs(2)).expect("service recovers after burst");
     let report = svc.shutdown();
     report.verify_conservation().unwrap();
     let late = report.completions.iter().find(|c| c.id == late_id).unwrap();
@@ -175,38 +184,38 @@ fn ladder_sheds_load_under_sustained_pressure_and_recovers() {
     // capacity, which must walk the ladder down; once submissions stop
     // and the queue drains, observations below the low watermark must
     // walk it back to rung 0.
-    let cfg = ServiceConfig {
-        queue_capacity: 16,
+    let cfg = ShardedConfig {
+        shard_queue_capacity: 16,
         max_batch: 2,
-        workers: 1,
+        workers_per_shard: 1,
         ladder: LadderConfig { patience: 2, cooldown: 2, ..LadderConfig::default_tr_ladder() },
         ..soak_cfg()
     };
-    let svc = Service::start(cfg, factory(Duration::from_millis(3))).unwrap();
+    let svc = ShardedService::start(cfg, factory(Duration::from_millis(3))).unwrap();
     let mut rng = Rng::seed_from_u64(0xACE);
     for _ in 0..120 {
         let input: Vec<f32> = (0..INPUT_DIM).map(|_| rng.uniform_range(-1.0, 1.0)).collect();
-        let _ = svc.submit(input, Duration::from_secs(10));
+        let _ = submit(&svc, input, Duration::from_secs(10));
         std::thread::sleep(Duration::from_micros(300));
     }
-    let mid_rung = svc.current_rung();
+    let mid_rung = svc.tenant_rung(0);
     // Stop offering load; let the queue drain fully, then give the
     // ladder enough relief observations to climb home.
     for _ in 0..200 {
-        if svc.queue_depth() == 0 && svc.current_rung() == 0 {
+        if svc.queue_depths().iter().sum::<usize>() == 0 && svc.tenant_rung(0) == Some(0) {
             break;
         }
         let input: Vec<f32> = (0..INPUT_DIM).map(|_| rng.uniform_range(-1.0, 1.0)).collect();
-        let _ = svc.submit(input, Duration::from_secs(10));
+        let _ = submit(&svc, input, Duration::from_secs(10));
         std::thread::sleep(Duration::from_millis(8));
     }
     let report = svc.shutdown();
     report.verify_conservation().unwrap();
     assert!(
-        report.deepest_rung > 0,
-        "sustained overload must engage the ladder (mid rung was {mid_rung}, transitions: {:?})",
-        report.transitions
+        report.tenants[0].deepest_rung > 0,
+        "sustained overload must engage the ladder (mid rung was {mid_rung:?}, tenant: {:?})",
+        report.tenants[0]
     );
-    assert_eq!(report.final_rung, 0, "relief must restore full precision");
+    assert_eq!(report.tenants[0].final_rung, 0, "relief must restore full precision");
     assert!(report.snapshot.reconfigurations >= 2, "down and back up");
 }

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # The full local gate: release build, the whole test suite, the
-# benchmark package's build and tests, clippy over
-# every target with warnings denied (the workspace cast/unwrap lints now
-# cover every crate, tests and benches included), the static bit-width
-# proof of the hardware datapath, the whole-model soundness
-# certificates, and the serving resilience smoke. CI mirrors this; run
-# it before pushing.
+# benchmark package's build and tests, clippy over every target with
+# warnings denied (the workspace cast/unwrap lints now cover every
+# crate, tests and benches included), rustdoc with warnings denied, the
+# static bit-width proof of the hardware datapath, the whole-model
+# soundness certificates, and the serving resilience smoke. CI mirrors
+# this; run it before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +16,9 @@ cargo test -q --workspace
 # breaks it fail this gate, not the benchmark run.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc with warnings denied: every intra-doc link must resolve, so a
+# rename or deletion cannot leave a dangling reference in the API docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo run -q --release -p tr-bench --bin repro -- verify-widths
 # Whole-model soundness certificates: every default ladder rung of the
 # three zoo models must be provably overflow-free, twice over and
