@@ -23,14 +23,19 @@
 //! The constructors read each code's terms from the encoding's code-term
 //! table ([`tr_encoding::TermTable`]) rather than encoding per element, so
 //! building the planes allocates nothing per element; the planes are the
-//! same bytes the encoder would give.
+//! same bytes the encoder would give. Weight preparation goes one step
+//! further: [`PackedTermMatrix::try_reveal_codes`] reads the table and
+//! applies Term Revealing in the same pass, row tiles in parallel, and
+//! hands back the kept codes with the revealed planes.
 
 use crate::config::TrConfig;
 use crate::error::TrError;
-use crate::reveal::observe_group;
+use crate::reveal::{observe_group, RevealTally};
 use crate::seal::{fnv1a_bytes, fnv1a_bytes_wordwise, fnv1a_word, mix, FNV_OFFSET};
 use crate::termmatrix::TermMatrix;
-use tr_encoding::{CodeTerms, Encoding, Term, TermExpr, TermTable, TABLE_MAX_TERMS};
+use rayon::prelude::*;
+use std::sync::OnceLock;
+use tr_encoding::{CodeTerms, Encoding, Term, TermExpr, TermTable, TABLE_MAX_TERMS, TABLE_RANGE};
 use tr_obs::Counter;
 use tr_quant::QTensor;
 
@@ -511,6 +516,86 @@ impl PackedTermMatrix {
         Ok(out.seal())
     }
 
+    /// Term Revealing straight from row-major weight codes `(rows, len)`
+    /// in one table-driven pass: the planes
+    /// `from_codes(..).try_reveal(cfg)` builds, together with the codes
+    /// their kept terms represent (the values
+    /// [`PackedTermMatrix::reconstruct_codes`] would return on them). The
+    /// kept codes are written over `codes`, which is returned.
+    ///
+    /// Each code's terms are read from the weight encoding's
+    /// [`TermTable`]. A group within its budget is copied through; an
+    /// over-budget group finds its waterline from the same exponent
+    /// histogram and scan-order tie-break as [`PackedTermMatrix::try_reveal`],
+    /// with the histogram summed one word per value instead of one bucket
+    /// per term. Because terms are stored largest exponent first, what a
+    /// value keeps is a prefix of its terms, so its kept count is a lookup
+    /// and its kept code one table load. Rows are independent and fan out
+    /// in tiles over the thread pool, each with its own planes and counter
+    /// tally, stitched in row order afterwards. The output and the
+    /// `core.reveal.*` counter deltas are bit-identical to the two-step
+    /// chain, which is also the fallback when a code lies beyond the table
+    /// or a group is wider than 127 values.
+    ///
+    /// # Errors
+    /// [`TrError::InvalidConfig`] when `cfg` is invalid, and
+    /// [`TrError::OutOfRange`] when a kept code does not fit `i32` (only
+    /// codes near `±2^31` can round past it).
+    ///
+    /// # Panics
+    /// If `codes.len() != rows * len`.
+    pub fn try_reveal_codes(
+        mut codes: Vec<i32>,
+        rows: usize,
+        len: usize,
+        cfg: &TrConfig,
+    ) -> Result<(PackedTermMatrix, Vec<i32>), TrError> {
+        cfg.validate()?;
+        assert_eq!(codes.len(), rows * len, "codes do not fill a {rows}x{len} matrix");
+        let encoding = cfg.weight_encoding;
+        let in_table = codes.iter().map(|c| c.unsigned_abs()).max() <= Some(TABLE_RANGE.unsigned_abs());
+        let table = RevealTable::of(encoding).filter(|_| in_table && cfg.group_size <= REVEAL_MAX_GROUP);
+        let Some(table) = table else {
+            let tm = Self::from_codes(&codes, rows, len, encoding).try_reveal(cfg)?;
+            let kept = tm.reconstruct_codes().into_iter().map(i32::try_from);
+            let kept = kept.collect::<Result<Vec<_>, _>>().map_err(|_| {
+                TrError::OutOfRange("a kept code of the revealed matrix exceeds i32".into())
+            })?;
+            return Ok((tm, kept));
+        };
+        // Offsets and kept codes go straight to their final place; each
+        // tile writes its offsets relative to its own first term and
+        // returns its exponent and sign planes for the stitch below.
+        let mut out = Self::with_capacity(rows, len, encoding, 0);
+        out.offsets.resize(rows * len + 1, 0);
+        let tile = REVEAL_TILE_ELEMS.div_ceil(len.max(1)) * len.max(1);
+        let mut jobs: Vec<RevealTile<'_>> = codes
+            .chunks_mut(tile)
+            .zip(out.offsets[1..].chunks_mut(tile))
+            .map(|(codes, ends)| RevealTile::new(codes, ends))
+            .collect();
+        jobs.par_chunks_mut(1).for_each(|job| {
+            for j in job {
+                j.run(table, len, cfg.group_size, cfg.group_budget);
+            }
+        });
+        let terms: usize = jobs.iter().map(|j| j.exps.len()).sum();
+        u32::try_from(terms).expect("term count fits u32");
+        let mut planes = (Vec::with_capacity(terms), Vec::with_capacity(terms.div_ceil(64)));
+        for job in jobs {
+            let base = u32::try_from(planes.0.len()).expect("term count fits u32");
+            if base > 0 {
+                for e in job.ends.iter_mut() {
+                    *e += base;
+                }
+            }
+            append_planes(&mut planes, &job.exps, &job.signs);
+            job.tally.observe();
+        }
+        (out.exps, out.signs) = planes;
+        Ok((out.seal(), codes))
+    }
+
     /// Cap every element to its top `s` terms (terms are stored largest
     /// exponent first, so this keeps a prefix). Consumes and returns the
     /// matrix. Bit-identical to [`TermMatrix::cap_terms`].
@@ -532,6 +617,206 @@ impl PackedTermMatrix {
     pub fn to_term_matrix(&self) -> TermMatrix {
         TermMatrix::from(self)
     }
+}
+
+/// Elements per row tile of [`PackedTermMatrix::try_reveal_codes`]. A
+/// matrix at most this large is revealed on the calling thread; a larger
+/// one fans out in tiles of at least this many elements, so each thread's
+/// start-up stays small next to the work it takes.
+const REVEAL_TILE_ELEMS: usize = 1 << 15;
+
+/// Largest exponent a table code carries under any encoding (`±255`
+/// needs at most `2^8`), and so the top lane of the summed histogram.
+const REVEAL_MAX_EXP: u8 = 8;
+
+/// Bits per exponent lane of the summed histogram.
+const LANE_BITS: u32 = 7;
+
+/// Widest group the one-pass reveal takes: a lane counts at most this
+/// many terms at one exponent, one per value.
+const REVEAL_MAX_GROUP: usize = (1 << LANE_BITS) - 1;
+
+/// One code's table entry in the form the one-pass reveal reads it.
+#[derive(Clone, Copy)]
+struct RevealEntry {
+    terms: CodeTerms,
+    /// Bit `LANE_BITS * e` set when the code has a term at exponent `e`;
+    /// summed over a group, lane `e` is the group's term count at `e`.
+    present: u64,
+    /// Lane `w` (4 bits at `4 * w`): how many of the code's terms lie
+    /// above exponent `w`.
+    above: u64,
+    /// `sums[j]`: the value of the code's top `j` terms.
+    sums: [i16; TABLE_MAX_TERMS + 1],
+}
+
+/// The code-term table of one encoding, re-laid for the one-pass reveal:
+/// entry `c + TABLE_RANGE` holds code `c`.
+struct RevealTable {
+    entries: Vec<RevealEntry>,
+}
+
+impl RevealTable {
+    /// The shared table of `encoding`, built on first use; `None` if an
+    /// entry's exponents are not strictly decreasing within
+    /// `0..=REVEAL_MAX_EXP`, which the lanes need (no encoding builds
+    /// such an entry; the caller would fall back to the two-step chain).
+    fn of(encoding: Encoding) -> Option<&'static RevealTable> {
+        static TABLES: [OnceLock<Option<RevealTable>>; Encoding::ALL.len()] =
+            [const { OnceLock::new() }; Encoding::ALL.len()];
+        let i = Encoding::ALL.iter().position(|&e| e == encoding)?;
+        TABLES[i].get_or_init(|| RevealTable::build(encoding.table())).as_ref()
+    }
+
+    fn build(table: &TermTable) -> Option<RevealTable> {
+        let mut entries = Vec::new();
+        for code in -TABLE_RANGE..=TABLE_RANGE {
+            let terms = table.get(code)?;
+            let exps = &terms.exps[..usize::from(terms.len)];
+            if exps.windows(2).any(|w| w[0] <= w[1]) || exps.iter().any(|&e| e > REVEAL_MAX_EXP) {
+                return None;
+            }
+            let mut present = 0u64;
+            for &e in exps {
+                present |= 1 << (LANE_BITS * u32::from(e));
+            }
+            let mut above = 0u64;
+            for w in 0..=REVEAL_MAX_EXP {
+                let n = exps.iter().filter(|&&e| e > w).count();
+                above |= u64::try_from(n).ok()? << (4 * u32::from(w));
+            }
+            let mut sums = [0i16; TABLE_MAX_TERMS + 1];
+            for (j, s) in sums.iter_mut().enumerate() {
+                *s = i16::try_from(table.truncated(code, j)?).ok()?;
+            }
+            entries.push(RevealEntry { terms, present, above, sums });
+        }
+        Some(RevealTable { entries })
+    }
+
+    /// The entry of `code`, which the caller has checked lies within
+    /// `±TABLE_RANGE`.
+    #[inline]
+    fn entry(&self, code: i32) -> &RevealEntry {
+        let slot = usize::try_from(code.wrapping_add(TABLE_RANGE));
+        &self.entries[slot.expect("codes are checked against the table first")]
+    }
+}
+
+/// One row tile of the one-pass reveal: whole rows of codes in, each
+/// element's term end offset (relative to the tile's first term) written
+/// in place and its code overwritten by its kept code, the exponent and
+/// sign planes returned.
+struct RevealTile<'a> {
+    codes: &'a mut [i32],
+    ends: &'a mut [u32],
+    exps: Vec<u8>,
+    /// Sign bitset, one bit per term as in [`PackedTermMatrix`].
+    signs: Vec<u64>,
+    tally: RevealTally,
+}
+
+impl<'a> RevealTile<'a> {
+    fn new(codes: &'a mut [i32], ends: &'a mut [u32]) -> Self {
+        RevealTile { codes, ends, exps: Vec::new(), signs: Vec::new(), tally: RevealTally::default() }
+    }
+
+    /// Reveal the tile's rows of `len` codes in groups of `g` under
+    /// budget `budget`.
+    fn run(&mut self, table: &RevealTable, len: usize, g: usize, budget: usize) {
+        let b = u64::try_from(budget).unwrap_or(u64::MAX);
+        let lane = (1u64 << LANE_BITS) - 1;
+        // A group keeps at most `budget` terms, and every element is
+        // written as a whole table entry with the cursor advanced by its
+        // kept count, so the plane needs that bound plus one entry.
+        let groups = self.codes.len().div_ceil(g.max(1)) + self.codes.len() / len.max(1);
+        let bound = groups.saturating_mul(budget).min(self.codes.len() * TABLE_MAX_TERMS);
+        let mut exps = vec![0u8; bound + TABLE_MAX_TERMS];
+        let (mut terms, mut word, mut bit) = (0usize, 0u64, 0usize);
+        let mut entries = [&table.entries[0]; REVEAL_MAX_GROUP];
+        let mut elem = 0usize;
+        for row in self.codes.chunks_exact_mut(len.max(1)) {
+            for group in row.chunks_mut(g) {
+                let mut total = 0usize;
+                let mut hist = 0u64;
+                for (entry, &c) in entries.iter_mut().zip(&*group) {
+                    let e = table.entry(c);
+                    *entry = e;
+                    total += usize::from(e.terms.len);
+                    hist += e.present;
+                }
+                // A group within budget keeps everything: waterline 0
+                // with an unlimited take. Otherwise the waterline is the
+                // highest exponent at which the terms at or above it
+                // reach the budget, with the budget's remainder taken
+                // from the terms at it.
+                let (mut wl, mut take_at_wl) = (0u32, u64::MAX);
+                if total > budget {
+                    let mut cum = 0u64;
+                    for e in (0..=u32::from(REVEAL_MAX_EXP)).rev() {
+                        let n = (hist >> (LANE_BITS * e)) & lane;
+                        if cum + n >= b {
+                            (wl, take_at_wl) = (e, b - cum);
+                            break;
+                        }
+                        cum += n;
+                    }
+                }
+                // Terms run largest exponent first, so each value keeps a
+                // prefix: everything above the waterline, then its
+                // waterline term while the group's take lasts (scan
+                // order).
+                let mut taken = 0u64;
+                for (code, e) in group.iter_mut().zip(&entries) {
+                    let at = ((e.present >> (LANE_BITS * wl)) & 1 == 1) & (taken < take_at_wl);
+                    taken += u64::from(at);
+                    let j = usize::from((e.above >> (4 * wl)).to_le_bytes()[0] & 0xF) + usize::from(at);
+                    exps[terms..terms + TABLE_MAX_TERMS].copy_from_slice(&e.terms.exps);
+                    terms += j;
+                    self.ends[elem] = u32::try_from(terms).expect("term count fits u32");
+                    *code = i32::from(e.sums[j]);
+                    elem += 1;
+                    let mask = u64::from(e.terms.signs) & ((1u64 << j) - 1);
+                    word |= mask << bit;
+                    bit += j;
+                    if bit >= 64 {
+                        self.signs.push(word);
+                        bit -= 64;
+                        // The element's bits that did not fit (none when
+                        // it ended the word exactly: its bits past `j`
+                        // are clear).
+                        word = mask >> (j - bit);
+                    }
+                }
+                self.tally.group(total.min(budget), total.saturating_sub(budget));
+            }
+        }
+        if bit > 0 {
+            self.signs.push(word);
+        }
+        exps.truncate(terms);
+        self.exps = exps;
+    }
+}
+
+/// Append a tile's exponent and sign planes to `(exps, signs)`, shifting
+/// its sign bitset to the term cursor so the planes end up as if every
+/// term had been pushed in order.
+fn append_planes(planes: &mut (Vec<u8>, Vec<u64>), exps: &[u8], signs: &[u64]) {
+    let (out_exps, out_signs) = planes;
+    let bit = out_exps.len() % 64;
+    if bit == 0 {
+        out_signs.extend_from_slice(signs);
+    } else {
+        for &w in signs {
+            if let Some(last) = out_signs.last_mut() {
+                *last |= w << bit;
+            }
+            out_signs.push(w >> (64 - bit));
+        }
+    }
+    out_exps.extend_from_slice(exps);
+    out_signs.truncate(out_exps.len().div_ceil(64));
 }
 
 impl From<&TermMatrix> for PackedTermMatrix {
@@ -706,6 +991,31 @@ mod tests {
         let mut empty = PackedTermMatrix::from_vector(&[], Encoding::Binary);
         assert!(!empty.tamper(7));
         empty.verify_integrity().unwrap();
+    }
+
+    #[test]
+    fn one_pass_table_serves_every_encoding() {
+        // Without the table the one-pass reveal falls back to the chain:
+        // still exact, but no faster.
+        for enc in Encoding::ALL {
+            assert!(RevealTable::of(enc).is_some(), "{enc}");
+        }
+    }
+
+    #[test]
+    fn one_pass_reveal_matches_reveal_and_rejects_invalid_config() {
+        let q = random_qt(6, 64, 13);
+        for enc in Encoding::ALL {
+            let cfg = TrConfig::new(8, 5).with_weight_encoding(enc);
+            let want = PackedTermMatrix::from_weights(&q, enc).reveal(&cfg);
+            let (got, kept) =
+                PackedTermMatrix::try_reveal_codes(q.values().to_vec(), 6, 64, &cfg).unwrap();
+            assert_eq!(got, want, "{enc}");
+            let kept: Vec<i64> = kept.into_iter().map(i64::from).collect();
+            assert_eq!(kept, want.reconstruct_codes(), "{enc}");
+        }
+        assert!(PackedTermMatrix::try_reveal_codes(vec![1, 2], 1, 2, &TrConfig::new(0, 4)).is_err());
+        assert!(PackedTermMatrix::try_reveal_codes(vec![1, 2], 1, 2, &TrConfig::new(4, 0)).is_err());
     }
 
     #[test]

@@ -37,6 +37,43 @@ pub(crate) fn observe_group(kept: usize, pruned: usize) {
     REVEAL_TERMS_PRUNED.add(as_u64(pruned));
 }
 
+/// Group outcomes summed locally and recorded at once: the row-parallel
+/// reveal tallies each tile on its own thread, and the shared counters
+/// end up exactly where one [`observe_group`] call per group leaves them.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct RevealTally {
+    groups: u64,
+    pruned_groups: u64,
+    kept: u64,
+    pruned: u64,
+}
+
+impl RevealTally {
+    /// Count one group (what [`observe_group`] records for it).
+    #[inline]
+    pub(crate) fn group(&mut self, kept: usize, pruned: usize) {
+        self.groups += 1;
+        self.pruned_groups += u64::from(pruned > 0);
+        self.kept += as_u64(kept);
+        self.pruned += as_u64(pruned);
+    }
+
+    /// Record the tallied groups on the shared counters, touching the
+    /// same counters the per-group calls would (a counter registers on
+    /// its first `add`, even of 0).
+    pub(crate) fn observe(self) {
+        if self.groups == 0 {
+            return;
+        }
+        REVEAL_GROUPS.add(self.groups);
+        if self.pruned_groups > 0 {
+            REVEAL_GROUPS_PRUNED.add(self.pruned_groups);
+        }
+        REVEAL_TERMS_KEPT.add(self.kept);
+        REVEAL_TERMS_PRUNED.add(self.pruned);
+    }
+}
+
 /// What the receding-water pass did to one group.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RevealOutcome {

@@ -329,11 +329,12 @@ impl FakeQuant {
 /// The weight-side transform for one `(weight, precision)` pair, built
 /// once and installable many times.
 ///
-/// Building one is the expensive step — quantize, encode into term
-/// planes, run the receding-water reveal. Installing is a couple of
-/// `Arc` clones, which is what lets `tr-serve` cache one of these per
-/// precision rung and flip a model's operating point at run time without
-/// re-encoding anything.
+/// Building one is the expensive step — quantize, then (TR) encode and
+/// reveal the term planes in one row-parallel pass
+/// ([`PackedTermMatrix::try_reveal_codes`]) and build the bit-planes.
+/// Installing is a couple of `Arc` clones, which is what lets `tr-serve`
+/// cache one of these per precision rung and flip a model's operating
+/// point at run time without re-encoding anything.
 #[derive(Debug, Clone, Default)]
 pub struct PreparedWeights {
     /// Dequantized reconstruction inference should use (`None` = float).
@@ -522,19 +523,33 @@ pub fn prepare_weights(w: &Tensor, precision: &Precision) -> PreparedWeights {
         Precision::Tr(cfg) => {
             cfg.check();
             let params = calibrate_max_abs(w, 8);
-            let q = quantize(w, params);
-            let tm = PackedTermMatrix::from_weights(&q, cfg.weight_encoding).reveal(cfg);
-            let codes = tm.reconstruct_codes();
-            let data: Vec<f32> = codes.iter().map(|&c| c as f32 * params.scale).collect();
-            let planes = BitPlaneMatrix::from_packed(&tm);
+            let (rows, len) = w.shape().as_matrix();
+            // `quantize`'s codes, without the QTensor: the one-pass reveal
+            // overwrites them with the kept codes.
+            let codes = w.data().iter().map(|&x| params.code(x)).collect();
+            let (tm, codes) = PackedTermMatrix::try_reveal_codes(codes, rows, len, cfg)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let data_term_bound = cfg.data_terms.unwrap_or(7);
+            // The bit-plane build is the longest step left, and nothing
+            // else reads it: the planner scan and the reconstruction run
+            // beside it.
+            let (planes, (planner, data)) = std::thread::scope(|s| {
+                let planes = s.spawn(|| BitPlaneMatrix::from_packed(&tm));
+                let planner = MatmulPlanner::for_weights(&tm, data_term_bound);
+                // Collected in place: the kept codes' buffer becomes the
+                // reconstruction's.
+                let data: Vec<f32> = codes.into_iter().map(|c| params.real(c)).collect();
+                let planes = planes.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                (planes, (planner, data))
+            });
             PreparedWeights {
                 qweight: Some(Arc::new(Tensor::from_vec(data, w.shape().clone()))),
                 weight_params: Some(params),
                 weight_terms: Some(Arc::new(tm)),
                 weight_planes: Some(Arc::new(planes)),
-                planner: None,
+                planner: Some(Arc::new(planner)),
                 weight_term_bound: cfg.group_budget, // per-group, see bound math
-                data_term_bound: cfg.data_terms.unwrap_or(7),
+                data_term_bound,
                 tr_config: Some(*cfg),
                 checksum: 0,
             }
@@ -542,10 +557,12 @@ pub fn prepare_weights(w: &Tensor, precision: &Precision) -> PreparedWeights {
     };
     // The planner freezes the weight-side statistics once; the peer
     // bound seeds its estimate of the streamed activation operand.
-    prepared.planner = prepared
-        .weight_terms
-        .as_ref()
-        .map(|t| Arc::new(MatmulPlanner::for_weights(t, prepared.data_term_bound)));
+    if prepared.planner.is_none() {
+        prepared.planner = prepared
+            .weight_terms
+            .as_ref()
+            .map(|t| Arc::new(MatmulPlanner::for_weights(t, prepared.data_term_bound)));
+    }
     prepared.seal()
 }
 

@@ -46,17 +46,63 @@ const MAX_NAME_LEN: usize = 4096;
 const MAX_RANK: usize = 16;
 const MAX_TENSORS: usize = 1 << 20;
 
-/// CRC32 (IEEE 802.3, reflected) — the checksum that seals a `TRCKPT02`
-/// file. Implemented locally: the build is offline and the polynomial is
-/// two lines of code.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = 0u32.wrapping_sub(crc & 1);
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected CRC32 (IEEE 802.3) polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 tables: `CRC32_TABLES[0][b]` is the CRC of the single byte
+/// `b`, and `CRC32_TABLES[j][b]` advances that by `j` zero bytes, so one
+/// step folds eight input bytes with eight lookups. Built at compile time.
+const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        // `b < 256`, so the cast is exact.
+        #[allow(clippy::cast_possible_truncation)]
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & 0u32.wrapping_sub(crc & 1));
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut j = 1;
+    while j < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[j - 1][b];
+            t[j][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        j += 1;
+    }
+    t
+}
+
+/// CRC32 (IEEE 802.3, reflected) — the checksum that seals a `TRCKPT02`
+/// file, on both save and load. Implemented locally (the build is
+/// offline) as slice-by-8: eight table lookups per eight bytes instead of
+/// a shift per bit, the same value as the bitwise definition.
+fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = (crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]])).to_le_bytes();
+        crc = t[7][usize::from(lo[0])]
+            ^ t[6][usize::from(lo[1])]
+            ^ t[5][usize::from(lo[2])]
+            ^ t[4][usize::from(lo[3])]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc.to_le_bytes()[0] ^ b)];
     }
     !crc
 }
@@ -329,10 +375,12 @@ pub fn save_model(path: &Path, model: &mut dyn Layer) -> io::Result<()> {
 /// built by the same constructor).
 pub fn load_model(path: &Path, model: &mut dyn Layer) -> io::Result<()> {
     let tensors = load_tensors(path)?;
-    let map: std::collections::HashMap<String, Tensor> = tensors.into_iter().collect();
+    // Each parameter moves its tensor out of the map: no second copy of
+    // the weights is made on the way in.
+    let mut map: std::collections::HashMap<String, Tensor> = tensors.into_iter().collect();
     let mut missing = Vec::new();
-    model.visit_params(&mut |name, p| match map.get(name) {
-        Some(t) if t.shape().same_as(p.value.shape()) => p.value = t.clone(),
+    model.visit_params(&mut |name, p| match map.remove(name) {
+        Some(t) if t.shape().same_as(p.value.shape()) => p.value = t,
         Some(_) => missing.push(format!("{name} (shape mismatch)")),
         None => missing.push(name.to_string()),
     });
@@ -361,11 +409,11 @@ pub fn save_lstm(path: &Path, lm: &mut LstmLm) -> io::Result<()> {
 /// Load an LSTM language model.
 pub fn load_lstm(path: &Path, lm: &mut LstmLm) -> io::Result<()> {
     let tensors = load_tensors(path)?;
-    let map: std::collections::HashMap<String, Tensor> = tensors.into_iter().collect();
+    let mut map: std::collections::HashMap<String, Tensor> = tensors.into_iter().collect();
     let mut err = None;
     lm.visit_params(&mut |name, p| {
-        match map.get(name) {
-            Some(t) if t.shape().same_as(p.value.shape()) => p.value = t.clone(),
+        match map.remove(name) {
+            Some(t) if t.shape().same_as(p.value.shape()) => p.value = t,
             _ => err = Some(name.to_string()),
         }
     });
@@ -387,6 +435,35 @@ mod tests {
         // IEEE 802.3 test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bitwise definition of the CRC, one shift per input bit: the
+    /// oracle the table-driven [`crc32`] must reproduce.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = 0u32.wrapping_sub(crc & 1);
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc32_matches_the_bitwise_oracle() {
+        let mut rng = Rng::seed_from_u64(0xC3C3);
+        let buf: Vec<u8> = (0..1 << 20).map(|_| rng.next_u64().to_le_bytes()[3]).collect();
+        // Every length across the 8-byte steps and the byte-wise tail,
+        // at every alignment of the step within the buffer.
+        for len in 0..=70 {
+            for start in 0..8 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "len {len} at offset {start}");
+            }
+        }
+        assert_eq!(crc32(&buf), crc32_bitwise(&buf), "1 MiB buffer");
     }
 
     #[test]

@@ -814,9 +814,13 @@ impl ShardedService {
                 }
             })
             .collect();
+        // Every worker has exited, so the log is final: moving it into the
+        // report keeps one copy of it alive, not two (56 B a request).
+        let mut completions = std::mem::take(&mut *lock(&self.shared.completions));
+        completions.shrink_to_fit();
         ShardedReport {
             snapshot: self.shared.metrics.snapshot(),
-            completions: lock(&self.shared.completions).clone(),
+            completions,
             tenants,
             events: self.shared.events.snapshot(),
             served_by_generation: lock(&self.shared.served_by_generation).clone(),

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The full local gate: release build, the whole test suite, the
-# benchmark package's build and tests, clippy over every target with
+# benchmark package's build, tests and self-tests, clippy over every target with
 # warnings denied (the workspace cast/unwrap lints now cover every
 # crate, tests and benches included), rustdoc with warnings denied, the
 # static bit-width proof of the hardware datapath, the whole-model
@@ -15,6 +15,14 @@ cargo test -q --workspace
 # public APIs: building and testing it here makes an API change that
 # breaks it fail this gate, not the benchmark run.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# The benchmark's self-tests: its metric catalog equals BENCHMARK.json, a
+# short run of every workload (plain and traced) reports every metric and
+# passes its gates, traced replay bit identity included, and an injected
+# wrong prediction or tampered rung fails them. Nothing else runs these.
+# They build into $CARGO_TARGET_DIR (default `.bench_build`); on a cold
+# zoo cache, with no `perfbench-zoo` beside that build yet, the first run
+# trains the MLP and VGG checkpoints, which adds a few minutes.
+python3 perfbench/test_bench.py
 cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc with warnings denied: every intra-doc link must resolve, so a
 # rename or deletion cannot leave a dangling reference in the API docs.
