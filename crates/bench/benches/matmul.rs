@@ -7,7 +7,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use tr_core::{term_matmul_i64, TermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_quant::{calibrate_max_abs, quantize, QTensor};
-use tr_tensor::{Rng, Shape, Tensor};
+use tr_tensor::matmul::{matmul_into_with, Tier};
+use tr_tensor::{im2col_into, Conv2dGeometry, Rng, Shape, Tensor};
 
 const M: usize = 48;
 const K: usize = 256;
@@ -57,6 +58,65 @@ fn bench_transb(c: &mut Criterion) {
     });
 }
 
+/// VGG's six 3x3 convolutions as (in channels, out channels, side): the
+/// float lowering perfbench's `vgg_tr_k8` runs once per image.
+const VGG_CONVS: [(usize, usize, usize); 6] =
+    [(3, 24, 32), (24, 24, 32), (24, 48, 16), (48, 48, 16), (48, 96, 8), (96, 96, 8)];
+
+fn vgg_geometry(c: usize, side: usize) -> Conv2dGeometry {
+    Conv2dGeometry { in_channels: c, in_h: side, in_w: side, k_h: 3, k_w: 3, stride: 1, pad: 1 }
+}
+
+/// A post-ReLU image: about half its pixels are zero, as in the network.
+fn post_relu_image(c: usize, side: usize, rng: &mut Rng) -> Vec<f32> {
+    Tensor::randn(Shape::d3(c, side, side), 1.0, rng).data().iter().map(|v| v.max(0.0)).collect()
+}
+
+/// The conv GEMM (weights `O×K` times patches `K×N`) at each VGG shape,
+/// on every f32 tier this host runs.
+fn bench_conv_f32(c: &mut Criterion) {
+    let mut rng = Rng::seed_from_u64(11);
+    let mut group = c.benchmark_group("matmul/conv_f32");
+    for (cin, cout, side) in VGG_CONVS {
+        let g = vgg_geometry(cin, side);
+        let (k, n) = (g.patch_len(), g.n_patches());
+        let w = Tensor::randn(Shape::d2(cout, k), 0.3, &mut rng);
+        let mut cols = Vec::new();
+        im2col_into(&post_relu_image(cin, side, &mut rng), &g, &mut cols);
+        let mut out = vec![0.0f32; cout * n];
+        group.throughput(Throughput::Elements((cout * k * n) as u64));
+        for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
+            group.bench_function(format!("{cout}x{k}x{n}/{}", tier.name()), |bch| {
+                bch.iter(|| {
+                    out.fill(0.0);
+                    matmul_into_with(tier, black_box(w.data()), black_box(&cols), &mut out, cout, k, n);
+                    black_box(&out);
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+/// im2col of each VGG conv input.
+fn bench_im2col(c: &mut Criterion) {
+    let mut rng = Rng::seed_from_u64(12);
+    let mut group = c.benchmark_group("im2col");
+    for (cin, _, side) in VGG_CONVS {
+        let g = vgg_geometry(cin, side);
+        let x = post_relu_image(cin, side, &mut rng);
+        let mut cols = Vec::new();
+        group.throughput(Throughput::Elements((g.patch_len() * g.n_patches()) as u64));
+        group.bench_function(format!("{cin}x{side}x{side}"), |bch| {
+            bch.iter(|| {
+                im2col_into(black_box(&x), &g, &mut cols);
+                black_box(&cols);
+            })
+        });
+    }
+    group.finish();
+}
+
 fn quick() -> Criterion {
     // Single-core CI budget: fewer samples, shorter windows.
     Criterion::default()
@@ -68,6 +128,6 @@ fn quick() -> Criterion {
 criterion_group!{
     name = benches;
     config = quick();
-    targets = bench_domains, bench_transb
+    targets = bench_domains, bench_transb, bench_conv_f32, bench_im2col
 }
 criterion_main!(benches);

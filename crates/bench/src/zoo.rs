@@ -244,21 +244,37 @@ pub fn float_perplexity(lm: &mut LstmLm, corpus: &MarkovCorpus, rng: &mut Rng) -
 mod tests {
     use super::*;
 
+    /// Every parameter value of a model, as bit patterns.
+    fn weight_bits(model: &mut Sequential) -> Vec<u32> {
+        use tr_nn::layer::Layer;
+        let mut bits = Vec::new();
+        model.visit_params(&mut |_, p| bits.extend(p.value.data().iter().map(|v| v.to_bits())));
+        bits
+    }
+
     #[test]
     fn quick_zoo_trains_and_caches_mlp() {
         let dir = std::env::temp_dir().join("tr-zoo-test-mlp");
         let _ = std::fs::remove_dir_all(&dir);
         let mut zoo = Zoo::at(&dir);
         zoo.quick = true;
-        let t0 = std::time::Instant::now();
-        let (_m1, ds) = zoo.mlp();
-        let first = t0.elapsed();
+        let (mut m1, ds) = zoo.mlp();
         assert!(!ds.train.is_empty());
-        let t1 = std::time::Instant::now();
-        let (_m2, _) = zoo.mlp();
-        let second = t1.elapsed();
-        assert!(second < first, "cache not faster: {second:?} vs {first:?}");
-        assert!(zoo.path("mlp").exists());
+        let path = zoo.path("mlp");
+        let written = std::fs::metadata(&path).expect("first call writes the checkpoint");
+        // A cache hit loads the checkpoint instead of retraining: the file
+        // is not rewritten (a write goes through a temp file and a rename,
+        // so it would bring a new inode and mtime), and the loaded weights
+        // are the trained ones bit for bit.
+        let (mut m2, _) = zoo.mlp();
+        let reread = std::fs::metadata(&path).expect("checkpoint still there");
+        assert_eq!(reread.modified().ok(), written.modified().ok(), "cache hit rewrote the checkpoint");
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::MetadataExt;
+            assert_eq!(reread.ino(), written.ino(), "cache hit replaced the checkpoint");
+        }
+        assert!(weight_bits(&mut m1) == weight_bits(&mut m2), "cached weights differ from the trained ones");
         zoo.clear();
     }
 

@@ -6,6 +6,7 @@ use crate::param::Param;
 use crate::scratch::ScratchArena;
 use tr_core::{PackedTermMatrix, TrError};
 use tr_encoding::Encoding;
+use tr_tensor::conv::tap_span;
 use tr_tensor::matmul::matmul_into;
 use tr_tensor::{col2im, im2col, im2col_into, Conv2dGeometry, Rng, Shape, Tensor};
 
@@ -232,28 +233,12 @@ impl Layer for Conv2d {
     }
 }
 
-/// Output positions `lo..hi` for which `o*stride + k` lands inside the
-/// padded-coordinate band `[pad, limit + pad)` — i.e. the tap reads a
-/// real pixel rather than padding. All-`usize` arithmetic keeps the
-/// denied sign-cast lints satisfied.
-fn tap_span(extent: usize, limit: usize, stride: usize, k: usize, pad: usize) -> (usize, usize) {
-    if k >= limit + pad {
-        return (0, 0);
-    }
-    let lo = if k >= pad {
-        0
-    } else {
-        (pad - k).div_ceil(stride)
-    };
-    let hi = ((limit + pad - 1 - k) / stride + 1).min(extent);
-    (lo, hi.max(lo))
-}
-
 /// Single-channel convolution applied directly to the input,
 /// bit-identical to `im2col_into` + `matmul_into` over the same
 /// geometry: each output element accumulates its taps in ascending
-/// `kk` order, and zero-valued taps are skipped exactly as
-/// `matmul_into` skips zero A-elements. Padding taps are elided
+/// `kk` order, and zero-valued taps are skipped exactly as the scalar
+/// kernel of `matmul_into` skips zero A-elements (its blocked tiers add
+/// them, with the same bits as a result). Padding taps are elided
 /// entirely — that is safe bitwise because the accumulator starts at
 /// `+0.0` and IEEE-754 addition can never produce `-0.0` from a
 /// `+0.0` starting point, so adding the column path's `wv * ±0.0`
@@ -573,23 +558,50 @@ mod tests {
 
     #[test]
     fn arena_eval_path_matches_allocating_train_path_bitwise() {
+        // (in, out, kernel, stride, pad, h, w): conv geometries of every
+        // zoo CNN at their real sizes (VGG; ResNet's strided 3x3 and 1x1
+        // shortcuts; the MobileNet/EfficientNet 1x1 expand and project
+        // convs), plus channel counts and spatial sizes that leave ragged
+        // edges around the GEMM's register blocks.
+        let geometries = [
+            (3, 24, 3, 1, 1, 32, 32),
+            (24, 48, 3, 1, 1, 16, 16),
+            (96, 96, 3, 1, 1, 8, 8),
+            (16, 32, 3, 2, 1, 32, 32),
+            (32, 64, 1, 2, 0, 16, 16),
+            (64, 64, 3, 1, 1, 8, 8),
+            (16, 48, 1, 1, 0, 32, 32),
+            (72, 40, 1, 1, 0, 8, 8),
+            (120, 40, 1, 1, 0, 8, 8),
+            (5, 7, 3, 2, 1, 9, 7),
+            (3, 13, 1, 1, 0, 5, 6),
+            (6, 9, 5, 3, 2, 11, 10),
+        ];
         let mut rng = Rng::seed_from_u64(27);
-        let mut conv = Conv2d::new(3, 4, 3, 1, 1, &mut rng);
+        for (cin, cout, k, stride, pad, h, w) in geometries {
+            let mut conv = Conv2d::new(cin, cout, k, stride, pad, &mut rng);
+            // Post-ReLU activations, so the patch matrix holds zeros.
+            let x = Tensor::randn(Shape::d4(2, cin, h, w), 1.0, &mut rng).map(|v| v.max(0.0));
+            let mut ctx = ForwardCtx::train(&mut rng);
+            let y_train = conv.forward(&x, &mut ctx);
+            // Two eval passes: the second reuses the dirty arena buffer.
+            for pass in 0..2 {
+                let mut ctx = ForwardCtx::eval(&mut rng);
+                let y_eval = conv.forward(&x, &mut ctx);
+                let same = y_eval.data().iter().zip(y_train.data()).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "conv {cin}->{cout} k{k} s{stride} p{pad} {h}x{w} pass {pass}");
+            }
+            // The patch buffer stuck around for the next batch.
+            assert!(conv.scratch.cols_capacity() > 0);
+        }
         let mut dw = DepthwiseConv2d::new(3, 3, 1, 1, &mut rng);
         let x = Tensor::randn(Shape::d4(2, 3, 6, 6), 1.0, &mut rng);
         let mut ctx = ForwardCtx::train(&mut rng);
-        let y_train = conv.forward(&x, &mut ctx);
         let yd_train = dw.forward(&x, &mut ctx);
-        // Two eval passes: the second reuses the dirty arena buffers.
         for pass in 0..2 {
             let mut ctx = ForwardCtx::eval(&mut rng);
-            let y_eval = conv.forward(&x, &mut ctx);
-            let yd_eval = dw.forward(&x, &mut ctx);
-            assert_eq!(y_eval.data(), y_train.data(), "conv pass {pass}");
-            assert_eq!(yd_eval.data(), yd_train.data(), "dwconv pass {pass}");
+            assert_eq!(dw.forward(&x, &mut ctx).data(), yd_train.data(), "dwconv pass {pass}");
         }
-        // The patch buffer stuck around for the next batch.
-        assert!(conv.scratch.cols_capacity() > 0);
     }
 
     #[test]

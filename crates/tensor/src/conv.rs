@@ -122,38 +122,58 @@ fn in_bounds(v: isize, limit: usize) -> Option<usize> {
     usize::try_from(v).ok().filter(|&i| i < limit)
 }
 
+/// Output positions `lo..hi` (of `extent`) at which kernel tap `k`
+/// reads a real pixel rather than padding: those with `o*stride + k`
+/// inside the padded-coordinate band `[pad, limit + pad)`. The range is
+/// empty (`lo == hi`) when the tap only ever meets padding.
+#[must_use]
+pub fn tap_span(extent: usize, limit: usize, stride: usize, k: usize, pad: usize) -> (usize, usize) {
+    if k >= limit + pad {
+        return (0, 0);
+    }
+    let lo = if k >= pad { 0 } else { (pad - k).div_ceil(stride) }.min(extent);
+    let hi = ((limit + pad - 1 - k) / stride + 1).min(extent);
+    (lo, hi.max(lo))
+}
+
 /// [`im2col`] into a caller-owned buffer, resized to `patch_len ×
 /// n_patches`. Every slot (including padding zeros) is written, so a dirty
 /// buffer reused across the images of a batch needs no clearing — this is
 /// what lets the conv layers unroll a whole batch with one allocation.
 /// Generic over the element so integer activation codes unroll the same
 /// way (padding is `T::default()`, i.e. `0.0` or code 0).
+///
+/// Each patch row is one kernel tap `(c, kh, kw)`; its output rows that
+/// read real pixels are a contiguous copy of an input row segment (a
+/// strided gather when `stride > 1`), and the rest is padding.
 pub fn im2col_into<T: Copy + Default>(input: &[T], g: &Conv2dGeometry, out: &mut Vec<T>) {
     g.check();
     assert_eq!(input.len(), g.in_channels * g.in_h * g.in_w, "input length mismatch");
     let (oh, ow) = (g.out_h(), g.out_w());
-    let rows = g.patch_len();
-    let cols = oh * ow;
-    out.resize(rows * cols, T::default());
-    let mut row = 0usize;
-    for c in 0..g.in_channels {
+    let taps = g.k_h * g.k_w;
+    out.resize(g.patch_len() * oh * ow, T::default());
+    for (row, orow) in out.chunks_exact_mut(oh * ow).enumerate() {
+        let (c, kh, kw) = (row / taps, row % taps / g.k_w, row % g.k_w);
         let chan = &input[c * g.in_h * g.in_w..(c + 1) * g.in_h * g.in_w];
-        for kh in 0..g.k_h {
-            for kw in 0..g.k_w {
-                let orow = &mut out[row * cols..(row + 1) * cols];
-                let mut p = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * g.stride + kh) as isize - g.pad as isize;
-                    for ox in 0..ow {
-                        let ix = (ox * g.stride + kw) as isize - g.pad as isize;
-                        orow[p] = match (in_bounds(iy, g.in_h), in_bounds(ix, g.in_w)) {
-                            (Some(y), Some(x)) => chan[y * g.in_w + x],
-                            _ => T::default(),
-                        };
-                        p += 1;
-                    }
+        let (oy_lo, oy_hi) = tap_span(oh, g.in_h, g.stride, kh, g.pad);
+        let (ox_lo, ox_hi) = tap_span(ow, g.in_w, g.stride, kw, g.pad);
+        orow[..oy_lo * ow].fill(T::default());
+        orow[oy_hi * ow..].fill(T::default());
+        for (oy, dst) in orow.chunks_exact_mut(ow).enumerate().take(oy_hi).skip(oy_lo) {
+            dst[..ox_lo].fill(T::default());
+            dst[ox_hi..].fill(T::default());
+            if ox_lo == ox_hi {
+                continue;
+            }
+            let iy = oy * g.stride + kh - g.pad;
+            let src = &chan[iy * g.in_w + ox_lo * g.stride + kw - g.pad..(iy + 1) * g.in_w];
+            let dst = &mut dst[ox_lo..ox_hi];
+            if g.stride == 1 {
+                dst.copy_from_slice(&src[..dst.len()]);
+            } else {
+                for (d, &s) in dst.iter_mut().zip(src.iter().step_by(g.stride)) {
+                    *d = s;
                 }
-                row += 1;
             }
         }
     }

@@ -2,23 +2,28 @@
 //!
 //! The DNN engine lowers every layer to matrix multiplies (fully connected
 //! layers directly; convolutions via im2col), so this is the hot kernel of
-//! the whole reproduction. The implementation follows the session guides:
-//! a cache-blocked sequential kernel with `chunks_exact` inner loops and a
-//! rayon `par_chunks_mut` outer loop over output rows, which keeps the
-//! parallel version bit-identical to the sequential one (each output row is
-//! written by exactly one task).
+//! the whole reproduction. [`matmul_into`] is a register-blocked kernel:
+//! B is packed in column panels, and each `MR × NR` block of the output
+//! stays in vector registers for the whole K loop. One safe block body is
+//! compiled for three instruction sets ([`Tier`]), the widest one the host
+//! supports is picked at run time, and every tier returns the bits of the
+//! zero-skipping scalar kernel it replaced (see [`matmul_into`]).
+//! [`matmul_transb_into`] and [`Tensor::matmul_transa`] keep row kernels
+//! with a rayon `par_chunks_mut` outer loop over output rows, which keeps
+//! the parallel version bit-identical to the sequential one (each output
+//! row is written by exactly one task).
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Rows-per-task threshold below which we stay sequential: tiny matmuls
 /// (e.g. LSTM gates on one timestep) are not worth the fork/join overhead.
 const PAR_MIN_FLOPS: usize = 1 << 16;
 
 impl Tensor {
-    /// `self (M,K) @ other (K,N) -> (M,N)`, parallel over rows for large
-    /// problems.
+    /// `self (M,K) @ other (K,N) -> (M,N)` through [`matmul_into`].
     ///
     /// # Panics
     /// If the inner dimensions disagree.
@@ -85,28 +90,242 @@ impl Tensor {
     }
 }
 
+/// The kernels behind [`matmul_into`]: the zero-skipping scalar row
+/// kernel and the register-blocked kernel compiled for three instruction
+/// sets. Every tier computes the same bits (see [`matmul_into`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// One output row at a time, skipping zero A elements: the reference
+    /// the blocked tiers are tested against, and the kernel for operands
+    /// the blocked tiers cannot reproduce bit for bit.
+    Scalar,
+    /// The blocked kernel at the target's baseline instruction set.
+    Portable,
+    /// The blocked kernel compiled for AVX2 (256-bit lanes, 4×16 block).
+    Avx2,
+    /// The blocked kernel compiled for AVX512F (512-bit lanes, 4×32 block).
+    Avx512,
+}
+
+impl Tier {
+    /// Every tier, reference first.
+    pub const ALL: [Tier; 4] = [Tier::Scalar, Tier::Portable, Tier::Avx2, Tier::Avx512];
+
+    /// The widest blocked tier this host supports, probed once.
+    #[must_use]
+    pub fn detect() -> Tier {
+        static DETECTED: std::sync::OnceLock<Tier> = std::sync::OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            [Tier::Avx512, Tier::Avx2].into_iter().find(|t| t.available()).unwrap_or(Tier::Portable)
+        })
+    }
+
+    /// Whether this host can execute the tier's kernel.
+    #[must_use]
+    pub fn available(self) -> bool {
+        match self {
+            Tier::Scalar | Tier::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Tier::Avx2 | Tier::Avx512 => false,
+        }
+    }
+
+    /// Stable label for benches and test messages.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::Scalar => "scalar",
+            Tier::Portable => "portable",
+            Tier::Avx2 => "avx2",
+            Tier::Avx512 => "avx512",
+        }
+    }
+}
+
 /// `a (M,K) @ b (K,N)` into `out (M,N)`. `out` must be zeroed by the caller.
+///
+/// Each output element is its starting value plus `a[i,kk] * b[kk,j]`
+/// added in ascending `kk` order, each product rounded to f32 before the
+/// add (Rust never fuses a separate multiply and add). The blocked tiers
+/// add every product; the scalar kernel skips zero `a[i,kk]`. Both give
+/// the same bits: a zero times a finite `b` is ±0, and adding ±0 leaves
+/// every accumulator unchanged except a `-0.0` one, and an accumulator
+/// that starts at `+0.0` (or any value other than `-0.0`) never becomes
+/// `-0.0` (a rounded sum is `-0.0` only when both addends are). So with
+/// the zeroed `out` of the contract, only a column panel whose B values
+/// are not all finite (where `0 * inf` is NaN) needs the scalar kernel,
+/// and every call returns the scalar kernel's bits on every tier.
+///
+/// The tier is the widest one [`Tier::detect`] finds; the call runs on
+/// the calling thread, and its packing buffers are reused per thread.
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    matmul_into_with(Tier::detect(), a, b, out, m, k, n);
+}
+
+/// [`matmul_into`] with the tier forced: the seam benches and the
+/// bit-equality tests use to race the tiers on identical operands.
+///
+/// # Panics
+/// If the shapes disagree with the slice lengths, or this host cannot
+/// execute `tier`.
+pub fn matmul_into_with(tier: Tier, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);
     assert_eq!(out.len(), m * n);
-    let row_kernel = |i: usize, orow: &mut [f32]| {
-        let arow = &a[i * k..(i + 1) * k];
-        for (kk, &av) in arow.iter().enumerate() {
+    assert!(tier.available(), "matmul tier {} is not supported on this host", tier.name());
+    match tier {
+        Tier::Scalar => scalar(a, b, out, k, n, 0..n),
+        Tier::Portable => blocked::<PORTABLE_NR>(a, b, out, m, k, n, block_portable),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => blocked::<16>(a, b, out, m, k, n, |a, p, o, ldo| {
+            // SAFETY: `tier.available()` asserted above that this host has AVX2.
+            unsafe { block_avx2(a, p, o, ldo) }
+        }),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => blocked::<32>(a, b, out, m, k, n, |a, p, o, ldo| {
+            // SAFETY: `tier.available()` asserted above that this host has AVX512F.
+            unsafe { block_avx512(a, p, o, ldo) }
+        }),
+        #[cfg(not(target_arch = "x86_64"))]
+        Tier::Avx2 | Tier::Avx512 => unreachable!("unavailable tiers were rejected above"),
+    }
+}
+
+/// The zero-skipping row kernel over output columns `cols`: for each
+/// row, each non-zero `a[i,kk]` adds its scaled B row segment into the
+/// output row segment.
+fn scalar(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, cols: Range<usize>) {
+    for (i, orow) in out.chunks_exact_mut(n.max(1)).enumerate() {
+        let orow = &mut orow[cols.clone()];
+        for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
             if av != 0.0 {
-                let brow = &b[kk * n..(kk + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
+                for (o, &bv) in orow.iter_mut().zip(&b[kk * n + cols.start..kk * n + cols.end]) {
                     *o += av * bv;
                 }
             }
         }
+    }
+}
+
+/// Rows of every blocked tier's register block.
+const MR: usize = 4;
+/// Columns of the portable tier's register block (four SSE2 registers
+/// per row on x86-64).
+const PORTABLE_NR: usize = 16;
+
+// The three compilations of `block`. Each is a function of its own so
+// the optimizer sees the block's K loop as the outermost loop: inlined
+// into the panel loops, it vectorizes the K loop with gathers instead.
+#[inline(never)]
+fn block_portable(a: &[f32], packed: &[f32], out: &mut [f32], ldo: usize) {
+    block::<PORTABLE_NR>(a, packed, out, ldo);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn block_avx2(a: &[f32], packed: &[f32], out: &mut [f32], ldo: usize) {
+    block::<16>(a, packed, out, ldo);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn block_avx512(a: &[f32], packed: &[f32], out: &mut [f32], ldo: usize) {
+    block::<32>(a, packed, out, ldo);
+}
+
+thread_local! {
+    /// `blocked`'s A-tail and packed-panel buffers, kept per thread so a
+    /// steady stream of calls (a conv layer's images) allocates nothing.
+    static PACK_BUFFERS: std::cell::RefCell<(Vec<f32>, Vec<f32>)> = const {
+        std::cell::RefCell::new((Vec::new(), Vec::new()))
     };
-    if m * k * n >= PAR_MIN_FLOPS {
-        out.par_chunks_mut(n).enumerate().for_each(|(i, orow)| row_kernel(i, orow));
-    } else {
-        for (i, orow) in out.chunks_mut(n).enumerate() {
-            row_kernel(i, orow);
+}
+
+/// The register-blocked GEMM driver. Columns are walked in `NR`-wide
+/// panels; each B panel is first packed into a contiguous `k × NR`
+/// buffer (the rows of a strided panel of a wide B map to the same few
+/// L1 sets), then `kernel` computes the panel `MR` output rows at a time,
+/// so each packed B row is loaded once per `MR` rows. Edge tiles (fewer
+/// than `MR` rows or `NR` columns) run on zero-padded copies.
+fn blocked<const NR: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    kernel: impl Fn(&[f32], &[f32], &mut [f32], usize),
+) {
+    PACK_BUFFERS.with_borrow_mut(|(a_tail, packed)| {
+        let full_rows = m - m % MR;
+        a_tail.clear();
+        a_tail.extend_from_slice(&a[full_rows * k..]);
+        a_tail.resize(MR * k, 0.0);
+        packed.clear();
+        packed.resize(k * NR, 0.0);
+        let mut tile = [[0.0f32; NR]; MR];
+        for j in (0..n).step_by(NR) {
+            let width = NR.min(n - j);
+            for (dst, src) in packed.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+                dst[..width].copy_from_slice(&src[j..j + width]);
+            }
+            // The blocked sum equals the zero-skipping one unless this
+            // panel of B holds a non-finite value (see `matmul_into`);
+            // such a panel runs on the scalar kernel.
+            if !packed.iter().fold(true, |ok, v| ok & v.is_finite()) {
+                scalar(a, b, out, k, n, j..j + width);
+                continue;
+            }
+            for i in (0..m).step_by(MR) {
+                let height = MR.min(m - i);
+                let a_rows = if height == MR { &a[i * k..(i + MR) * k] } else { &a_tail[..] };
+                if height == MR && width == NR {
+                    kernel(a_rows, packed, &mut out[i * n + j..], n);
+                } else {
+                    let tile = tile.as_flattened_mut();
+                    for (dst, src) in tile.chunks_exact_mut(NR).zip(out[i * n + j..].chunks(n)).take(height) {
+                        dst[..width].copy_from_slice(&src[..width]);
+                    }
+                    kernel(a_rows, packed, tile, NR);
+                    for (src, dst) in tile.chunks_exact(NR).zip(out[i * n + j..].chunks_mut(n)).take(height) {
+                        dst[..width].copy_from_slice(&src[..width]);
+                    }
+                }
+            }
         }
+    });
+}
+
+/// One `MR × NR` block of `out` (row stride `ldo`), held in
+/// accumulators for the whole K loop; `a` is the block's `MR` rows of A
+/// and `packed` its `k × NR` B panel.
+///
+/// Constant-bound index loops let the optimizer unroll the update and
+/// keep each accumulator row in vector registers; `MR × NR` stays at 128
+/// or below, past which it vectorizes the K loop with gathers instead.
+#[inline(always)]
+fn block<const NR: usize>(a: &[f32], packed: &[f32], out: &mut [f32], ldo: usize) {
+    let k = a.len() / MR;
+    let mut acc = [[0.0f32; NR]; MR];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&out[r * ldo..r * ldo + NR]);
+    }
+    for kk in 0..k {
+        let brow: &[f32; NR] =
+            packed[kk * NR..(kk + 1) * NR].try_into().expect("packed row holds NR columns");
+        let av: [f32; MR] = std::array::from_fn(|r| a[r * k + kk]);
+        for r in 0..MR {
+            for c in 0..NR {
+                acc[r][c] += av[r] * brow[c];
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        out[r * ldo..r * ldo + NR].copy_from_slice(row);
     }
 }
 
@@ -219,6 +438,21 @@ mod tests {
         let a = Tensor::randn(Shape::d2(6, 6), 1.0, &mut rng);
         assert!(close(a.matmul(&Tensor::eye(6)).data(), a.data(), 1e-6));
         assert!(close(Tensor::eye(6).matmul(&a).data(), a.data(), 1e-6));
+    }
+
+    #[test]
+    fn zero_weights_skip_what_they_meet_on_every_tier() {
+        // Row 0 meets inf and NaN only through zero weights, so it stays
+        // +0.0; row 1 meets them through a non-zero weight.
+        let a = [0.0, -0.0, 2.0, 0.0];
+        let b = [f32::INFINITY, f32::NAN, 1.5, 1.0];
+        for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
+            let mut out = [0.0; 4];
+            matmul_into_with(tier, &a, &b, &mut out, 2, 2, 2);
+            assert_eq!(out[..2], [0.0, 0.0], "tier {}", tier.name());
+            assert!(out[..2].iter().all(|v| v.is_sign_positive()), "tier {}", tier.name());
+            assert!(out[2].is_infinite() && out[3].is_nan(), "tier {}", tier.name());
+        }
     }
 
     #[test]

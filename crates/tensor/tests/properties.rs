@@ -1,8 +1,58 @@
 //! Property-based tests of the tensor substrate's algebraic invariants.
 
 use proptest::prelude::*;
-use tr_tensor::matmul::matmul_reference;
-use tr_tensor::{col2im, im2col, Conv2dGeometry, Rng, Shape, Tensor};
+use tr_tensor::matmul::{matmul_into_with, matmul_reference, Tier};
+use tr_tensor::{col2im, im2col, im2col_into, Conv2dGeometry, Rng, Shape, Tensor};
+
+/// Reduction lengths for the tier race: empty and single-term sums, a
+/// few short ones, and some past every register block width.
+const RACE_K: [usize; 8] = [0, 1, 2, 3, 5, 17, 64, 130];
+
+/// The bit patterns of a slice, so `-0.0`, `+0.0` and every NaN payload
+/// compare as distinct values.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A normal draw, or (a share `zeros` of the time) a zero of either sign.
+fn value_or_zero(rng: &mut Rng, zeros: f32) -> f32 {
+    let u = rng.uniform();
+    if u < zeros / 2.0 {
+        0.0
+    } else if u < zeros {
+        -0.0
+    } else {
+        rng.normal()
+    }
+}
+
+/// The patch matrix built one element at a time: column `oy*ow + ox` of
+/// row `(c, kh, kw)` reads input pixel `(oy*stride + kh - pad, ox*stride
+/// + kw - pad)` of channel `c`, or the padding value outside the image.
+/// The oracle for the row-copy lowering of `im2col_into`.
+fn im2col_oracle<T: Copy + Default>(input: &[T], g: &Conv2dGeometry) -> Vec<T> {
+    let (oh, ow) = (g.out_h(), g.out_w());
+    let mut out = Vec::with_capacity(g.patch_len() * oh * ow);
+    for c in 0..g.in_channels {
+        for kh in 0..g.k_h {
+            for kw in 0..g.k_w {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let (y, x) = (oy * g.stride + kh, ox * g.stride + kw);
+                        let real =
+                            (g.pad..g.in_h + g.pad).contains(&y) && (g.pad..g.in_w + g.pad).contains(&x);
+                        out.push(if real {
+                            input[(c * g.in_h + y - g.pad) * g.in_w + x - g.pad]
+                        } else {
+                            T::default()
+                        });
+                    }
+                }
+            }
+        }
+    }
+    out
+}
 
 fn tensor_strategy(max_side: usize) -> impl Strategy<Value = (usize, usize, u64)> {
     (1..=max_side, 1..=max_side, any::<u64>())
@@ -21,6 +71,67 @@ proptest! {
         for (g, e) in got.data().iter().zip(&expect) {
             prop_assert!((g - e).abs() < 1e-3 * (1.0 + e.abs()), "{g} vs {e}");
         }
+    }
+
+    #[test]
+    fn every_tier_matches_the_scalar_kernel_bitwise(
+        m in 0usize..=13,
+        n in 0usize..=70,
+        ki in 0usize..RACE_K.len(),
+        specials in any::<bool>(),
+        nonzero_start in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // M and N sweep ragged edges around every tier's 4-row block and
+        // 16/32-column panels; A holds signed zeros; B may hold NaN and
+        // ±inf, which then meet those zero weights; `out` starts zeroed
+        // or at finite non-zero values.
+        let k = RACE_K[ki];
+        let mut rng = Rng::seed_from_u64(seed);
+        let a: Vec<f32> = (0..m * k).map(|_| value_or_zero(&mut rng, 0.4)).collect();
+        let mut b: Vec<f32> = (0..k * n).map(|_| value_or_zero(&mut rng, 0.2)).collect();
+        if specials && !b.is_empty() {
+            for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let at = rng.below(b.len());
+                b[at] = special;
+            }
+        }
+        let out0: Vec<f32> =
+            if nonzero_start { (0..m * n).map(|_| rng.normal()).collect() } else { vec![0.0; m * n] };
+        let mut expect = out0.clone();
+        matmul_into_with(Tier::Scalar, &a, &b, &mut expect, m, k, n);
+        for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
+            let mut got = out0.clone();
+            matmul_into_with(tier, &a, &b, &mut got, m, k, n);
+            prop_assert!(bits(&got) == bits(&expect), "tier {} differs at {m}x{k}x{n}", tier.name());
+        }
+    }
+
+    #[test]
+    fn im2col_rows_match_the_per_element_oracle(
+        c in 1usize..=3,
+        h in 1usize..=9,
+        w in 1usize..=9,
+        k in 1usize..=5,
+        stride in 1usize..=3,
+        pad_pick in 0usize..=5,
+        seed in any::<u64>(),
+    ) {
+        // Images down to 1x1, smaller than the kernel when padding makes
+        // up the difference, and padding up to the kernel size.
+        let pad = pad_pick.min(k);
+        let g = Conv2dGeometry { in_channels: c, in_h: h, in_w: w, k_h: k, k_w: k, stride, pad };
+        prop_assume!(g.try_check().is_ok());
+        let mut rng = Rng::seed_from_u64(seed);
+        let x: Vec<f32> = (0..c * h * w).map(|_| rng.normal()).collect();
+        // A dirty, wrongly sized buffer: every slot must be overwritten.
+        let mut cols = vec![f32::NAN; 5];
+        im2col_into(&x, &g, &mut cols);
+        prop_assert!(bits(&cols) == bits(&im2col_oracle(&x, &g)), "f32 lowering differs for {g:?}");
+        let codes: Vec<i32> = (0..c * h * w).map(|i| i32::try_from(i).expect("small image") - 40).collect();
+        let mut code_cols = vec![i32::MIN; 3];
+        im2col_into(&codes, &g, &mut code_cols);
+        prop_assert!(code_cols == im2col_oracle(&codes, &g), "i32 lowering differs for {g:?}");
     }
 
     #[test]

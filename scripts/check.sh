@@ -11,6 +11,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
 cargo test -q --workspace
+# The f32 GEMM tiers (portable, AVX2, AVX-512) race the scalar kernel bit
+# for bit in tr-tensor's tests; run them on optimized code too, where the
+# optimizer unrolls and vectorizes the block bodies they check.
+cargo test -q --release -p tr-tensor
 # The end-to-end benchmark is its own Cargo workspace over the crates'
 # public APIs: building and testing it here makes an API change that
 # breaks it fail this gate, not the benchmark run.

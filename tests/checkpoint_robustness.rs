@@ -9,6 +9,8 @@
 
 use std::panic::catch_unwind;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use tr_nn::io::{load_tensors, save_tensors};
 use tr_tensor::{Shape, Tensor};
 
@@ -138,11 +140,21 @@ fn concurrent_writers_never_produce_a_partial_file() {
     // checkpoint (or no file yet) — never an error from partial bytes.
     let dir = fixture_dir("race");
     let path = dir.join("shared.bin");
+    // Reads that start while a writer is still running count as seen
+    // mid-race. Each writer keeps writing past its 20 rounds (up to a
+    // cap) until the reader has seen one, so a reader thread scheduled
+    // late still overlaps the writers.
+    let seen_mid_race = Arc::new(AtomicUsize::new(0));
+    let writers_done = Arc::new(AtomicBool::new(false));
     let writers: Vec<_> = (0..4)
         .map(|w| {
             let path = path.clone();
+            let seen_mid_race = Arc::clone(&seen_mid_race);
             std::thread::spawn(move || {
-                for round in 0..20 {
+                for round in 0..2000 {
+                    if round >= 20 && seen_mid_race.load(Ordering::SeqCst) > 0 {
+                        break;
+                    }
                     let fill = (w * 100 + round) as f32;
                     let tensors = vec![(
                         "w".to_string(),
@@ -155,28 +167,35 @@ fn concurrent_writers_never_produce_a_partial_file() {
         .collect();
     let reader = {
         let path = path.clone();
-        std::thread::spawn(move || {
-            let mut seen = 0;
-            for _ in 0..200 {
-                match load_tensors(&path) {
-                    Ok(t) => {
-                        assert_eq!(t.len(), 1, "partial checkpoint observed");
-                        assert_eq!(t[0].1.data().len(), 32);
-                        seen += 1;
+        let seen_mid_race = Arc::clone(&seen_mid_race);
+        let writers_done = Arc::clone(&writers_done);
+        std::thread::spawn(move || loop {
+            // After the writers have joined, one last read checks the
+            // final file; it does not count as seen mid-race.
+            let racing = !writers_done.load(Ordering::SeqCst);
+            match load_tensors(&path) {
+                Ok(t) => {
+                    assert_eq!(t.len(), 1, "partial checkpoint observed");
+                    assert_eq!(t[0].1.data().len(), 32);
+                    if racing {
+                        seen_mid_race.fetch_add(1, Ordering::SeqCst);
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(e) => panic!("reader saw corruption during concurrent writes: {e}"),
                 }
-                std::thread::yield_now();
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => panic!("reader saw corruption during concurrent writes: {e}"),
             }
-            seen
+            if !racing {
+                break;
+            }
+            std::thread::yield_now();
         })
     };
     for w in writers {
         w.join().unwrap();
     }
-    let seen: i32 = reader.join().unwrap();
-    assert!(seen > 0, "reader never observed a complete checkpoint");
+    writers_done.store(true, Ordering::SeqCst);
+    reader.join().unwrap();
+    assert!(seen_mid_race.load(Ordering::SeqCst) > 0, "reader never observed a complete checkpoint while writers ran");
     // No temp debris left behind by any writer.
     let leftovers: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
