@@ -1,10 +1,10 @@
 //! Matmul benchmarks across the three execution domains: float (training
 //! substrate), integer (QT reference), and term-pair (what the tMAC
-//! hardware does), with and without TR. The TR-vs-raw term matmul ratio
-//! is the software analogue of the paper's latency claims.
+//! hardware does, through the planned packed kernel), with and without
+//! TR.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use tr_core::{term_matmul_i64, TermMatrix, TrConfig};
+use tr_core::{packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_quant::{calibrate_max_abs, quantize, QTensor};
 use tr_tensor::matmul::{matmul_into_with, Tier};
@@ -36,16 +36,16 @@ fn bench_domains(c: &mut Criterion) {
     group.bench_function("int_qt8", |bch| {
         bch.iter(|| black_box(&qa).matmul_i64(black_box(&qb)))
     });
-    let wm = TermMatrix::from_weights(&qa, Encoding::Hese);
-    let xm = TermMatrix::from_data_transposed(&qb, Encoding::Hese);
+    let wm = PackedTermMatrix::from_weights(&qa, Encoding::Hese);
+    let xm = PackedTermMatrix::from_data_transposed(&qb, Encoding::Hese);
     group.bench_function("term_pairs_raw", |bch| {
-        bch.iter(|| term_matmul_i64(black_box(&wm), black_box(&xm)))
+        bch.iter(|| packed_term_matmul_i64(black_box(&wm), black_box(&xm)))
     });
     let cfg = TrConfig::new(8, 12).with_data_terms(3);
-    let wm_tr = TermMatrix::from_weights(&qa, Encoding::Hese).reveal(&cfg);
-    let xm_tr = TermMatrix::from_data_transposed(&qb, Encoding::Hese).cap_terms(3);
+    let wm_tr = PackedTermMatrix::from_weights(&qa, Encoding::Hese).reveal(&cfg);
+    let xm_tr = PackedTermMatrix::from_data_transposed(&qb, Encoding::Hese).cap_terms(3);
     group.bench_function("term_pairs_tr_g8k12s3", |bch| {
-        bch.iter(|| term_matmul_i64(black_box(&wm_tr), black_box(&xm_tr)))
+        bch.iter(|| packed_term_matmul_i64(black_box(&wm_tr), black_box(&xm_tr)))
     });
     group.finish();
 }

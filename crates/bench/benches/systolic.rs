@@ -4,7 +4,7 @@
 //! (bound) vs unsynchronized (straggler) scheduling.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use tr_core::TrConfig;
+use tr_core::{PackedTermMatrix, TrConfig};
 use tr_encoding::{Encoding, TermExpr};
 use tr_hw::{ControlRegisters, HeseEncoderUnit, Pmac, SystolicArray, TermComparator, Tmac, TrSystem};
 use tr_tensor::Rng;
@@ -67,36 +67,16 @@ fn bench_network_schedules(c: &mut Criterion) {
 fn bench_sync_vs_straggler(c: &mut Criterion) {
     // Ablation: functional array execution with TR (tight beats) vs raw
     // encodings (straggler-bound beats) on the same operands.
-    let make = |cap: bool| -> (Vec<Vec<TermExpr>>, Vec<Vec<TermExpr>>) {
+    let make = |cap: bool| -> (PackedTermMatrix, PackedTermMatrix) {
         let mut rng2 = Rng::seed_from_u64(3);
-        let w: Vec<Vec<TermExpr>> = (0..8)
-            .map(|_| {
-                (0..64)
-                    .map(|_| {
-                        #[allow(clippy::cast_possible_truncation)] // ±~200 fits i32
-                        let v = (rng2.normal() * 40.0) as i32;
-                        Encoding::Hese.terms_of(v)
-                    })
-                    .collect()
-            })
-            .collect();
-        let x: Vec<Vec<TermExpr>> = (0..4)
-            .map(|_| {
-                (0..64)
-                    .map(|_| {
-                        #[allow(clippy::cast_possible_truncation)] // clamped to 127
-                        let v = (rng2.normal().abs() * 40.0).min(127.0) as i32;
-                        let e = Encoding::Hese.terms_of(v);
-                        if cap {
-                            e.truncate_top(3)
-                        } else {
-                            e
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        (w, x)
+        #[allow(clippy::cast_possible_truncation)] // ±~200 fits i32
+        let w: Vec<i32> = (0..8 * 64).map(|_| (rng2.normal() * 40.0) as i32).collect();
+        #[allow(clippy::cast_possible_truncation)] // clamped to 127
+        let x: Vec<i32> =
+            (0..4 * 64).map(|_| (rng2.normal().abs() * 40.0).min(127.0) as i32).collect();
+        let w = PackedTermMatrix::from_codes(&w, 8, 64, Encoding::Hese);
+        let x = PackedTermMatrix::from_codes(&x, 4, 64, Encoding::Hese);
+        (w, if cap { x.cap_terms(3) } else { x })
     };
     let array = SystolicArray { rows: 4, cols: 4 };
     let mut group = c.benchmark_group("ablation/sync_vs_straggler");

@@ -3,7 +3,7 @@
 //! Includes the DESIGN.md ablation of group size vs reveal cost.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use tr_core::{group_pair_histogram, term_pairs_total, TermMatrix, TrConfig};
+use tr_core::{group_pair_histogram, term_pairs_total_packed, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_quant::{calibrate_max_abs, quantize, QTensor};
 use tr_tensor::{Rng, Shape, Tensor};
@@ -22,7 +22,7 @@ fn bench_reveal(c: &mut Criterion) {
         let cfg = TrConfig::new(g, g + g / 2); // α = 1.5
         group.bench_with_input(BenchmarkId::from_parameter(format!("g{g}")), &cfg, |b, cfg| {
             b.iter(|| {
-                TermMatrix::from_weights(black_box(&qw), Encoding::Hese).reveal(cfg)
+                PackedTermMatrix::from_weights(black_box(&qw), Encoding::Hese).reveal(cfg)
             })
         });
     }
@@ -32,26 +32,14 @@ fn bench_reveal(c: &mut Criterion) {
 fn bench_pair_counting(c: &mut Criterion) {
     let qw = quantized(64, 256, 2);
     let qx = quantized(256, 32, 3);
-    let wm = TermMatrix::from_weights(&qw, Encoding::Binary);
-    let xm = TermMatrix::from_data_transposed(&qx, Encoding::Binary);
+    let wm = PackedTermMatrix::from_weights(&qw, Encoding::Binary);
+    let xm = PackedTermMatrix::from_data_transposed(&qx, Encoding::Binary);
     c.bench_function("fig15/term_pairs_total_64x256x32", |b| {
-        b.iter(|| term_pairs_total(black_box(&wm), black_box(&xm)))
+        b.iter(|| term_pairs_total_packed(black_box(&wm), black_box(&xm)))
     });
     c.bench_function("fig5/group_pair_histogram_g16", |b| {
         b.iter(|| group_pair_histogram(black_box(&wm), black_box(&xm), 16))
     });
-}
-
-fn bench_decompose(c: &mut Criterion) {
-    let qw = quantized(128, 512, 4);
-    let mut group = c.benchmark_group("termmatrix/decompose_128x512");
-    group.throughput(Throughput::Elements(qw.numel() as u64));
-    for enc in [Encoding::Binary, Encoding::Hese] {
-        group.bench_with_input(BenchmarkId::from_parameter(enc.name()), &enc, |b, &enc| {
-            b.iter(|| TermMatrix::from_weights(black_box(&qw), enc))
-        });
-    }
-    group.finish();
 }
 
 fn quick() -> Criterion {
@@ -65,6 +53,6 @@ fn quick() -> Criterion {
 criterion_group!{
     name = benches;
     config = quick();
-    targets = bench_reveal, bench_pair_counting, bench_decompose
+    targets = bench_reveal, bench_pair_counting
 }
 criterion_main!(benches);

@@ -15,8 +15,8 @@ use crate::experiments::common::{quantize8, stage1_data_matrix, stage1_weight, s
 use crate::report::{f, pct, ratio, Table};
 use crate::zoo::Zoo;
 use tr_core::{
-    group_pair_histogram, reveal_group_with_tiebreak, term_pairs_total, TermMatrix, TieBreak,
-    TrConfig,
+    group_pair_histogram, reveal_group_with_tiebreak, term_pairs_total_packed, PackedTermMatrix,
+    TieBreak, TrConfig,
 };
 use tr_encoding::{Encoding, TermExpr};
 use tr_hw::{ControlRegisters, MemorySubsystem, SystolicArray, TermComparator};
@@ -44,9 +44,10 @@ fn encoding_ablation(zoo: &Zoo) -> Table {
     for enc in [Encoding::Hese, Encoding::Naf, Encoding::Binary] {
         apply_precision(&mut model, &Precision::Tr(cfg.with_weight_encoding(enc)));
         let acc = evaluate_accuracy(&mut model, &ds, &mut rng);
-        let wm = TermMatrix::from_weights(&weights, enc).reveal(&cfg.with_weight_encoding(enc));
-        let xm = TermMatrix::from_data_transposed(&data, Encoding::Hese).cap_terms(3);
-        let pairs = term_pairs_total(&wm, &xm);
+        let wm =
+            PackedTermMatrix::from_weights(&weights, enc).reveal(&cfg.with_weight_encoding(enc));
+        let xm = PackedTermMatrix::from_data_transposed(&data, Encoding::Hese).cap_terms(3);
+        let pairs = term_pairs_total_packed(&wm, &xm);
         if enc == Encoding::Hese {
             hese_pairs = pairs;
         }
@@ -67,8 +68,8 @@ fn straggler_ablation(zoo: &Zoo) -> Table {
     let weights = quantize8(&stage1_weight(&mut model));
     let acts = stem_activations(&mut model, &ds.test.x, 4, &mut rng);
     let data = quantize8(&stage1_data_matrix(&acts));
-    let wm = TermMatrix::from_weights(&weights, Encoding::Binary);
-    let xm = TermMatrix::from_data_transposed(&data, Encoding::Binary);
+    let wm = PackedTermMatrix::from_weights(&weights, Encoding::Binary);
+    let xm = PackedTermMatrix::from_data_transposed(&data, Encoding::Binary);
     let stats = group_pair_histogram(&wm, &xm, 8);
 
     let array = SystolicArray::paper_build();

@@ -7,11 +7,10 @@
 //!
 //! Sections (all under the shared `tr-obs` recorder):
 //!
-//! * **core** — the term-pair matmul kernel timed under QT-8 and TR
-//!   operands through both the legacy nested [`TermMatrix`] path and the
-//!   packed flat kernel, with per-row speedup ratios and the cost of a
-//!   full checksum verification of the packed operands (the integrity
-//!   pass the chaos-hardened cache pays on every rung revisit);
+//! * **core** — the packed term-pair matmul kernel timed under QT-8 and
+//!   TR operands, with the term pairs per MAC and the cost of a full
+//!   checksum verification of the packed operands (the integrity pass
+//!   the chaos-hardened cache pays on every rung revisit);
 //! * **bitplane** — the PR 9 popcount GEMM gate: the parallel
 //!   code-plane kernel vs the bit-plane kernel at the paper's
 //!   256×1152×196 shape (quick and full mode alike), swept down the
@@ -63,10 +62,9 @@ use std::time::{Duration, Instant};
 use tr_core::seal::{fnv1a_word, FNV_OFFSET};
 use tr_core::tune::Isa;
 use tr_core::{
-    bitplane_matmul_i64, matmul_plan, packed_term_matmul_i64, term_matmul_i64, term_pairs_total,
+    bitplane_matmul_i64, matmul_plan, packed_term_matmul_i64, term_pairs_total_packed,
     try_bitplane_matmul_i64_blocked, try_bitplane_matmul_i64_with,
-    try_packed_term_matmul_i64_planned, BitPlaneMatrix, MatmulPlan, PackedTermMatrix, TermMatrix,
-    TrConfig,
+    try_packed_term_matmul_i64_planned, BitPlaneMatrix, MatmulPlan, PackedTermMatrix, TrConfig,
 };
 use tr_encoding::Encoding;
 use tr_hw::{ControlRegisters, MemorySubsystem, SystolicArray};
@@ -123,8 +121,7 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
     (out, best)
 }
 
-/// The core kernel under one operand preparation, timed through both the
-/// legacy nested path and the packed kernel (bit-identical by assertion).
+/// The packed core kernel under one operand preparation.
 ///
 /// The recorder reset happens before `prep` runs so the reveal/cap pass
 /// that builds the operands lands in this row's `counters` block — that
@@ -134,19 +131,15 @@ fn core_config(
     name: &str,
     macs: u64,
     table: &mut Table,
-    prep: impl FnOnce() -> (TermMatrix, TermMatrix),
+    prep: impl FnOnce() -> (PackedTermMatrix, PackedTermMatrix),
 ) -> (String, JsonValue) {
     recorder().reset();
-    let (w, x) = prep();
-    let pairs = term_pairs_total(&w, &x);
-    let (out, wall) = best_of(3, || term_matmul_i64(&w, &x));
     // Packing happens outside the timed region: weights are packed once
     // at install time, and the data plane's encode cost is benched
     // separately (criterion `packed` bench in tr-core).
-    let pw = w.to_packed();
-    let px = x.to_packed();
-    let (packed_out, packed_wall) = best_of(3, || packed_term_matmul_i64(&pw, &px));
-    assert_eq!(packed_out, out, "packed kernel must be bit-identical to the legacy path");
+    let (pw, px) = prep();
+    let pairs = term_pairs_total_packed(&pw, &px);
+    let (_, packed_wall) = best_of(3, || packed_term_matmul_i64(&pw, &px));
     // The chaos-overhead probe: a full checksum verification of both
     // packed operands — exactly what the integrity-checked rung cache
     // pays before trusting a cached encoding.
@@ -157,19 +150,16 @@ fn core_config(
         verify_wall.as_secs_f64() / packed_wall.as_secs_f64().max(f64::MIN_POSITIVE) * 100.0;
     let snap = recorder().snapshot();
     let terms_per_mac = pairs as f64 / macs.max(1) as f64;
-    let speedup = wall.as_secs_f64() / packed_wall.as_secs_f64().max(f64::MIN_POSITIVE);
     table.row(vec![
         format!("core/{name}"),
-        format!("{:.2}ms legacy / {:.2}ms packed", wall.as_secs_f64() * 1e3, packed_wall.as_secs_f64() * 1e3),
+        format!("{:.2}ms packed", packed_wall.as_secs_f64() * 1e3),
         format!("{terms_per_mac:.2} pairs/MAC"),
-        format!("packed {speedup:.2}x, verify {verify_overhead_pct:.2}%"),
+        format!("verify {verify_overhead_pct:.2}%"),
     ]);
     (
         name.to_string(),
         obj(vec![
-            ("wall_ms", ms(wall)),
             ("packed_wall_ms", ms(packed_wall)),
-            ("packed_speedup", JsonValue::Num(speedup)),
             ("verify_wall_ms", ms(verify_wall)),
             ("verify_overhead_pct", JsonValue::Num(verify_overhead_pct)),
             ("term_pairs", uint(pairs)),
@@ -192,15 +182,15 @@ fn core_section(zoo: &Zoo, table: &mut Table) -> JsonValue {
     let mut fields = Vec::new();
     fields.push(core_config("qt8", macs, table, || {
         (
-            TermMatrix::from_weights(&qw, Encoding::Binary),
-            TermMatrix::from_data_transposed(&qx, Encoding::Binary),
+            PackedTermMatrix::from_weights(&qw, Encoding::Binary),
+            PackedTermMatrix::from_data_transposed(&qx, Encoding::Binary),
         )
     }));
     let cfg = TrConfig::new(8, 12).with_data_terms(3);
     fields.push(core_config("tr_g8_k12_s3", macs, table, || {
         (
-            TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg),
-            TermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3),
+            PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg),
+            PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3),
         )
     }));
     JsonValue::object(fields.into_iter().collect())
@@ -475,13 +465,10 @@ fn hw_section(zoo: &Zoo, table: &mut Table) -> JsonValue {
     let xt = tr_tensor::Tensor::randn(tr_tensor::Shape::d2(64, 8), 0.25, &mut rng);
     let qw = tr_quant::quantize(&wt, tr_quant::calibrate_max_abs(&wt, 8));
     let qx = tr_quant::quantize(&xt, tr_quant::calibrate_max_abs(&xt, 8));
-    let w = TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&tr_cfg);
-    let x = TermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
-    let rows = |m: &TermMatrix| -> Vec<Vec<tr_encoding::TermExpr>> {
-        (0..m.rows()).map(|r| m.row(r).to_vec()).collect()
-    };
+    let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&tr_cfg);
+    let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
     let small = SystolicArray { rows: 4, cols: 4 };
-    let (_, cycles) = small.execute(&rows(&w), &rows(&x), 8);
+    let (_, cycles) = small.execute(&w, &x, 8).expect("valid operands");
     let snap = recorder().snapshot();
     let tiles = snap.histogram("hw.systolic.tile_cycles");
     let functional = obj(vec![
@@ -926,9 +913,7 @@ fn integrity_overhead_section(table: &mut Table) -> (JsonValue, bool) {
     let xt = Tensor::randn(Shape::d2(k, n), 0.25, &mut rng);
     let qw = tr_quant::quantize(&wt, tr_quant::calibrate_max_abs(&wt, 8));
     let qx = tr_quant::quantize(&xt, tr_quant::calibrate_max_abs(&xt, 8));
-    let measure = |w: TermMatrix, x: TermMatrix| {
-        let pw = w.to_packed();
-        let px = x.to_packed();
+    let measure = |pw: PackedTermMatrix, px: PackedTermMatrix| {
         let (_, packed_wall) = best_of(3, || packed_term_matmul_i64(&pw, &px));
         let (ok, verify_wall) =
             best_of(3, || pw.verify_integrity().is_ok() && px.verify_integrity().is_ok());
@@ -938,13 +923,13 @@ fn integrity_overhead_section(table: &mut Table) -> (JsonValue, bool) {
         (pct, packed_wall, verify_wall)
     };
     let (qt8, qt8_matmul, qt8_verify) = measure(
-        TermMatrix::from_weights(&qw, Encoding::Binary),
-        TermMatrix::from_data_transposed(&qx, Encoding::Binary),
+        PackedTermMatrix::from_weights(&qw, Encoding::Binary),
+        PackedTermMatrix::from_data_transposed(&qx, Encoding::Binary),
     );
     let cfg = TrConfig::new(8, 12).with_data_terms(3);
     let (tr, tr_matmul, tr_verify) = measure(
-        TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg),
-        TermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3),
+        PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg),
+        PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3),
     );
     let worst = qt8.max(tr);
     let pass = worst < GATE_PCT;

@@ -17,7 +17,7 @@
 
 use crate::report::{count, pct, Table};
 use crate::zoo::Zoo;
-use tr_core::{TermMatrix, TrConfig};
+use tr_core::{PackedTermMatrix, TrConfig};
 use tr_encoding::TermExpr;
 use tr_hw::{FaultConfig, FaultInjector, FaultReport, Mitigation, Operand, SystolicArray, TrSystem};
 use tr_nn::exec::{apply_precision, calibrate_model, evaluate_accuracy};
@@ -176,21 +176,15 @@ pub fn functional_point(cfg: &TrConfig, fcfg: &FaultConfig) -> FunctionalPoint {
     let x = Tensor::randn(Shape::d2(64, 8), 0.3, &mut rng);
     let qw = quantize(&w, calibrate_max_abs(&w, 8));
     let qx = quantize(&x, calibrate_max_abs(&x, 8));
-    let wm = TermMatrix::from_weights(&qw, cfg.weight_encoding).reveal(cfg);
-    let mut xm = TermMatrix::from_data_transposed(&qx, cfg.data_encoding);
+    let wm = PackedTermMatrix::from_weights(&qw, cfg.weight_encoding).reveal(cfg);
+    let mut xm = PackedTermMatrix::from_data_transposed(&qx, cfg.data_encoding);
     if let Some(s) = cfg.data_terms {
         xm = xm.cap_terms(s);
     }
-    let rows = |m: &TermMatrix| -> Vec<Vec<TermExpr>> {
-        (0..m.rows()).map(|r| m.row(r).to_vec()).collect()
-    };
-    let (wrows, xrows) = (rows(&wm), rows(&xm));
     // A small array so stuck-cell faults land on cells that do work.
     let sys = TrSystem { array: SystolicArray { rows: 8, cols: 8 }, ..Default::default() };
-    let (clean, _) = sys.array.execute(&wrows, &xrows, cfg.group_size);
-    let run = sys
-        .execute_with_faults(&wrows, &xrows, cfg.group_size, fcfg)
-        .expect("valid operands");
+    let (clean, _) = sys.array.execute(&wm, &xm, cfg.group_size).expect("valid operands");
+    let run = sys.execute_with_faults(&wm, &xm, cfg.group_size, fcfg).expect("valid operands");
     if fcfg.rate == 0.0 {
         assert_eq!(run.outputs, clean, "rate-0 functional run must be bit-identical");
     }

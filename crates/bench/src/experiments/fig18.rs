@@ -8,7 +8,7 @@
 use crate::experiments::common::site_weights;
 use crate::report::{f, Table};
 use crate::zoo::Zoo;
-use tr_core::{TermMatrix, TrConfig};
+use tr_core::{PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_nn::models::CnnKind;
 use tr_quant::{calibrate_max_abs, dequant_error, quantize};
@@ -21,7 +21,7 @@ fn tr_error(w: &Tensor, g: usize, k: usize) -> f32 {
     let params = calibrate_max_abs(w, 8);
     let q = quantize(w, params);
     let cfg = TrConfig::new(g, k);
-    let tm = TermMatrix::from_weights(&q, Encoding::Hese).reveal(&cfg);
+    let tm = PackedTermMatrix::from_weights(&q, Encoding::Hese).reveal(&cfg);
     let codes = tm.reconstruct_codes();
     let back = Tensor::from_vec(
         codes.iter().map(|&c| c as f32 * params.scale).collect(),

@@ -8,7 +8,7 @@
 use crate::experiments::common::{quantize8, stage1_data_matrix, stage1_weight, stem_activations};
 use crate::report::{count, f, pct, ratio, Table};
 use crate::zoo::Zoo;
-use tr_core::{group_pair_histogram, straggler_factor, TermMatrix};
+use tr_core::{group_pair_histogram, straggler_factor, PackedTermMatrix};
 use tr_encoding::Encoding;
 use tr_nn::models::CnnKind;
 use tr_tensor::Rng;
@@ -21,8 +21,8 @@ pub fn run(zoo: &Zoo) -> Vec<Table> {
     let acts = stem_activations(&mut model, &ds.test.x, 4, &mut rng);
     let data = quantize8(&stage1_data_matrix(&acts));
 
-    let wm = TermMatrix::from_weights(&weights, Encoding::Binary);
-    let xm = TermMatrix::from_data_transposed(&data, Encoding::Binary);
+    let wm = PackedTermMatrix::from_weights(&weights, Encoding::Binary);
+    let xm = PackedTermMatrix::from_data_transposed(&data, Encoding::Binary);
     let stats = group_pair_histogram(&wm, &xm, 16);
 
     let mut t = Table::new(

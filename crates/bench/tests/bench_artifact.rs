@@ -44,7 +44,6 @@ fn bench_emits_schema_stable_json() {
         "\"qt8\"",
         "\"tr_g8_k12_s3\"",
         "\"packed_wall_ms\"",
-        "\"packed_speedup\"",
         "\"terms_per_mac\"",
         "\"nn\"",
         "\"mlp_qt8\"",

@@ -1,12 +1,11 @@
-//! Packed-vs-legacy term kernels at the two shapes the models actually
-//! run: an MLP hidden layer (batch × 256 → 128) and an im2col'd conv
-//! tile (C·k² reduction over a feature-map of patches). Covers the two
-//! operations PR 5 rewrote — the term matmul and the histogram reveal —
-//! so a regression in either is visible without running the full
-//! `repro bench` experiment.
+//! Packed term kernels at the two shapes the models actually run: an MLP
+//! hidden layer (batch × 256 → 128) and an im2col'd conv tile (C·k²
+//! reduction over a feature-map of patches). Covers the term matmul and
+//! the histogram reveal, so a regression in either is visible without
+//! running the full `repro bench` experiment.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use tr_core::{packed_term_matmul_i64, term_matmul_i64, PackedTermMatrix, TermMatrix, TrConfig};
+use tr_core::{packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_quant::{calibrate_max_abs, quantize, QTensor};
 use tr_tensor::{Rng, Shape, Tensor};
@@ -22,10 +21,11 @@ fn quantized(rows: usize, cols: usize, seed: u64) -> QTensor {
     quantize(&t, calibrate_max_abs(&t, 8))
 }
 
-fn tr_operands(m: usize, k: usize, n: usize) -> (TermMatrix, TermMatrix) {
+fn tr_operands(m: usize, k: usize, n: usize) -> (PackedTermMatrix, PackedTermMatrix) {
     let cfg = TrConfig::new(8, 12).with_data_terms(3);
-    let w = TermMatrix::from_weights(&quantized(m, k, 2), Encoding::Hese).reveal(&cfg);
-    let x = TermMatrix::from_data_transposed(&quantized(k, n, 3), Encoding::Hese).cap_terms(3);
+    let w = PackedTermMatrix::from_weights(&quantized(m, k, 2), Encoding::Hese).reveal(&cfg);
+    let x =
+        PackedTermMatrix::from_data_transposed(&quantized(k, n, 3), Encoding::Hese).cap_terms(3);
     (w, x)
 }
 
@@ -33,11 +33,7 @@ fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("packed/matmul");
     for (label, m, k, n) in SHAPES {
         group.throughput(Throughput::Elements((m * k * n) as u64));
-        let (w, x) = tr_operands(m, k, n);
-        let (pw, px) = (w.to_packed(), x.to_packed());
-        group.bench_function(BenchmarkId::new("legacy", label), |b| {
-            b.iter(|| term_matmul_i64(black_box(&w), black_box(&x)))
-        });
+        let (pw, px) = tr_operands(m, k, n);
         group.bench_function(BenchmarkId::new("packed", label), |b| {
             b.iter(|| packed_term_matmul_i64(black_box(&pw), black_box(&px)))
         });
@@ -51,9 +47,6 @@ fn bench_reveal(c: &mut Criterion) {
     for (label, m, k, _) in SHAPES {
         group.throughput(Throughput::Elements((m * k) as u64));
         let q = quantized(m, k, 4);
-        group.bench_function(BenchmarkId::new("legacy", label), |b| {
-            b.iter(|| TermMatrix::from_weights(black_box(&q), Encoding::Hese).reveal(&cfg))
-        });
         group.bench_function(BenchmarkId::new("packed", label), |b| {
             b.iter(|| PackedTermMatrix::from_weights(black_box(&q), Encoding::Hese).reveal(&cfg))
         });

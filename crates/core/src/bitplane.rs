@@ -1,11 +1,10 @@
 //! Bit-plane decomposition and popcount matmul (PrecisionBatching-style).
 //!
-//! [`BitPlaneMatrix`] is the third operand layout of the TR hot path,
-//! after the Vec-of-Vec [`TermMatrix`](crate::TermMatrix) and the flat
-//! CSR [`PackedTermMatrix`]: every row is re-expressed as a small set of
-//! **sign-split exponent planes**. Plane `(e, neg)` of a row is a `u64`
-//! bitset over the row's elements with bit `c` set iff element `c`
-//! carries a term `±2^e` with that sign. HESE (and every encoding this
+//! [`BitPlaneMatrix`] is the second operand layout of the TR hot path,
+//! built from the flat CSR [`PackedTermMatrix`]: every row is re-expressed
+//! as a small set of **sign-split exponent planes**. Plane `(e, neg)` of
+//! a row is a `u64` bitset over the row's elements with bit `c` set iff
+//! element `c` carries a term `±2^e` with that sign. HESE (and every encoding this
 //! workspace uses) emits at most one term per exponent per value, so the
 //! planes are well-defined, and a row reconstructs exactly as
 //!

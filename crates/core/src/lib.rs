@@ -17,28 +17,39 @@
 //! The crate provides:
 //!
 //! * [`TrConfig`] — group size `g`, group budget `k`, encodings, data `s`;
-//! * [`reveal::reveal_group`] — the receding-water algorithm on one group;
-//! * [`TermMatrix`] — a term-decomposed operand matrix with TR applied;
+//! * [`reveal::reveal_group`] — the receding-water algorithm on one group,
+//!   the reference every faster reveal is checked against;
+//! * [`PackedTermMatrix`] — a term-decomposed operand matrix (flat
+//!   exponent/sign planes, the tMAC's register arrays) with TR applied;
 //! * [`termpairs`] — the term-pair-multiplication cost proxy (§III-B,
 //!   Figs. 5/15);
-//! * [`matmul`] — an exact term-pair matmul kernel (what the tMAC hardware
-//!   computes), parallelized with rayon;
+//! * [`matmul`] — exact term-pair matmul kernels (what the tMAC hardware
+//!   computes), dispatched by a cost model and parallelized with rayon;
 //! * [`error_bound`] — the §III-F truncation-error bounds.
 //!
 //! ```
-//! use tr_core::{TrConfig, TermMatrix};
+//! use tr_core::{try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 //! use tr_encoding::Encoding;
 //! use tr_quant::{quantize, calibrate_max_abs};
 //! use tr_tensor::{Tensor, Shape, Rng};
 //!
 //! let mut rng = Rng::seed_from_u64(0);
 //! let w = Tensor::randn(Shape::d2(8, 64), 0.3, &mut rng);
+//! let x = Tensor::randn(Shape::d2(64, 4), 0.3, &mut rng);
 //! let qw = quantize(&w, calibrate_max_abs(&w, 8));
+//! let qx = quantize(&x, calibrate_max_abs(&x, 8));
 //!
 //! // Reveal the top k = 16 terms of every group of g = 8 weights.
 //! let cfg = TrConfig::new(8, 16);
-//! let tw = TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
+//! let tw = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
 //! assert!(tw.max_group_terms_for(8) <= 16);
+//!
+//! // The term-pair matmul equals an integer matmul over the kept codes.
+//! let tx = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese);
+//! let out = try_packed_term_matmul_i64(&tw, &tx).unwrap();
+//! let (wc, xc) = (tw.reconstruct_codes(), tx.reconstruct_codes());
+//! let want: i64 = (0..64).map(|c| wc[c] * xc[c]).sum();
+//! assert_eq!(out[0], want);
 //! ```
 
 pub mod bitplane;
@@ -49,7 +60,6 @@ pub mod matmul;
 pub mod packed;
 pub mod reveal;
 pub mod seal;
-pub mod termmatrix;
 pub mod termpairs;
 pub mod tune;
 
@@ -61,10 +71,9 @@ pub use config::TrConfig;
 pub use error::TrError;
 pub use error_bound::{dot_product_error_bound, value_sigma, waterline_sigma_bound};
 pub use matmul::{
-    matmul_plan, packed_term_matmul_i64, term_dot, term_dot_packed, term_matmul, term_matmul_i64,
-    try_packed_term_matmul_i64, try_packed_term_matmul_i64_cached,
-    try_packed_term_matmul_i64_planned, try_packed_term_matmul_i64_planned_cached, try_term_matmul,
-    try_term_matmul_i64, MatmulPlan, MatmulPlanner, ACCUMULATOR_BITS,
+    matmul_plan, packed_term_matmul_i64, term_dot_packed, try_packed_term_matmul_i64,
+    try_packed_term_matmul_i64_cached, try_packed_term_matmul_i64_planned,
+    try_packed_term_matmul_i64_planned_cached, MatmulPlan, MatmulPlanner, ACCUMULATOR_BITS,
 };
 pub use packed::PackedTermMatrix;
 pub use reveal::{
@@ -72,8 +81,6 @@ pub use reveal::{
     try_reveal_row, RevealOutcome, TieBreak,
 };
 pub use seal::{fnv1a_bytes, fnv1a_bytes_wordwise, fnv1a_word, FNV_OFFSET};
-pub use termmatrix::TermMatrix;
 pub use termpairs::{
-    group_pair_histogram, straggler_factor, term_pairs_total, term_pairs_total_packed,
-    GroupPairStats,
+    group_pair_histogram, straggler_factor, term_pairs_total_packed, GroupPairStats,
 };

@@ -12,11 +12,9 @@ use crate::bitplane::{
 use crate::error::TrError;
 use crate::packed::{off_usize, PackedTermMatrix};
 use crate::seal::{fnv1a_word, FNV_OFFSET};
-use crate::termmatrix::TermMatrix;
 use crate::tune::{self, TuneTable};
 use rayon::prelude::*;
 use std::sync::Mutex;
-use tr_encoding::TermExpr;
 use tr_obs::{as_u64, Counter};
 
 /// Signed width of the accumulator every integer kernel in this module
@@ -100,62 +98,6 @@ static ROUTE_PARALLEL: Counter = Counter::new("core.matmul.route.parallel");
 static ROUTE_BITPLANE: Counter = Counter::new("core.matmul.route.bitplane");
 /// Matmuls executed over the L2-blocked deep-K bit-plane route.
 static ROUTE_BITPLANE_BLOCKED: Counter = Counter::new("core.matmul.route.bitplane_blocked");
-
-/// Dot product of two equal-length term vectors via term pairs.
-///
-/// Exponents of a term pair add; signs multiply; each pair contributes
-/// `±2^(e_w + e_x)` — a shift-and-accumulate, never a multiply.
-pub fn term_dot(w: &[TermExpr], x: &[TermExpr]) -> i64 {
-    debug_assert_eq!(w.len(), x.len());
-    let mut acc = 0i64;
-    for (we, xe) in w.iter().zip(x) {
-        for wt in we.iter() {
-            for xt in xe.iter() {
-                let p = wt.mul(*xt);
-                acc = acc_add(acc, p.value());
-            }
-        }
-    }
-    acc
-}
-
-/// `W (M,K) @ X (K,N)` over term matrices, producing exact `i64`
-/// accumulators in row-major `(M, N)` order. Parallel over output rows.
-///
-/// # Panics
-/// If the reduction dimensions differ. Use [`try_term_matmul_i64`] to
-/// get a `Result` instead.
-pub fn term_matmul_i64(w: &TermMatrix, x: &TermMatrix) -> Vec<i64> {
-    match try_term_matmul_i64(w, x) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`term_matmul_i64`]: rejects disagreeing reduction dimensions
-/// instead of panicking.
-pub fn try_term_matmul_i64(w: &TermMatrix, x: &TermMatrix) -> Result<Vec<i64>, TrError> {
-    if w.len() != x.len() {
-        return Err(TrError::ShapeMismatch(format!(
-            "reduction dims differ: {} vs {}",
-            w.len(),
-            x.len()
-        )));
-    }
-    let (m, n) = (w.rows(), x.rows());
-    let _span = tr_obs::span("core.term_matmul");
-    MATMUL_CALLS.inc();
-    MATMUL_ROWS.add(as_u64(m));
-    MATMUL_CELLS.add(as_u64(m).saturating_mul(as_u64(n)));
-    let mut out = vec![0i64; m * n];
-    out.par_chunks_mut(n).enumerate().for_each(|(i, orow)| {
-        let wrow = w.row(i);
-        for (j, o) in orow.iter_mut().enumerate() {
-            *o = term_dot(wrow, x.row(j));
-        }
-    });
-    Ok(out)
-}
 
 /// Output-row tile of the blocked packed kernel: enough rows to amortize
 /// the per-task overhead of the thread pool without starving it.
@@ -278,9 +220,9 @@ pub fn matmul_plan(w: &PackedTermMatrix, x: &PackedTermMatrix) -> MatmulPlan {
 
 /// Term-pair dot product of elements `c0..c1` of packed rows `wr` / `xr`.
 ///
-/// Walks the flat exponent/sign planes directly: a term pair contributes
-/// `±2^(e_w + e_x)` exactly as [`term_dot`] does, so the accumulated `i64`
-/// is bit-identical (integer addition is exactly associative).
+/// Walks the flat exponent/sign planes directly: exponents of a term pair
+/// add and signs multiply, so each pair contributes `±2^(e_w + e_x)` — a
+/// shift-and-accumulate, never a multiply.
 #[inline]
 fn packed_dot_range(
     w: &PackedTermMatrix,
@@ -315,17 +257,16 @@ fn packed_dot_range(
     acc
 }
 
-/// Dot product of packed row `wr` of `w` with packed row `xr` of `x` —
-/// the packed counterpart of [`term_dot`], used by the tMAC simulator.
+/// Dot product of packed row `wr` of `w` with packed row `xr` of `x` by
+/// enumerating every term pair, the way a tMAC cell does (§III-B).
 pub fn term_dot_packed(w: &PackedTermMatrix, wr: usize, x: &PackedTermMatrix, xr: usize) -> i64 {
     debug_assert_eq!(w.len(), x.len());
     packed_dot_range(w, wr, x, xr, 0, w.len())
 }
 
-/// `W (M,K) @ X (K,N)` over packed term matrices — the flat-plane twin of
-/// [`term_matmul_i64`]: bit-identical output, same observability (span
-/// `core.term_matmul`, `core.matmul.*` counters), no per-term pointer
-/// chasing.
+/// `W (M,K) @ X (K,N)` over packed term matrices, producing exact `i64`
+/// accumulators in row-major `(M, N)` order (span `core.matmul`,
+/// `core.matmul.*` counters).
 ///
 /// The speed comes from distributivity: an element's term-pair sum
 /// `Σ_w Σ_x ±2^(e_w+e_x)` factors exactly into
@@ -334,7 +275,7 @@ pub fn term_dot_packed(w: &PackedTermMatrix, wr: usize, x: &PackedTermMatrix, xr
 /// operand's exponent/sign planes to rebuild the signed codes (a shift
 /// and add per term), then runs a dense `i64` matmul over the contiguous
 /// code rows. Integer arithmetic is exact, so the result is bit-identical
-/// to enumerating every pair the way [`term_dot`] does — the enumeration
+/// to enumerating every pair the way [`term_dot_packed`] does — the enumeration
 /// cost `O(t_w · t_x)` per element drops to one multiply.
 ///
 /// # Panics
@@ -448,7 +389,7 @@ pub fn try_packed_term_matmul_i64_planned_cached(
         }
         return try_bitplane_matmul_i64(wp, xp);
     }
-    let _span = tr_obs::span("core.term_matmul");
+    let _span = tr_obs::span("core.matmul");
     let mut out = vec![0i64; m * n];
     if m * n == 0 || k == 0 {
         return Ok(out);
@@ -633,17 +574,6 @@ fn code_row(wcodes: &[i64], xcodes: &[i64], i: usize, orow: &mut [i64], k: usize
     }
 }
 
-/// Like [`term_matmul_i64`] but scales the integer accumulators back to
-/// real values with the product of the two quantizer scales.
-pub fn term_matmul(w: &TermMatrix, x: &TermMatrix, scale: f32) -> Vec<f32> {
-    term_matmul_i64(w, x).into_iter().map(|v| v as f32 * scale).collect()
-}
-
-/// Fallible [`term_matmul`].
-pub fn try_term_matmul(w: &TermMatrix, x: &TermMatrix, scale: f32) -> Result<Vec<f32>, TrError> {
-    Ok(try_term_matmul_i64(w, x)?.into_iter().map(|v| v as f32 * scale).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,13 +588,33 @@ mod tests {
         quantize(&t, calibrate_max_abs(&t, 8))
     }
 
+    /// The §III-B definition, element by element: every (weight term,
+    /// data term) pair contributes `Term::mul().value()`.
+    fn pair_walk_matmul(w: &PackedTermMatrix, x: &PackedTermMatrix) -> Vec<i64> {
+        let mut out = Vec::with_capacity(w.rows() * x.rows());
+        for i in 0..w.rows() {
+            for j in 0..x.rows() {
+                let mut acc = 0i64;
+                for c in 0..w.len() {
+                    for wt in w.element_terms(i, c) {
+                        for xt in x.element_terms(j, c) {
+                            acc += wt.mul(xt).value();
+                        }
+                    }
+                }
+                out.push(acc);
+            }
+        }
+        out
+    }
+
     #[test]
     fn paper_example_12_times_2() {
         // §III-B: 12 = 2^3 + 2^2 times 2 = 2^1 is 2^4 + 2^3 = 24 via two
         // term-pair multiplications.
-        let w = TermMatrix::from_vector(&[12], Encoding::Binary);
-        let x = TermMatrix::from_vector(&[2], Encoding::Binary);
-        assert_eq!(term_dot(w.row(0), x.row(0)), 24);
+        let w = PackedTermMatrix::from_vector(&[12], Encoding::Binary);
+        let x = PackedTermMatrix::from_vector(&[2], Encoding::Binary);
+        assert_eq!(term_dot_packed(&w, 0, &x, 0), 24);
     }
 
     #[test]
@@ -675,9 +625,9 @@ mod tests {
         let qx = quantized(32, 5, 11);
         let reference = qw.matmul_i64(&qx);
         for enc in Encoding::ALL {
-            let w = TermMatrix::from_weights(&qw, enc);
-            let x = TermMatrix::from_data_transposed(&qx, enc);
-            let got_t = term_matmul_i64(&w, &x);
+            let w = PackedTermMatrix::from_weights(&qw, enc);
+            let x = PackedTermMatrix::from_data_transposed(&qx, enc);
+            let got_t = packed_term_matmul_i64(&w, &x);
             // Transpose (N-major j within row i) is already row-major (M,N).
             assert_eq!(got_t, reference, "{enc} disagrees with integer matmul");
         }
@@ -691,9 +641,9 @@ mod tests {
         let qw = quantized(4, 64, 12);
         let qx = quantized(64, 6, 13);
         let cfg = TrConfig::new(8, 12);
-        let w = TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
-        let x = TermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
-        let got = term_matmul_i64(&w, &x);
+        let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
+        let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
+        let got = packed_term_matmul_i64(&w, &x);
 
         let wc = w.reconstruct_codes();
         let xc = x.reconstruct_codes();
@@ -719,9 +669,9 @@ mod tests {
         let qx = quantized(128, 8, 15);
         let exact = qw.matmul_i64(&qx);
         let cfg = TrConfig::new(8, 16);
-        let w = TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
-        let x = TermMatrix::from_data_transposed(&qx, Encoding::Hese);
-        let approx = term_matmul_i64(&w, &x);
+        let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
+        let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese);
+        let approx = packed_term_matmul_i64(&w, &x);
         let num: f64 = exact
             .iter()
             .zip(&approx)
@@ -734,26 +684,14 @@ mod tests {
     }
 
     #[test]
-    fn scaled_variant_applies_scale() {
-        let w = TermMatrix::from_vector(&[3], Encoding::Binary);
-        let x = TermMatrix::from_vector(&[5], Encoding::Binary);
-        let out = term_matmul(&w, &x, 0.5);
-        assert_eq!(out, vec![7.5]);
-    }
-
-    #[test]
     fn packed_dot_matches_legacy_dot() {
+        // The plane-walking dot against the per-element pair enumeration.
         let qw = quantized(1, 48, 20);
         let qx = quantized(48, 1, 21);
         for enc in Encoding::ALL {
-            let w = TermMatrix::from_weights(&qw, enc);
-            let x = TermMatrix::from_data_transposed(&qx, enc);
-            let (pw, px) = (w.to_packed(), x.to_packed());
-            assert_eq!(
-                term_dot_packed(&pw, 0, &px, 0),
-                term_dot(w.row(0), x.row(0)),
-                "{enc}"
-            );
+            let w = PackedTermMatrix::from_weights(&qw, enc);
+            let x = PackedTermMatrix::from_data_transposed(&qx, enc);
+            assert_eq!(vec![term_dot_packed(&w, 0, &x, 0)], pair_walk_matmul(&w, &x), "{enc}");
         }
     }
 
@@ -763,10 +701,9 @@ mod tests {
         let qw = quantized(6, 32, 22);
         let qx = quantized(32, 5, 23);
         for enc in Encoding::ALL {
-            let w = TermMatrix::from_weights(&qw, enc);
-            let x = TermMatrix::from_data_transposed(&qx, enc);
-            let got = packed_term_matmul_i64(&w.to_packed(), &x.to_packed());
-            assert_eq!(got, term_matmul_i64(&w, &x), "{enc}");
+            let w = PackedTermMatrix::from_weights(&qw, enc);
+            let x = PackedTermMatrix::from_data_transposed(&qx, enc);
+            assert_eq!(packed_term_matmul_i64(&w, &x), pair_walk_matmul(&w, &x), "{enc}");
         }
     }
 
@@ -777,10 +714,9 @@ mod tests {
         let qw = quantized(24, 300, 24);
         let qx = quantized(300, 24, 25);
         let cfg = TrConfig::new(8, 12);
-        let w = TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
-        let x = TermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
-        let got = packed_term_matmul_i64(&w.to_packed(), &x.to_packed());
-        assert_eq!(got, term_matmul_i64(&w, &x));
+        let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
+        let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
+        assert_eq!(packed_term_matmul_i64(&w, &x), pair_walk_matmul(&w, &x));
     }
 
     #[test]
@@ -924,14 +860,14 @@ mod tests {
 
     #[test]
     fn packed_matmul_rejects_mismatched_reduction_dims() {
-        let w = TermMatrix::from_vector(&[1, 2], Encoding::Binary).to_packed();
-        let x = TermMatrix::from_vector(&[1, 2, 3], Encoding::Binary).to_packed();
+        let w = PackedTermMatrix::from_vector(&[1, 2], Encoding::Binary);
+        let x = PackedTermMatrix::from_vector(&[1, 2, 3], Encoding::Binary);
         assert!(try_packed_term_matmul_i64(&w, &x).is_err());
     }
 
     #[test]
     fn packed_matmul_handles_degenerate_shapes() {
-        let empty = TermMatrix::from_vector(&[], Encoding::Binary).to_packed();
+        let empty = PackedTermMatrix::from_vector(&[], Encoding::Binary);
         let out = packed_term_matmul_i64(&empty, &empty);
         assert_eq!(out, vec![0i64]); // 1x0 @ 0x1 -> one empty dot
     }

@@ -1,8 +1,10 @@
 //! Packed term-plane operand matrices.
 //!
-//! [`PackedTermMatrix`] is the CSR-style structure-of-arrays twin of
-//! [`TermMatrix`]: instead of one heap-allocated `TermExpr` per element,
-//! all terms of the matrix live in three flat planes —
+//! [`PackedTermMatrix`] is the crate's one term-decomposed operand: for
+//! each dot-product vector (a weight row or a data column) it holds the
+//! power-of-two term expansion of every element. Instead of one
+//! heap-allocated `TermExpr` per element, all terms of the matrix live in
+//! three flat planes —
 //!
 //! * `offsets` — one `u32` per element (plus a trailing sentinel) giving
 //!   each element's term range, exactly a CSR row-pointer array;
@@ -32,7 +34,6 @@ use crate::config::TrConfig;
 use crate::error::TrError;
 use crate::reveal::{observe_group, RevealTally};
 use crate::seal::{fnv1a_bytes, fnv1a_bytes_wordwise, fnv1a_word, mix, FNV_OFFSET};
-use crate::termmatrix::TermMatrix;
 use rayon::prelude::*;
 use std::sync::OnceLock;
 use tr_encoding::{CodeTerms, Encoding, Term, TermExpr, TermTable, TABLE_MAX_TERMS, TABLE_RANGE};
@@ -54,10 +55,9 @@ pub(crate) fn off_usize(v: u32) -> usize {
 
 /// A term-decomposed matrix stored as flat offset/exponent/sign planes.
 ///
-/// Semantically identical to [`TermMatrix`] — `rows` dot-product vectors
-/// of `len` elements each — but contiguous in memory, so the hot kernels
-/// (`packed_term_matmul_i64`, the histogram reveal) stream it without
-/// per-element indirection or allocation.
+/// `rows` dot-product vectors of `len` elements each, contiguous in
+/// memory, so the hot kernels (`packed_term_matmul_i64`, the histogram
+/// reveal) stream it without per-element indirection or allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedTermMatrix {
     rows: usize,
@@ -266,7 +266,7 @@ impl PackedTermMatrix {
 
     /// Decompose a data matrix `(K, N)` *transposed*: row `n` of the
     /// result is data column `n`, aligning with weight rows in dot
-    /// products (same layout as [`TermMatrix::from_data_transposed`]).
+    /// products.
     pub fn from_data_transposed(q: &QTensor, encoding: Encoding) -> PackedTermMatrix {
         let (k, n) = q.as_matrix();
         let vals = q.values();
@@ -371,8 +371,8 @@ impl PackedTermMatrix {
         self.offsets.windows(2).map(|w| off_usize(w[1]) - off_usize(w[0])).max().unwrap_or(0)
     }
 
-    /// Largest per-group term count under grouping `g`. Groups chunk each
-    /// row independently, as in [`TermMatrix::max_group_terms_for`].
+    /// Largest per-group term count under grouping `g` (how close groups
+    /// come to a budget). Groups chunk each row independently.
     pub fn max_group_terms_for(&self, g: usize) -> usize {
         assert!(g > 0);
         let mut max = 0;
@@ -423,7 +423,8 @@ impl PackedTermMatrix {
     /// Apply Term Revealing: receding water over every `g`-sized group of
     /// every row with budget `k`, scanning a fixed exponent histogram
     /// instead of materializing per-group `Vec<Vec<Term>>`. Bit-identical
-    /// to [`TermMatrix::reveal`] with the `RowMajor` tiebreak, and feeds
+    /// to [`reveal_row`](crate::reveal::reveal_row) (the `RowMajor`
+    /// tiebreak) over each row's `TermExpr`s, and feeds
     /// the same `core.reveal.*` counters. Consumes and returns the matrix.
     ///
     /// # Panics
@@ -598,7 +599,7 @@ impl PackedTermMatrix {
 
     /// Cap every element to its top `s` terms (terms are stored largest
     /// exponent first, so this keeps a prefix). Consumes and returns the
-    /// matrix. Bit-identical to [`TermMatrix::cap_terms`].
+    /// matrix. Bit-identical to [`TermExpr::truncate_top`] per element.
     pub fn cap_terms(self, s: usize) -> PackedTermMatrix {
         let mut out = Self::with_capacity(self.rows, self.len, self.encoding, self.exps.len());
         for r in 0..self.rows {
@@ -611,11 +612,6 @@ impl PackedTermMatrix {
             }
         }
         out.seal()
-    }
-
-    /// Expand back to the Vec-of-Vec representation (tests, compat).
-    pub fn to_term_matrix(&self) -> TermMatrix {
-        TermMatrix::from(self)
     }
 }
 
@@ -819,17 +815,6 @@ fn append_planes(planes: &mut (Vec<u8>, Vec<u64>), exps: &[u8], signs: &[u64]) {
     out_signs.truncate(out_exps.len().div_ceil(64));
 }
 
-impl From<&TermMatrix> for PackedTermMatrix {
-    fn from(m: &TermMatrix) -> PackedTermMatrix {
-        let mut out =
-            Self::with_capacity(m.rows(), m.len(), m.encoding(), m.total_terms());
-        for e in m.exprs() {
-            out.push_expr(e);
-        }
-        out.seal()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -846,41 +831,63 @@ mod tests {
         tr_quant::quantize(&t, tr_quant::calibrate_max_abs(&t, 8))
     }
 
+    /// Each code's `TermExpr` from the encoder, in the given order: the
+    /// per-element view the reference algorithms (`reveal_row`,
+    /// `TermExpr::truncate_top`) work on.
+    fn encoded(codes: &[i32], enc: Encoding) -> Vec<TermExpr> {
+        codes.iter().map(|&v| enc.terms_of(v)).collect()
+    }
+
+    /// The packed planes read back as one `TermExpr` per element,
+    /// row-major.
+    fn exprs(p: &PackedTermMatrix) -> Vec<TermExpr> {
+        let element = |r, c| TermExpr::from_terms(p.element_terms(r, c).collect());
+        (0..p.rows()).flat_map(|r| (0..p.len()).map(move |c| element(r, c))).collect()
+    }
+
     #[test]
     fn round_trips_through_term_matrix() {
+        // Packed planes → per-element `TermExpr`s → codes, for every
+        // encoding: nothing is lost or reordered on the way.
         let q = random_qt(5, 17, 1);
         for enc in Encoding::ALL {
-            let legacy = TermMatrix::from_weights(&q, enc);
-            let packed = PackedTermMatrix::from(&legacy);
-            assert_eq!(packed.rows(), legacy.rows());
-            assert_eq!(packed.len(), legacy.len());
-            assert_eq!(packed.total_terms(), legacy.total_terms());
-            assert_eq!(packed.to_term_matrix(), legacy, "{enc} round trip");
+            let packed = PackedTermMatrix::from_weights(&q, enc);
+            let back = exprs(&packed);
+            assert_eq!(back, encoded(q.values(), enc), "{enc} round trip");
+            assert_eq!(packed.total_terms(), back.iter().map(TermExpr::len).sum::<usize>());
+            let codes: Vec<i64> = back.iter().map(TermExpr::value).collect();
+            assert_eq!(codes, packed.reconstruct_codes(), "{enc}");
         }
     }
 
     #[test]
     fn from_weights_matches_legacy_constructor() {
+        // The table-driven build against the per-element encoder.
         let q = random_qt(4, 9, 2);
         for enc in Encoding::ALL {
-            let legacy = PackedTermMatrix::from(&TermMatrix::from_weights(&q, enc));
             let direct = PackedTermMatrix::from_weights(&q, enc);
-            assert_eq!(direct, legacy, "{enc}");
+            assert_eq!((direct.rows(), direct.len()), (4, 9));
+            assert_eq!(exprs(&direct), encoded(q.values(), enc), "{enc}");
         }
     }
 
     #[test]
     fn from_data_transposed_matches_legacy_constructor() {
         let q = random_qt(9, 4, 3);
+        let vals = q.values();
+        let transposed: Vec<i32> =
+            (0..4).flat_map(|col| (0..9).map(move |row| vals[row * 4 + col])).collect();
         for enc in Encoding::ALL {
-            let legacy = PackedTermMatrix::from(&TermMatrix::from_data_transposed(&q, enc));
             let direct = PackedTermMatrix::from_data_transposed(&q, enc);
-            assert_eq!(direct, legacy, "{enc}");
+            assert_eq!((direct.rows(), direct.len()), (4, 9));
+            assert_eq!(exprs(&direct), encoded(&transposed, enc), "{enc}");
         }
     }
 
     #[test]
     fn reveal_matches_legacy_bit_for_bit() {
+        // The histogram reveal against the receding-water reference
+        // applied to each row's `TermExpr`s.
         let q = random_qt(6, 64, 4);
         for enc in Encoding::ALL {
             for cfg in [
@@ -890,15 +897,13 @@ mod tests {
                 TrConfig::new(5, 7),
                 TrConfig::new(64, 24),
             ] {
-                let legacy = TermMatrix::from_weights(&q, enc).reveal(&cfg);
+                let mut want = encoded(q.values(), enc);
+                for row in want.chunks_mut(64) {
+                    crate::reveal::reveal_row(row, cfg.group_size, cfg.group_budget);
+                }
                 let packed = PackedTermMatrix::from_weights(&q, enc).reveal(&cfg);
-                assert_eq!(
-                    packed.to_term_matrix(),
-                    legacy,
-                    "{enc} g={} k={}",
-                    cfg.group_size,
-                    cfg.group_budget
-                );
+                let (g, k) = (cfg.group_size, cfg.group_budget);
+                assert_eq!(exprs(&packed), want, "{enc} g={g} k={k}");
             }
         }
     }
@@ -907,9 +912,10 @@ mod tests {
     fn cap_terms_matches_legacy() {
         let q = random_qt(3, 11, 6);
         for s in 1..4 {
-            let legacy = TermMatrix::from_weights(&q, Encoding::Hese).cap_terms(s);
+            let want: Vec<TermExpr> =
+                encoded(q.values(), Encoding::Hese).iter().map(|e| e.truncate_top(s)).collect();
             let packed = PackedTermMatrix::from_weights(&q, Encoding::Hese).cap_terms(s);
-            assert_eq!(packed.to_term_matrix(), legacy, "s={s}");
+            assert_eq!(exprs(&packed), want, "s={s}");
         }
     }
 
@@ -930,12 +936,18 @@ mod tests {
     #[test]
     fn group_stats_match_legacy() {
         let q = random_qt(4, 30, 7);
-        let legacy = TermMatrix::from_weights(&q, Encoding::Binary);
+        let want = encoded(q.values(), Encoding::Binary);
         let packed = PackedTermMatrix::from_weights(&q, Encoding::Binary);
-        assert_eq!(packed.mean_terms(), legacy.mean_terms());
-        assert_eq!(packed.max_value_terms(), legacy.max_value_terms());
+        let total: usize = want.iter().map(TermExpr::len).sum();
+        assert_eq!(packed.mean_terms(), total as f64 / want.len() as f64);
+        assert_eq!(Some(packed.max_value_terms()), want.iter().map(TermExpr::len).max());
         for g in [1, 3, 8, 30, 64] {
-            assert_eq!(packed.max_group_terms_for(g), legacy.max_group_terms_for(g), "g={g}");
+            let max_group = want
+                .chunks(30)
+                .flat_map(|row| row.chunks(g))
+                .map(|group| group.iter().map(TermExpr::len).sum::<usize>())
+                .max();
+            assert_eq!(Some(packed.max_group_terms_for(g)), max_group, "g={g}");
         }
     }
 
@@ -953,8 +965,15 @@ mod tests {
     fn checksum_is_content_derived_and_constructor_independent() {
         let q = random_qt(4, 9, 11);
         let direct = PackedTermMatrix::from_weights(&q, Encoding::Hese);
-        let via_legacy = PackedTermMatrix::from(&TermMatrix::from_weights(&q, Encoding::Hese));
-        assert_eq!(direct.checksum(), via_legacy.checksum());
+        // The same matrix through the transposing constructor: (9, 4)
+        // data whose columns are the weight rows.
+        let vals = q.values();
+        let transposed: Vec<i32> =
+            (0..9).flat_map(|c| (0..4).map(move |r| vals[r * 9 + c])).collect();
+        let via_data =
+            PackedTermMatrix::from_data_transposed(&qt(transposed, 9, 4), Encoding::Hese);
+        assert_eq!(direct, via_data);
+        assert_eq!(direct.checksum(), via_data.checksum());
         assert_ne!(direct.checksum(), 0);
         direct.verify_integrity().unwrap();
         // Reveal / cap reseal over the new planes.
@@ -1023,5 +1042,77 @@ mod tests {
         let p = PackedTermMatrix::from_vector(&[1, 2, 3], Encoding::Binary);
         assert!(p.clone().try_reveal(&TrConfig::new(0, 4)).is_err());
         assert!(p.try_reveal(&TrConfig::new(4, 0)).is_err());
+    }
+
+    #[test]
+    fn weight_layout_is_row_major() {
+        let q = qt(vec![1, 2, 3, 4, 5, 6], 2, 3);
+        let m = PackedTermMatrix::from_weights(&q, Encoding::Binary);
+        assert_eq!(m.rows(), 2);
+        assert_eq!(m.len(), 3);
+        let row1: Vec<i64> = (0..3).map(|c| m.value(1, c)).collect();
+        assert_eq!(row1, vec![4, 5, 6]);
+    }
+
+    #[test]
+    fn data_layout_transposes_columns() {
+        // X (K=2, N=3): columns become rows of length K.
+        let q = qt(vec![1, 2, 3, 4, 5, 6], 2, 3);
+        let m = PackedTermMatrix::from_data_transposed(&q, Encoding::Binary);
+        assert_eq!(m.rows(), 3);
+        assert_eq!(m.len(), 2);
+        assert_eq!([m.value(0, 0), m.value(0, 1)], [1, 4]);
+        assert_eq!([m.value(2, 0), m.value(2, 1)], [3, 6]);
+    }
+
+    #[test]
+    fn reveal_enforces_group_budget() {
+        let q = qt(vec![127; 16], 1, 16);
+        let cfg = TrConfig::new(4, 6).with_weight_encoding(Encoding::Binary);
+        let m = PackedTermMatrix::from_weights(&q, Encoding::Binary).reveal(&cfg);
+        assert!(m.max_group_terms_for(4) <= 6);
+        // 4 groups x budget 6 = 24 terms survive out of 16 x 7 = 112.
+        assert_eq!(m.total_terms(), 24);
+    }
+
+    #[test]
+    fn reveal_is_identity_for_sparse_rows() {
+        let q = qt(vec![1, 0, 2, 0, 4, 0, 8, 0], 1, 8);
+        let cfg = TrConfig::new(4, 6);
+        let before = PackedTermMatrix::from_weights(&q, Encoding::Hese);
+        let total = before.total_terms();
+        let after = before.reveal(&cfg);
+        assert_eq!(after.total_terms(), total);
+        assert_eq!(after.reconstruct_codes(), vec![1, 0, 2, 0, 4, 0, 8, 0]);
+    }
+
+    #[test]
+    fn cap_terms_limits_each_value() {
+        let m = PackedTermMatrix::from_vector(&[87, -87, 31], Encoding::Binary).cap_terms(2);
+        assert!(m.max_value_terms() <= 2);
+        assert_eq!(m.reconstruct_codes(), vec![80, -80, 24]);
+    }
+
+    #[test]
+    fn mean_terms_tracks_distribution() {
+        let q = qt(vec![0, 1, 3, 7], 1, 4);
+        let m = PackedTermMatrix::from_weights(&q, Encoding::Binary);
+        #[allow(clippy::identity_op)] // popcounts of 0, 1, 3, 7
+        let expected = 0 + 1 + 2 + 3;
+        assert_eq!(m.total_terms(), expected);
+        assert_eq!(m.mean_terms(), 1.5);
+        assert_eq!(m.max_value_terms(), 3);
+    }
+
+    #[test]
+    fn groups_do_not_straddle_rows() {
+        // Two rows of length 3 with g = 2: each row chunks as [2, 1];
+        // terms never migrate across the row boundary.
+        let q = qt(vec![127, 127, 127, 0, 0, 0], 2, 3);
+        let cfg = TrConfig::new(2, 3).with_weight_encoding(Encoding::Binary);
+        let m = PackedTermMatrix::from_weights(&q, Encoding::Binary).reveal(&cfg);
+        // Row 0: group [127,127] keeps 3 terms, group [127] keeps 3.
+        assert_eq!((0..3).map(|c| m.element_len(0, c)).sum::<usize>(), 6);
+        assert_eq!((0..3).map(|c| m.element_len(1, c)).sum::<usize>(), 0);
     }
 }

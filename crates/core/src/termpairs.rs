@@ -8,36 +8,16 @@
 //! tight TR bound.
 
 use crate::packed::{off_usize, PackedTermMatrix};
-use crate::termmatrix::TermMatrix;
 use rayon::prelude::*;
-use tr_encoding::TermExpr;
 use tr_obs::Counter;
 use tr_tensor::stats::CountHistogram;
 
 /// Term pairs tallied by the counting passes (the Fig. 15 x-axis).
 static PAIRS_COUNTED: Counter = Counter::new("core.termpairs.counted");
 
-/// Term pairs needed for the dot product of two equal-length term vectors.
-pub fn pairs_for_vectors(w: &[TermExpr], x: &[TermExpr]) -> u64 {
-    assert_eq!(w.len(), x.len(), "vector length mismatch");
-    w.iter().zip(x).map(|(a, b)| (a.len() * b.len()) as u64).sum()
-}
-
-/// Total term-pair multiplications for the full matmul `W (M,K) @ X (K,N)`
-/// given both operands as term matrices (`W` rows of length K, `X`
-/// transposed columns of length K).
-pub fn term_pairs_total(w: &TermMatrix, x: &TermMatrix) -> u64 {
-    assert_eq!(w.len(), x.len(), "reduction dims differ: {} vs {}", w.len(), x.len());
-    let _span = tr_obs::span("core.term_pairs_total");
-    let total = (0..w.rows())
-        .into_par_iter()
-        .map(|m| {
-            let wrow = w.row(m);
-            (0..x.rows()).map(|n| pairs_for_vectors(wrow, x.row(n))).sum::<u64>()
-        })
-        .sum();
-    PAIRS_COUNTED.add(total);
-    total
+/// Term count of every element of one packed operand, row-major.
+fn element_term_counts(m: &PackedTermMatrix) -> Vec<usize> {
+    m.offsets().windows(2).map(|w| off_usize(w[1]) - off_usize(w[0])).collect()
 }
 
 /// Per-element term counts of one packed operand, summed over rows:
@@ -55,14 +35,15 @@ fn column_term_sums(m: &PackedTermMatrix) -> Vec<u64> {
     sums
 }
 
-/// [`term_pairs_total`] over packed operands. The double sum over (row,
-/// column) pairs is separable — `Σ_{m,n,c} t_w[m,c]·t_x[n,c] =
-/// Σ_c (Σ_m t_w[m,c])·(Σ_n t_x[n,c])` — so this runs in `O((M+N)·K)`
-/// instead of `O(M·N·K)`, producing the identical count and feeding the
-/// same counter and span.
+/// Total term-pair multiplications for the full matmul `W (M,K) @ X (K,N)`
+/// given both operands as packed term matrices (`W` rows of length K, `X`
+/// transposed columns of length K): `Σ_{m,n,c} t_w[m,c]·t_x[n,c]`, where
+/// `t` is an element's term count. The sum is separable —
+/// `Σ_c (Σ_m t_w[m,c])·(Σ_n t_x[n,c])` — so this runs in `O((M+N)·K)`
+/// instead of `O(M·N·K)`.
 pub fn term_pairs_total_packed(w: &PackedTermMatrix, x: &PackedTermMatrix) -> u64 {
     assert_eq!(w.len(), x.len(), "reduction dims differ: {} vs {}", w.len(), x.len());
-    let _span = tr_obs::span("core.term_pairs_total");
+    let _span = tr_obs::span("core.termpairs.total");
     let wsums = column_term_sums(w);
     let xsums = column_term_sums(x);
     let total: u64 = wsums.iter().zip(&xsums).map(|(&a, &b)| a * b).sum();
@@ -87,20 +68,26 @@ pub struct GroupPairStats {
 
 /// Histogram the term pairs of every `(group of g weights) × (aligned
 /// group of g data values)` partial dot product across the whole matmul.
-pub fn group_pair_histogram(w: &TermMatrix, x: &TermMatrix, g: usize) -> GroupPairStats {
+/// A group's count is `Σ_c t_w[m,c]·t_x[n,c]` over its `g` elements.
+pub fn group_pair_histogram(
+    w: &PackedTermMatrix,
+    x: &PackedTermMatrix,
+    g: usize,
+) -> GroupPairStats {
     assert_eq!(w.len(), x.len(), "reduction dims differ");
     assert!(g > 0, "group size must be positive");
+    let k = w.len();
+    let wcounts = element_term_counts(w);
+    let xcounts = element_term_counts(x);
     let per_row: Vec<CountHistogram> = (0..w.rows())
         .into_par_iter()
         .map(|m| {
-            let wrow = w.row(m);
+            let wrow = &wcounts[m * k..(m + 1) * k];
             let mut hist = CountHistogram::new();
             for n in 0..x.rows() {
-                let xrow = x.row(n);
+                let xrow = &xcounts[n * k..(n + 1) * k];
                 for (wg, xg) in wrow.chunks(g).zip(xrow.chunks(g)) {
-                    let pairs = usize::try_from(pairs_for_vectors(wg, xg))
-                        .expect("pair count of one group fits usize");
-                    hist.record(pairs);
+                    hist.record(wg.iter().zip(xg).map(|(a, b)| a * b).sum());
                 }
             }
             hist
@@ -141,49 +128,61 @@ mod tests {
         tr_quant::quantize(&t, tr_quant::calibrate_max_abs(&t, 8))
     }
 
+    fn vector(values: &[i32]) -> PackedTermMatrix {
+        PackedTermMatrix::from_vector(values, Encoding::Binary)
+    }
+
+    /// The pair count straight from the definition: for every (weight
+    /// row, data row, element) the product of the two term counts.
+    fn pairs_by_definition(w: &PackedTermMatrix, x: &PackedTermMatrix) -> u64 {
+        let mut total = 0u64;
+        for m in 0..w.rows() {
+            for n in 0..x.rows() {
+                for c in 0..w.len() {
+                    total += (w.element_len(m, c) * x.element_len(n, c)) as u64;
+                }
+            }
+        }
+        total
+    }
+
     #[test]
     fn pair_count_is_product_of_term_counts() {
-        let w = TermMatrix::from_vector(&[12, 0], Encoding::Binary); // 2 terms, 0 terms
-        let x = TermMatrix::from_vector(&[2, 127], Encoding::Binary); // 1 term, 7 terms
+        let w = vector(&[12, 0]); // 2 terms, 0 terms
+        let x = vector(&[2, 127]); // 1 term, 7 terms
         #[allow(clippy::identity_op, clippy::erasing_op)] // terms(w_i) * terms(x_i)
         let expected = 2 * 1 + 0 * 7;
-        assert_eq!(pairs_for_vectors(w.row(0), x.row(0)), expected);
+        assert_eq!(term_pairs_total_packed(&w, &x), expected);
     }
 
     #[test]
     fn theoretical_max_for_8bit_group_of_16() {
         // §III-B: all-127 weights and data, g = 16 -> 16 x 7 x 7 = 784.
-        let w = TermMatrix::from_vector(&[127; 16], Encoding::Binary);
-        let x = TermMatrix::from_vector(&[127; 16], Encoding::Binary);
-        assert_eq!(pairs_for_vectors(w.row(0), x.row(0)), 784);
+        let w = vector(&[127; 16]);
+        let x = vector(&[127; 16]);
+        assert_eq!(term_pairs_total_packed(&w, &x), 784);
+        assert_eq!(group_pair_histogram(&w, &x, 16).max, 784);
     }
 
     #[test]
     fn total_matches_manual_sum() {
         let qw = quantized(4, 8, 1);
         let qx = quantized(8, 3, 2);
-        let w = TermMatrix::from_weights(&qw, Encoding::Binary);
-        let x = TermMatrix::from_data_transposed(&qx, Encoding::Binary);
-        let total = term_pairs_total(&w, &x);
-        let mut manual = 0u64;
-        for m in 0..4 {
-            for n in 0..3 {
-                manual += pairs_for_vectors(w.row(m), x.row(n));
-            }
-        }
-        assert_eq!(total, manual);
+        let w = PackedTermMatrix::from_weights(&qw, Encoding::Binary);
+        let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Binary);
+        assert_eq!(term_pairs_total_packed(&w, &x), pairs_by_definition(&w, &x));
     }
 
     #[test]
     fn tr_reduces_pairs_and_bounds_groups() {
         let qw = quantized(8, 64, 3);
         let qx = quantized(64, 8, 4);
-        let w = TermMatrix::from_weights(&qw, Encoding::Hese);
-        let x = TermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
-        let before = term_pairs_total(&w, &x);
+        let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese);
+        let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
+        let before = term_pairs_total_packed(&w, &x);
         let cfg = TrConfig::new(8, 12);
         let w_tr = w.reveal(&cfg);
-        let after = term_pairs_total(&w_tr, &x);
+        let after = term_pairs_total_packed(&w_tr, &x);
         assert!(after <= before);
         // Post-TR, every group holds <= k weight terms and each data value
         // <= 3 terms, so no group exceeds k x s = 36 pairs.
@@ -195,8 +194,8 @@ mod tests {
     fn histogram_counts_every_group() {
         let qw = quantized(2, 16, 5);
         let qx = quantized(16, 3, 6);
-        let w = TermMatrix::from_weights(&qw, Encoding::Binary);
-        let x = TermMatrix::from_data_transposed(&qx, Encoding::Binary);
+        let w = PackedTermMatrix::from_weights(&qw, Encoding::Binary);
+        let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Binary);
         let stats = group_pair_histogram(&w, &x, 4);
         // 2 weight rows x 3 data columns x 4 groups per dot product.
         assert_eq!(stats.histogram.total(), 2 * 3 * 4);
@@ -206,29 +205,25 @@ mod tests {
 
     #[test]
     fn packed_total_matches_legacy_total() {
+        // The separable O((M+N)·K) count against the O(M·N·K) definition.
         let qw = quantized(7, 40, 8);
         let qx = quantized(40, 5, 9);
         for enc in Encoding::ALL {
-            let w = TermMatrix::from_weights(&qw, enc);
-            let x = TermMatrix::from_data_transposed(&qx, enc);
-            let legacy = term_pairs_total(&w, &x);
-            let packed = term_pairs_total_packed(&w.to_packed(), &x.to_packed());
-            assert_eq!(packed, legacy, "{enc}");
+            let w = PackedTermMatrix::from_weights(&qw, enc);
+            let x = PackedTermMatrix::from_data_transposed(&qx, enc);
+            assert_eq!(term_pairs_total_packed(&w, &x), pairs_by_definition(&w, &x), "{enc}");
         }
         // And after TR transforms on both sides.
         let cfg = TrConfig::new(8, 12);
-        let w = TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
-        let x = TermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
-        assert_eq!(
-            term_pairs_total_packed(&w.to_packed(), &x.to_packed()),
-            term_pairs_total(&w, &x)
-        );
+        let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
+        let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
+        assert_eq!(term_pairs_total_packed(&w, &x), pairs_by_definition(&w, &x));
     }
 
     #[test]
     fn empty_terms_cost_nothing() {
-        let w = TermMatrix::from_vector(&[0, 0, 0], Encoding::Binary);
-        let x = TermMatrix::from_vector(&[127, 127, 127], Encoding::Binary);
-        assert_eq!(pairs_for_vectors(w.row(0), x.row(0)), 0);
+        let w = vector(&[0, 0, 0]);
+        let x = vector(&[127, 127, 127]);
+        assert_eq!(term_pairs_total_packed(&w, &x), 0);
     }
 }

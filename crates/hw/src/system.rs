@@ -7,8 +7,7 @@ use crate::memory::MemorySubsystem;
 use crate::registers::ControlRegisters;
 use crate::resources::{ResourceModel, Resources};
 use crate::systolic::SystolicArray;
-use tr_core::TrError;
-use tr_encoding::TermExpr;
+use tr_core::{PackedTermMatrix, TrError};
 
 /// One matmul-shaped layer of a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,8 +181,8 @@ impl TrSystem {
     /// system-level entry the `faults` bench experiment drives.
     pub fn execute_with_faults(
         &self,
-        weights: &[Vec<TermExpr>],
-        data: &[Vec<TermExpr>],
+        weights: &PackedTermMatrix,
+        data: &PackedTermMatrix,
         g: usize,
         cfg: &FaultConfig,
     ) -> Result<FaultyExecution, TrError> {

@@ -234,89 +234,64 @@ impl SystolicArray {
         self.schedule_custom(m, k, n, g, straggler_pairs.max(1), mem)
     }
 
+    /// Check a functional run's inputs: positive array geometry and group
+    /// size, non-empty operands, and agreeing reduction lengths. Returns
+    /// `(M, N, K)`.
+    fn check_operands(
+        &self,
+        weights: &PackedTermMatrix,
+        data: &PackedTermMatrix,
+        g: usize,
+    ) -> Result<(usize, usize, usize), TrError> {
+        self.try_validate()?;
+        let (m, n, k) = (weights.rows(), data.rows(), weights.len());
+        if m == 0 || n == 0 {
+            return Err(TrError::ShapeMismatch("empty operands".into()));
+        }
+        if g == 0 {
+            return Err(TrError::InvalidConfig("group size must be positive".into()));
+        }
+        if data.len() != k {
+            return Err(TrError::ShapeMismatch(format!(
+                "reduction dims differ: {k} vs {}",
+                data.len()
+            )));
+        }
+        Ok((m, n, k))
+    }
+
     /// Functional execution on a small array: compute `W (M,K) @ X (K,N)`
-    /// exactly with real tMACs, where both operands are term matrices in
-    /// the `tr_core::TermMatrix` layouts (weight rows / transposed data
-    /// columns). Returns row-major `(M, N)` accumulators and the
-    /// straggler-free cycle count (max cell cycles per beat, summed).
+    /// exactly with real tMACs, where `weights` holds the weight rows and
+    /// `data` the transposed data columns. Cells stream the packed
+    /// exponent/sign planes. Returns row-major `(M, N)` accumulators and
+    /// the straggler-free cycle count (max cell cycles per beat, summed).
+    ///
+    /// # Errors
+    /// [`TrError::InvalidGeometry`] for a zero-dimension array,
+    /// [`TrError::InvalidConfig`] for `g == 0`, and
+    /// [`TrError::ShapeMismatch`] for empty operands or disagreeing
+    /// reduction lengths.
     pub fn execute(
         &self,
-        weights: &[Vec<TermExpr>],
-        data: &[Vec<TermExpr>],
+        weights: &PackedTermMatrix,
+        data: &PackedTermMatrix,
         g: usize,
-    ) -> (Vec<i64>, u64) {
+    ) -> Result<(Vec<i64>, u64), TrError> {
+        let (m, n, k) = self.check_operands(weights, data, g)?;
         let _span = tr_obs::span("hw.systolic.execute");
-        let m = weights.len();
-        let n = data.len();
-        assert!(m > 0 && n > 0, "empty operands");
-        let k = weights[0].len();
-        assert!(weights.iter().all(|r| r.len() == k) && data.iter().all(|c| c.len() == k));
         let mut out = vec![0i64; m * n];
         let mut synchronized_cycles = 0u64;
         // Process output tiles the way the schedule walks them; cells
         // within a beat advance together, so the beat costs the max cell
         // cycles (the straggler) — with TR applied upstream this max is
         // bounded by k×s.
-        for col_block in (0..n).step_by(self.cols.max(1)) {
+        for col_block in (0..n).step_by(self.cols) {
             let col_end = (col_block + self.cols).min(n);
-            for row_block in (0..m).step_by(self.rows.max(1)) {
+            for row_block in (0..m).step_by(self.rows) {
                 let row_end = (row_block + self.rows).min(m);
                 let mut tile_cycles = 0u64;
                 let mut tile_beats = 0u64;
                 // One beat per (group, data column) wavefront.
-                for group_start in (0..k).step_by(g) {
-                    let group_end = (group_start + g).min(k);
-                    let mut beat_max = 0u64;
-                    for i in row_block..row_end {
-                        for j in col_block..col_end {
-                            let mut cell = Tmac::new();
-                            let report = cell.process_group(
-                                &weights[i][group_start..group_end],
-                                &data[j][group_start..group_end],
-                            );
-                            out[i * n + j] += cell.value();
-                            beat_max = beat_max.max(report.cycles);
-                        }
-                    }
-                    tile_cycles += beat_max;
-                    tile_beats += 1;
-                }
-                synchronized_cycles += tile_cycles;
-                TILE_CYCLES.record(tile_cycles);
-                EXEC_BEATS.add(tile_beats);
-            }
-        }
-        (out, synchronized_cycles)
-    }
-
-    /// Functional execution over packed operands — the flat-plane twin of
-    /// [`SystolicArray::execute`]: the same tile/beat walk, the same span
-    /// and instruments, bit-identical outputs and cycle counts, but cells
-    /// stream the packed exponent/sign planes instead of chasing
-    /// `TermExpr` pointers.
-    ///
-    /// # Panics
-    /// If either operand is empty or the reduction dimensions differ.
-    pub fn execute_packed(
-        &self,
-        weights: &PackedTermMatrix,
-        data: &PackedTermMatrix,
-        g: usize,
-    ) -> (Vec<i64>, u64) {
-        let _span = tr_obs::span("hw.systolic.execute");
-        let m = weights.rows();
-        let n = data.rows();
-        assert!(m > 0 && n > 0, "empty operands");
-        let k = weights.len();
-        assert_eq!(k, data.len(), "reduction dims differ");
-        let mut out = vec![0i64; m * n];
-        let mut synchronized_cycles = 0u64;
-        for col_block in (0..n).step_by(self.cols.max(1)) {
-            let col_end = (col_block + self.cols).min(n);
-            for row_block in (0..m).step_by(self.rows.max(1)) {
-                let row_end = (row_block + self.rows).min(m);
-                let mut tile_cycles = 0u64;
-                let mut tile_beats = 0u64;
                 for group_start in (0..k).step_by(g) {
                     let group_end = (group_start + g).min(k);
                     let mut beat_max = 0u64;
@@ -337,12 +312,14 @@ impl SystolicArray {
                 EXEC_BEATS.add(tile_beats);
             }
         }
-        (out, synchronized_cycles)
+        Ok((out, synchronized_cycles))
     }
 
     /// Functional execution under a fault campaign: like
     /// [`SystolicArray::execute`], but operand terms are corrupted by the
-    /// injector's deterministic fault streams, tMAC cells may be stuck at
+    /// injector's deterministic fault streams (each stored element is read
+    /// out of the packed planes as a `TermExpr` and passed through
+    /// [`FaultInjector::corrupt_expr`]), tMAC cells may be stuck at
     /// zero/one, coefficient accumulation routes through the mitigated
     /// datapath, group partial sums pass the range guard, and (when
     /// configured) redundant replicas vote on each group value.
@@ -351,38 +328,28 @@ impl SystolicArray {
     /// the fault-free [`SystolicArray::execute`]. Injection depends only
     /// on `(seed, rate, coordinates)` — never on traversal order — so a
     /// campaign is exactly reproducible.
+    ///
+    /// # Errors
+    /// The input errors of [`SystolicArray::execute`].
     pub fn execute_with_faults(
         &self,
-        weights: &[Vec<TermExpr>],
-        data: &[Vec<TermExpr>],
+        weights: &PackedTermMatrix,
+        data: &PackedTermMatrix,
         g: usize,
         inj: &mut FaultInjector,
     ) -> Result<(Vec<i64>, u64), TrError> {
-        self.try_validate()?;
-        let m = weights.len();
-        let n = data.len();
-        if m == 0 || n == 0 {
-            return Err(TrError::ShapeMismatch("empty operands".into()));
-        }
-        if g == 0 {
-            return Err(TrError::InvalidConfig("group size must be positive".into()));
-        }
-        let k = weights[0].len();
-        if weights.iter().any(|r| r.len() != k) || data.iter().any(|c| c.len() != k) {
-            return Err(TrError::ShapeMismatch(format!(
-                "operand rows must all have the reduction length {k}"
-            )));
-        }
+        let (m, n, k) = self.check_operands(weights, data, g)?;
 
         // Buffer-level corruption: one deterministic decision per stored
         // operand element, shared by every cell that reads it.
-        let corrupt_matrix = |mat: &[Vec<TermExpr>], op: Operand, inj: &mut FaultInjector| {
-            mat.iter()
-                .enumerate()
-                .map(|(r, row)| {
-                    row.iter()
-                        .enumerate()
-                        .map(|(e, expr)| inj.corrupt_expr(expr, op, r as u64, e as u64))
+        let corrupt_matrix = |mat: &PackedTermMatrix, op: Operand, inj: &mut FaultInjector| {
+            (0..mat.rows())
+                .map(|r| {
+                    (0..mat.len())
+                        .map(|e| {
+                            let expr = TermExpr::from_terms(mat.element_terms(r, e).collect());
+                            inj.corrupt_expr(&expr, op, r as u64, e as u64)
+                        })
                         .collect::<Vec<TermExpr>>()
                 })
                 .collect::<Vec<Vec<TermExpr>>>()
@@ -408,9 +375,9 @@ impl SystolicArray {
 
         let mut out = vec![0i64; m * n];
         let mut synchronized_cycles = 0u64;
-        for col_block in (0..n).step_by(self.cols.max(1)) {
+        for col_block in (0..n).step_by(self.cols) {
             let col_end = (col_block + self.cols).min(n);
-            for row_block in (0..m).step_by(self.rows.max(1)) {
+            for row_block in (0..m).step_by(self.rows) {
                 let row_end = (row_block + self.rows).min(m);
                 for group_start in (0..k).step_by(g) {
                     let group_end = (group_start + g).min(k);
@@ -453,64 +420,125 @@ impl SystolicArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tr_core::{term_matmul_i64, TermMatrix, TrConfig};
+    use tr_core::{packed_term_matmul_i64, TrConfig};
     use tr_encoding::Encoding;
-    use tr_quant::{calibrate_max_abs, quantize};
+    use tr_quant::{calibrate_max_abs, quantize, QTensor};
     use tr_tensor::{Rng, Shape, Tensor};
 
-    fn term_rows(q: &TermMatrix) -> Vec<Vec<TermExpr>> {
-        (0..q.rows()).map(|r| q.row(r).to_vec()).collect()
+    /// A quantized `(M, K)` weight matrix and `(K, N)` data matrix drawn
+    /// from one seeded stream.
+    fn operands(m: usize, k: usize, n: usize, seed: u64) -> (QTensor, QTensor) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let w = Tensor::randn(Shape::d2(m, k), 0.3, &mut rng);
+        let x = Tensor::randn(Shape::d2(k, n), 0.3, &mut rng);
+        (quantize(&w, calibrate_max_abs(&w, 8)), quantize(&x, calibrate_max_abs(&x, 8)))
+    }
+
+    /// HESE term planes of both operands: raw, or with TR on the weights
+    /// (g = 8, k = 12) and the data capped at 3 terms.
+    fn planes(qw: &QTensor, qx: &QTensor, tr: bool) -> (PackedTermMatrix, PackedTermMatrix) {
+        let w = PackedTermMatrix::from_weights(qw, Encoding::Hese);
+        let x = PackedTermMatrix::from_data_transposed(qx, Encoding::Hese);
+        if tr {
+            (w.reveal(&TrConfig::new(8, 12)), x.cap_terms(3))
+        } else {
+            (w, x)
+        }
     }
 
     #[test]
     fn functional_execution_matches_term_matmul() {
-        let mut rng = Rng::seed_from_u64(1);
-        let w = Tensor::randn(Shape::d2(6, 32), 0.3, &mut rng);
-        let x = Tensor::randn(Shape::d2(32, 5), 0.3, &mut rng);
-        let qw = quantize(&w, calibrate_max_abs(&w, 8));
-        let qx = quantize(&x, calibrate_max_abs(&x, 8));
-        let wm = TermMatrix::from_weights(&qw, Encoding::Hese);
-        let xm = TermMatrix::from_data_transposed(&qx, Encoding::Hese);
-        let expect = term_matmul_i64(&wm, &xm);
+        let (qw, qx) = operands(6, 32, 5, 1);
+        let (wm, xm) = planes(&qw, &qx, false);
         let array = SystolicArray { rows: 4, cols: 4 };
-        let (got, cycles) = array.execute(&term_rows(&wm), &term_rows(&xm), 8);
-        assert_eq!(got, expect);
+        let (got, cycles) = array.execute(&wm, &xm, 8).unwrap();
+        assert_eq!(got, packed_term_matmul_i64(&wm, &xm));
         assert!(cycles > 0);
     }
 
     #[test]
     fn packed_execution_is_bit_identical_to_legacy() {
-        let mut rng = Rng::seed_from_u64(8);
-        let w = Tensor::randn(Shape::d2(7, 40), 0.3, &mut rng);
-        let x = Tensor::randn(Shape::d2(40, 5), 0.3, &mut rng);
-        let qw = quantize(&w, calibrate_max_abs(&w, 8));
-        let qx = quantize(&x, calibrate_max_abs(&x, 8));
-        let cfg = TrConfig::new(8, 12).with_data_terms(3);
-        let wm = TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
-        let xm = TermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
+        // The plane-streaming array against the cell-level reference: a
+        // fresh `Tmac::process_group` over each group's `TermExpr`s, the
+        // beat charged its slowest cell.
+        let (qw, qx) = operands(7, 40, 5, 8);
+        let (wm, xm) = planes(&qw, &qx, true);
+        let expr_rows = |p: &PackedTermMatrix| -> Vec<Vec<TermExpr>> {
+            let element = |r, c| TermExpr::from_terms(p.element_terms(r, c).collect());
+            (0..p.rows()).map(|r| (0..p.len()).map(|c| element(r, c)).collect()).collect()
+        };
+        let (we, xe) = (expr_rows(&wm), expr_rows(&xm));
         let array = SystolicArray { rows: 4, cols: 4 };
-        let (legacy, legacy_cycles) = array.execute(&term_rows(&wm), &term_rows(&xm), 8);
-        let (packed, packed_cycles) = array.execute_packed(&wm.to_packed(), &xm.to_packed(), 8);
-        assert_eq!(packed, legacy);
-        assert_eq!(packed_cycles, legacy_cycles);
+        let (m, n, g) = (7, 5, 8);
+        let mut want = vec![0i64; m * n];
+        let mut want_cycles = 0u64;
+        for col_block in (0..n).step_by(array.cols) {
+            for row_block in (0..m).step_by(array.rows) {
+                for c0 in (0..40).step_by(g) {
+                    let c1 = (c0 + g).min(40);
+                    let mut beat_max = 0u64;
+                    for i in row_block..(row_block + array.rows).min(m) {
+                        for j in col_block..(col_block + array.cols).min(n) {
+                            let mut cell = Tmac::new();
+                            let report = cell.process_group(&we[i][c0..c1], &xe[j][c0..c1]);
+                            want[i * n + j] += cell.value();
+                            beat_max = beat_max.max(report.cycles);
+                        }
+                    }
+                    want_cycles += beat_max;
+                }
+            }
+        }
+        let (got, cycles) = array.execute(&wm, &xm, g).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(cycles, want_cycles);
+    }
+
+    #[test]
+    fn execute_rejects_a_zero_group_size() {
+        let (qw, qx) = operands(2, 8, 2, 10);
+        let (wm, xm) = planes(&qw, &qx, false);
+        let err = SystolicArray { rows: 2, cols: 2 }.execute(&wm, &xm, 0).unwrap_err();
+        assert!(matches!(err, TrError::InvalidConfig(_)), "{err}");
+    }
+
+    #[test]
+    fn execute_rejects_a_zero_dimension_array() {
+        let (qw, qx) = operands(2, 8, 2, 11);
+        let (wm, xm) = planes(&qw, &qx, false);
+        let err = SystolicArray { rows: 0, cols: 2 }.execute(&wm, &xm, 4).unwrap_err();
+        assert!(matches!(err, TrError::InvalidGeometry(_)), "{err}");
+    }
+
+    #[test]
+    fn execute_rejects_empty_operands() {
+        let empty = PackedTermMatrix::from_codes(&[], 0, 8, Encoding::Hese);
+        let one = PackedTermMatrix::from_codes(&[1; 8], 1, 8, Encoding::Hese);
+        let array = SystolicArray { rows: 2, cols: 2 };
+        for (w, x) in [(&empty, &one), (&one, &empty)] {
+            let err = array.execute(w, x, 4).unwrap_err();
+            assert!(matches!(err, TrError::ShapeMismatch(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn execute_rejects_mismatched_reduction_dims() {
+        let w = PackedTermMatrix::from_codes(&[1; 8], 1, 8, Encoding::Hese);
+        let x = PackedTermMatrix::from_codes(&[1; 6], 1, 6, Encoding::Hese);
+        let err = SystolicArray { rows: 2, cols: 2 }.execute(&w, &x, 4).unwrap_err();
+        assert!(matches!(err, TrError::ShapeMismatch(_)), "{err}");
+        assert!(err.to_string().contains("8 vs 6"), "{err}");
     }
 
     #[test]
     fn tr_bounds_the_synchronized_beat() {
-        let mut rng = Rng::seed_from_u64(2);
-        let w = Tensor::randn(Shape::d2(8, 64), 0.3, &mut rng);
-        let x = Tensor::randn(Shape::d2(64, 4), 0.3, &mut rng);
-        let qw = quantize(&w, calibrate_max_abs(&w, 8));
-        let qx = quantize(&x, calibrate_max_abs(&x, 8));
-        let cfg = TrConfig::new(8, 12).with_data_terms(3);
-        let wm = TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
-        let xm = TermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
+        let (qw, qx) = operands(8, 64, 4, 2);
+        let (wm, xm) = planes(&qw, &qx, true);
         let array = SystolicArray { rows: 4, cols: 4 };
-        let (_, tr_cycles) = array.execute(&term_rows(&wm), &term_rows(&xm), 8);
+        let (_, tr_cycles) = array.execute(&wm, &xm, 8).unwrap();
         // Without TR the straggler beats are longer.
-        let wm_raw = TermMatrix::from_weights(&qw, Encoding::Hese);
-        let xm_raw = TermMatrix::from_data_transposed(&qx, Encoding::Hese);
-        let (_, raw_cycles) = array.execute(&term_rows(&wm_raw), &term_rows(&xm_raw), 8);
+        let (wm_raw, xm_raw) = planes(&qw, &qx, false);
+        let (_, raw_cycles) = array.execute(&wm_raw, &xm_raw, 8).unwrap();
         assert!(tr_cycles < raw_cycles, "{tr_cycles} vs {raw_cycles}");
         // Beat bound: groups per dot x beats... every beat <= k*s.
         let beats = (64usize / 8) as u64 * 2 /* row blocks */;
@@ -520,18 +548,12 @@ mod tests {
     #[test]
     fn faulty_execution_at_rate_zero_is_bit_identical() {
         use crate::fault::{FaultConfig, FaultInjector};
-        let mut rng = Rng::seed_from_u64(3);
-        let w = Tensor::randn(Shape::d2(6, 32), 0.3, &mut rng);
-        let x = Tensor::randn(Shape::d2(32, 5), 0.3, &mut rng);
-        let qw = quantize(&w, calibrate_max_abs(&w, 8));
-        let qx = quantize(&x, calibrate_max_abs(&x, 8));
-        let wm = TermMatrix::from_weights(&qw, Encoding::Hese);
-        let xm = TermMatrix::from_data_transposed(&qx, Encoding::Hese);
+        let (qw, qx) = operands(6, 32, 5, 3);
+        let (wm, xm) = planes(&qw, &qx, false);
         let array = SystolicArray { rows: 4, cols: 4 };
-        let (clean, clean_cycles) = array.execute(&term_rows(&wm), &term_rows(&xm), 8);
+        let (clean, clean_cycles) = array.execute(&wm, &xm, 8).unwrap();
         let mut inj = FaultInjector::new(FaultConfig::none(99)).unwrap();
-        let (faulty, faulty_cycles) =
-            array.execute_with_faults(&term_rows(&wm), &term_rows(&xm), 8, &mut inj).unwrap();
+        let (faulty, faulty_cycles) = array.execute_with_faults(&wm, &xm, 8, &mut inj).unwrap();
         assert_eq!(clean, faulty);
         assert_eq!(clean_cycles, faulty_cycles);
         assert_eq!(inj.report(), crate::fault::FaultReport::default());
@@ -540,13 +562,8 @@ mod tests {
     #[test]
     fn faulty_execution_is_deterministic_per_seed() {
         use crate::fault::{FaultConfig, FaultInjector};
-        let mut rng = Rng::seed_from_u64(4);
-        let w = Tensor::randn(Shape::d2(5, 24), 0.3, &mut rng);
-        let x = Tensor::randn(Shape::d2(24, 4), 0.3, &mut rng);
-        let qw = quantize(&w, calibrate_max_abs(&w, 8));
-        let qx = quantize(&x, calibrate_max_abs(&x, 8));
-        let wm = term_rows(&TermMatrix::from_weights(&qw, Encoding::Hese));
-        let xm = term_rows(&TermMatrix::from_data_transposed(&qx, Encoding::Hese));
+        let (qw, qx) = operands(5, 24, 4, 4);
+        let (wm, xm) = planes(&qw, &qx, false);
         let array = SystolicArray { rows: 4, cols: 4 };
         let cfg = FaultConfig::new(1234, 0.05).unwrap();
         let mut a = FaultInjector::new(cfg).unwrap();
@@ -566,15 +583,10 @@ mod tests {
     #[test]
     fn voting_outvotes_stuck_cells() {
         use crate::fault::{FaultConfig, FaultInjector, Mitigation};
-        let mut rng = Rng::seed_from_u64(5);
-        let w = Tensor::randn(Shape::d2(6, 16), 0.3, &mut rng);
-        let x = Tensor::randn(Shape::d2(16, 6), 0.3, &mut rng);
-        let qw = quantize(&w, calibrate_max_abs(&w, 8));
-        let qx = quantize(&x, calibrate_max_abs(&x, 8));
-        let wm = term_rows(&TermMatrix::from_weights(&qw, Encoding::Hese));
-        let xm = term_rows(&TermMatrix::from_data_transposed(&qx, Encoding::Hese));
+        let (qw, qx) = operands(6, 16, 6, 5);
+        let (wm, xm) = planes(&qw, &qx, false);
         let array = SystolicArray { rows: 3, cols: 3 };
-        let (clean, _) = array.execute(&wm, &xm, 8);
+        let (clean, _) = array.execute(&wm, &xm, 8).unwrap();
         // Stuck cells only, aggressive rate; single cells corrupt outputs.
         let mut solo_cfg = FaultConfig::new(7, 0.4).unwrap();
         solo_cfg.term_faults = false;

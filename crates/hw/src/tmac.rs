@@ -150,7 +150,7 @@ impl Tmac {
 #[allow(clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
-    use tr_core::{reveal_group, term_dot, TrConfig};
+    use tr_core::{reveal_group, TrConfig};
     use tr_encoding::Encoding;
     use tr_quant::truncate::truncate_value;
     use tr_tensor::Rng;
@@ -178,6 +178,8 @@ mod tests {
 
     #[test]
     fn matches_term_dot_for_random_groups() {
+        // A cell's value is the exact dot product of the codes its terms
+        // encode: Σ w·x over the group.
         let mut rng = Rng::seed_from_u64(1);
         for _ in 0..50 {
             // Codes stay in the 8-bit range the datapath is sized for.
@@ -189,7 +191,8 @@ mod tests {
             let xe = exprs(&x, Encoding::Hese);
             let mut tmac = Tmac::new();
             tmac.process_group(&we, &xe);
-            assert_eq!(tmac.value(), term_dot(&we, &xe));
+            let dot: i64 = w.iter().zip(&x).map(|(&a, &b)| i64::from(a) * i64::from(b)).sum();
+            assert_eq!(tmac.value(), dot);
         }
     }
 
@@ -218,7 +221,6 @@ mod tests {
 
     #[test]
     fn packed_group_matches_legacy_group() {
-        use tr_core::TermMatrix;
         let mut rng = Rng::seed_from_u64(11);
         for _ in 0..20 {
             let w: Vec<i32> =
@@ -229,8 +231,8 @@ mod tests {
             let xe = exprs(&x, Encoding::Hese);
             let mut legacy = Tmac::new();
             let r1 = legacy.process_group(&we, &xe);
-            let pw = TermMatrix::from_vector(&w, Encoding::Hese).to_packed();
-            let px = TermMatrix::from_vector(&x, Encoding::Hese).to_packed();
+            let pw = PackedTermMatrix::from_vector(&w, Encoding::Hese);
+            let px = PackedTermMatrix::from_vector(&x, Encoding::Hese);
             let mut packed = Tmac::new();
             let r2 = packed.process_group_packed(&pw, 0, &px, 0, 0, 8);
             assert_eq!(r1, r2);

@@ -1,7 +1,7 @@
 //! Property-based tests of the hardware model's functional blocks.
 
 use proptest::prelude::*;
-use tr_core::{reveal_group, term_dot};
+use tr_core::reveal_group;
 use tr_encoding::{Encoding, TermExpr};
 use tr_hw::comparator::streams_to_terms;
 use tr_hw::hese_unit::decode_streams;
@@ -48,7 +48,9 @@ proptest! {
         let xe: Vec<TermExpr> = x.iter().map(|&v| Encoding::Hese.terms_of(v)).collect();
         let mut tmac = Tmac::new();
         let report = tmac.process_group(&we, &xe);
-        prop_assert_eq!(tmac.value(), term_dot(&we, &xe));
+        // Exact: the cell's value is the dot product of the codes.
+        let dot: i64 = we.iter().zip(&xe).map(|(a, b)| a.value() * b.value()).sum();
+        prop_assert_eq!(tmac.value(), dot);
         let pairs: u64 = we.iter().zip(&xe).map(|(a, b)| (a.len() * b.len()) as u64).sum();
         prop_assert_eq!(report.cycles, pairs);
     }

@@ -9,7 +9,7 @@
 //! cargo run --release -p tr-bench --example quickstart
 //! ```
 
-use tr_core::{term_matmul_i64, term_pairs_total, TermMatrix, TrConfig};
+use tr_core::{term_pairs_total_packed, try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_quant::{calibrate_max_abs, quantize};
 use tr_tensor::{Rng, Shape, Tensor};
@@ -29,15 +29,15 @@ fn main() {
 
     // Stage 2 (this paper): term revealing at run time.
     let cfg = TrConfig::new(8, 16).with_data_terms(3);
-    let wt = TermMatrix::from_weights(&qw, Encoding::Hese);
-    let xt = TermMatrix::from_data_transposed(&qx, Encoding::Hese);
-    let pairs_before = term_pairs_total(&wt, &xt);
+    let wt = PackedTermMatrix::from_weights(&qw, Encoding::Hese);
+    let xt = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese);
+    let pairs_before = term_pairs_total_packed(&wt, &xt);
 
     let wt = wt.reveal(&cfg);
     let xt = xt.cap_terms(3);
-    let pairs_after = term_pairs_total(&wt, &xt);
-    // term_matmul output is (M, N) with data rows = columns of x.
-    let approx = term_matmul_i64(&wt, &xt);
+    let pairs_after = term_pairs_total_packed(&wt, &xt);
+    // The matmul output is (M, N) with data rows = columns of x.
+    let approx = try_packed_term_matmul_i64(&wt, &xt).expect("reduction dims agree");
 
     let num: f64 = exact
         .iter()

@@ -3,7 +3,7 @@
 //! → ReLU — must compute exactly what the algorithmic reference computes,
 //! and the system-level schedules must honor the paper's relative claims.
 
-use tr_core::{term_dot, TermMatrix, TrConfig};
+use tr_core::{packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_hw::comparator::streams_to_terms;
 use tr_hw::{
@@ -57,7 +57,7 @@ fn full_datapath_matches_algorithmic_tr() {
         // Algorithmic path.
         let dexprs: Vec<_> = data.iter().map(|&v| Encoding::Hese.terms_of(v as i32)).collect();
         let revealed = tr_core::reveal_group(&dexprs, k).revealed;
-        let expected = term_dot(&wexprs, &revealed);
+        let expected: i64 = wexprs.iter().zip(&revealed).map(|(w, x)| w.value() * x.value()).sum();
         assert_eq!(tmac.value(), expected, "weights {weights:?} data {data:?}");
 
         // Back end: converter + ReLU.
@@ -77,14 +77,12 @@ fn functional_array_agrees_with_reference_matmul_after_tr() {
     let qw = quantize(&w, calibrate_max_abs(&w, 8));
     let qx = quantize(&x, calibrate_max_abs(&x, 8));
     let cfg = TrConfig::new(8, 10).with_data_terms(3);
-    let wm = TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
-    let xm = TermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
-    let expect = tr_core::term_matmul_i64(&wm, &xm);
+    let wm = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
+    let xm = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
+    let expect = packed_term_matmul_i64(&wm, &xm);
 
     let array = SystolicArray { rows: 2, cols: 3 };
-    let w_rows: Vec<Vec<_>> = (0..wm.rows()).map(|r| wm.row(r).to_vec()).collect();
-    let x_rows: Vec<Vec<_>> = (0..xm.rows()).map(|r| xm.row(r).to_vec()).collect();
-    let (got, cycles) = array.execute(&w_rows, &x_rows, 8);
+    let (got, cycles) = array.execute(&wm, &xm, 8).unwrap();
     assert_eq!(got, expect);
     // Synchronized beats are bounded by k x s.
     let beats = (32usize / 8) * wm.rows().div_ceil(2) * xm.rows().div_ceil(3);

@@ -11,8 +11,7 @@
 use proptest::prelude::*;
 use std::sync::Mutex;
 use std::time::Instant;
-use tr_core::{term_matmul_i64, TermMatrix, TrConfig};
-use tr_encoding::TermExpr;
+use tr_core::{packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_hw::SystolicArray;
 use tr_obs::{recorder, set_enabled, Counter};
 use tr_quant::{calibrate_max_abs, quantize};
@@ -29,7 +28,7 @@ fn gate() -> std::sync::MutexGuard<'static, ()> {
 /// Everything the instrumented pipeline computes, for exact comparison.
 #[derive(Debug, PartialEq, Eq)]
 struct PipelineOut {
-    revealed_rows: Vec<Vec<TermExpr>>,
+    revealed: PackedTermMatrix,
     matmul: Vec<i64>,
     systolic: Vec<i64>,
     cycles: u64,
@@ -46,15 +45,12 @@ fn run_pipeline(seed: u64) -> PipelineOut {
     let qw = quantize(&w, calibrate_max_abs(&w, 8));
     let qx = quantize(&x, calibrate_max_abs(&x, 8));
     let cfg = TrConfig::new(8, 12).with_data_terms(3);
-    let wm = TermMatrix::from_weights(&qw, cfg.weight_encoding).reveal(&cfg);
-    let xm = TermMatrix::from_data_transposed(&qx, cfg.data_encoding).cap_terms(3);
-    let matmul = term_matmul_i64(&wm, &xm);
-    let rows = |m: &TermMatrix| -> Vec<Vec<TermExpr>> {
-        (0..m.rows()).map(|r| m.row(r).to_vec()).collect()
-    };
+    let wm = PackedTermMatrix::from_weights(&qw, cfg.weight_encoding).reveal(&cfg);
+    let xm = PackedTermMatrix::from_data_transposed(&qx, cfg.data_encoding).cap_terms(3);
+    let matmul = packed_term_matmul_i64(&wm, &xm);
     let array = SystolicArray { rows: 4, cols: 4 };
-    let (systolic, cycles) = array.execute(&rows(&wm), &rows(&xm), cfg.group_size);
-    PipelineOut { revealed_rows: rows(&wm), matmul, systolic, cycles }
+    let (systolic, cycles) = array.execute(&wm, &xm, cfg.group_size).expect("valid operands");
+    PipelineOut { revealed: wm, matmul, systolic, cycles }
 }
 
 proptest! {
@@ -89,9 +85,9 @@ fn disabled_recorder_counts_nothing() {
     assert_eq!(before.counter("core.reveal.groups"), after.counter("core.reveal.groups"));
     assert_eq!(before.counter("core.matmul.calls"), after.counter("core.matmul.calls"));
     assert_eq!(before.counter("hw.systolic.beats"), after.counter("hw.systolic.beats"));
-    assert!(after.span("core.term_matmul").is_none() || {
-        let b = before.span("core.term_matmul").map_or(0, |s| s.count);
-        after.span("core.term_matmul").map_or(0, |s| s.count) == b
+    assert!(after.span("core.matmul").is_none() || {
+        let b = before.span("core.matmul").map_or(0, |s| s.count);
+        after.span("core.matmul").map_or(0, |s| s.count) == b
     });
 }
 

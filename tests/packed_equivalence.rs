@@ -1,19 +1,22 @@
-//! Property-based equivalence of the packed term planes against the
-//! legacy `Vec<Vec<TermExpr>>` representation (DESIGN.md §11). The
-//! packed kernels are only allowed into the datapath because they are
-//! bit-identical: every test here compares exact integer or f32 bit
-//! patterns, never tolerances.
+//! Property-based equivalence of the packed term planes against a
+//! reference built from the algorithm's definitions (DESIGN.md §11): one
+//! encoder-built `TermExpr` per element, Term Revealing by `reveal_row`,
+//! the data cap by `TermExpr::truncate_top`, and dot products and pair
+//! counts by walking every term pair. The packed kernels are only allowed
+//! into the datapath because they are bit-identical: every test here
+//! compares exact integer or f32 bit patterns, never tolerances.
 
 use proptest::prelude::*;
-use tr_core::matmul::{term_dot, term_dot_packed, term_matmul_i64, MatmulPlanner};
+use tr_core::matmul::{term_dot_packed, MatmulPlanner};
+use tr_core::reveal::reveal_row;
 use tr_core::tune::Isa;
 use tr_core::{
-    bitplane_dot, bitplane_matmul_i64, packed_term_matmul_i64, try_bitplane_matmul_i64_blocked,
-    try_bitplane_matmul_i64_with, try_packed_term_matmul_i64_cached,
-    try_packed_term_matmul_i64_planned_cached, BitPlaneMatrix, PackedTermMatrix, TermMatrix,
-    TrConfig,
+    bitplane_dot, bitplane_matmul_i64, group_pair_histogram, packed_term_matmul_i64,
+    term_pairs_total_packed, try_bitplane_matmul_i64_blocked, try_bitplane_matmul_i64_with,
+    try_packed_term_matmul_i64_cached, try_packed_term_matmul_i64_planned_cached, BitPlaneMatrix,
+    PackedTermMatrix, TrConfig,
 };
-use tr_encoding::Encoding;
+use tr_encoding::{Encoding, TermExpr};
 use tr_nn::exec::{
     apply_precision, apply_precision_prepared, calibrate_model, forward_logits,
     prepare_model_precision,
@@ -21,6 +24,7 @@ use tr_nn::exec::{
 use tr_nn::layers::Linear;
 use tr_nn::{Precision, Sequential};
 use tr_quant::{calibrate_max_abs, quantize, QTensor};
+use tr_tensor::stats::CountHistogram;
 use tr_tensor::{Rng, Shape, Tensor};
 
 fn quantized(rows: usize, cols: usize, seed: u64) -> QTensor {
@@ -38,30 +42,92 @@ fn tr_config() -> impl Strategy<Value = TrConfig> {
         .prop_map(|(g, k, s)| TrConfig::new(g, k).with_data_terms(s))
 }
 
-/// Structural equality of the flat planes: offsets, exponents, and the
-/// sign bitset. Stronger than value equality — it pins term order too,
-/// which is what makes the downstream kernels trivially bit-identical.
-fn assert_same_planes(a: &PackedTermMatrix, b: &PackedTermMatrix) {
-    assert_eq!(a.rows(), b.rows());
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.offsets(), b.offsets());
-    assert_eq!(a.exps(), b.exps());
-    for i in 0..a.total_terms() {
-        assert_eq!(a.sign(i), b.sign(i), "sign bit {i}");
+/// The reference operand: dot-product vectors (weight rows or transposed
+/// data columns) of one `TermExpr` per element.
+#[derive(Debug, Clone, PartialEq)]
+struct Oracle {
+    rows: Vec<Vec<TermExpr>>,
+}
+
+impl Oracle {
+    /// Row-major codes `(rows, len)`, each encoded on its own.
+    fn from_codes(codes: &[i32], rows: usize, len: usize, enc: Encoding) -> Oracle {
+        let row = |r: usize| codes[r * len..][..len].iter().map(|&v| enc.terms_of(v)).collect();
+        Oracle { rows: (0..rows).map(row).collect() }
+    }
+
+    fn weights(q: &QTensor, enc: Encoding) -> Oracle {
+        let (rows, len) = q.as_matrix();
+        Oracle::from_codes(q.values(), rows, len, enc)
+    }
+
+    /// Data `(K, N)` transposed: row `n` is data column `n`.
+    fn data_transposed(q: &QTensor, enc: Encoding) -> Oracle {
+        let (k, n) = q.as_matrix();
+        let vals = q.values();
+        let rows = (0..n).map(|c| (0..k).map(|r| enc.terms_of(vals[r * n + c])).collect());
+        Oracle { rows: rows.collect() }
+    }
+
+    /// The packed matrix read back element by element.
+    fn read(p: &PackedTermMatrix) -> Oracle {
+        let element = |r, c| TermExpr::from_terms(p.element_terms(r, c).collect());
+        let rows = (0..p.rows()).map(|r| (0..p.len()).map(|c| element(r, c)).collect());
+        Oracle { rows: rows.collect() }
+    }
+
+    fn reveal(mut self, cfg: &TrConfig) -> Oracle {
+        for row in &mut self.rows {
+            reveal_row(row, cfg.group_size, cfg.group_budget);
+        }
+        self
+    }
+
+    fn cap_terms(mut self, s: usize) -> Oracle {
+        for e in self.rows.iter_mut().flatten() {
+            *e = e.truncate_top(s);
+        }
+        self
+    }
+
+    fn codes(&self) -> Vec<i64> {
+        self.rows.iter().flatten().map(TermExpr::value).collect()
     }
 }
 
-/// The packed planes must reproduce the legacy matrix term-for-term:
-/// same exponent, same sign, same within-element order.
-fn assert_matches_legacy(p: &PackedTermMatrix, m: &TermMatrix) {
-    assert_eq!(p.rows(), m.rows());
-    assert_eq!(p.len(), m.len());
-    for r in 0..m.rows() {
-        for (c, expr) in m.row(r).iter().enumerate() {
-            let got: Vec<_> = p.element_terms(r, c).collect();
-            assert_eq!(got.as_slice(), expr.terms(), "element ({r}, {c})");
+/// The §III-B dot product: every (weight term, data term) pair adds
+/// `Term::mul().value()`.
+fn pair_walk_dot(w: &[TermExpr], x: &[TermExpr]) -> i64 {
+    let mut acc = 0i64;
+    for (we, xe) in w.iter().zip(x) {
+        for wt in we.iter() {
+            for xt in xe.iter() {
+                acc += wt.mul(*xt).value();
+            }
         }
     }
+    acc
+}
+
+fn pair_walk_matmul(w: &Oracle, x: &Oracle) -> Vec<i64> {
+    w.rows.iter().flat_map(|wr| x.rows.iter().map(move |xr| pair_walk_dot(wr, xr))).collect()
+}
+
+/// Every group's pair count across the matmul, plus the total: a group
+/// pair costs `Σ terms(w_i) · terms(x_i)`.
+fn pair_histogram(w: &Oracle, x: &Oracle, g: usize) -> (CountHistogram, u64) {
+    let mut hist = CountHistogram::new();
+    let mut total = 0u64;
+    for wr in &w.rows {
+        for xr in &x.rows {
+            for (wg, xg) in wr.chunks(g).zip(xr.chunks(g)) {
+                let pairs = wg.iter().zip(xg).map(|(a, b)| a.len() * b.len()).sum();
+                hist.record(pairs);
+                total += pairs as u64;
+            }
+        }
+    }
+    (hist, total)
 }
 
 proptest! {
@@ -72,12 +138,12 @@ proptest! {
         vals in proptest::collection::vec(-512i32..=512, 0..64),
         enc in encoding(),
     ) {
-        let legacy = TermMatrix::from_vector(&vals, enc);
-        let packed = legacy.to_packed();
-        assert_matches_legacy(&packed, &legacy);
-        let back = packed.to_term_matrix();
-        assert_matches_legacy(&packed, &back);
-        prop_assert_eq!(legacy.reconstruct_codes(), packed.reconstruct_codes());
+        // Codes → packed planes → per-element `TermExpr`s: the same
+        // exponents, signs and within-element order the encoder gives.
+        let oracle = Oracle::from_codes(&vals, 1, vals.len(), enc);
+        let packed = PackedTermMatrix::from_vector(&vals, enc);
+        prop_assert_eq!(Oracle::read(&packed), oracle.clone());
+        prop_assert_eq!(oracle.codes(), packed.reconstruct_codes());
     }
 
     #[test]
@@ -87,11 +153,9 @@ proptest! {
     ) {
         let q = quantized(m, k, seed);
         let direct = PackedTermMatrix::from_weights(&q, enc);
-        let via_legacy = TermMatrix::from_weights(&q, enc).to_packed();
-        assert_same_planes(&direct, &via_legacy);
+        prop_assert_eq!(Oracle::read(&direct), Oracle::weights(&q, enc));
         let dt = PackedTermMatrix::from_data_transposed(&q, enc);
-        let dt_legacy = TermMatrix::from_data_transposed(&q, enc).to_packed();
-        assert_same_planes(&dt, &dt_legacy);
+        prop_assert_eq!(Oracle::read(&dt), Oracle::data_transposed(&q, enc));
     }
 
     #[test]
@@ -102,15 +166,13 @@ proptest! {
         cap in 1usize..6,
     ) {
         // Reveal parity includes the deterministic waterline tiebreak:
-        // structural plane equality fails if the packed path ever keeps
-        // a different term than the legacy path.
+        // element equality fails if the packed path ever keeps a
+        // different term than the reference receding water.
         let q = quantized(m, k, seed);
         let revealed = PackedTermMatrix::from_weights(&q, enc).reveal(&cfg);
-        let legacy = TermMatrix::from_weights(&q, enc).reveal(&cfg);
-        assert_matches_legacy(&revealed, &legacy);
+        prop_assert_eq!(Oracle::read(&revealed), Oracle::weights(&q, enc).reveal(&cfg));
         let capped = PackedTermMatrix::from_weights(&q, enc).cap_terms(cap);
-        let legacy_cap = TermMatrix::from_weights(&q, enc).cap_terms(cap);
-        assert_matches_legacy(&capped, &legacy_cap);
+        prop_assert_eq!(Oracle::read(&capped), Oracle::weights(&q, enc).cap_terms(cap));
     }
 
     #[test]
@@ -122,17 +184,51 @@ proptest! {
     ) {
         let qw = quantized(m, k, seed);
         let qx = quantized(k, n, seed.wrapping_add(1));
-        let w = TermMatrix::from_weights(&qw, enc).reveal(&cfg);
-        let x = TermMatrix::from_data_transposed(&qx, enc).cap_terms(cap);
-        let (pw, px) = (w.to_packed(), x.to_packed());
-        prop_assert_eq!(packed_term_matmul_i64(&pw, &px), term_matmul_i64(&w, &x));
+        let w = Oracle::weights(&qw, enc).reveal(&cfg);
+        let x = Oracle::data_transposed(&qx, enc).cap_terms(cap);
+        let pw = PackedTermMatrix::from_weights(&qw, enc).reveal(&cfg);
+        let px = PackedTermMatrix::from_data_transposed(&qx, enc).cap_terms(cap);
+        prop_assert_eq!(packed_term_matmul_i64(&pw, &px), pair_walk_matmul(&w, &x));
         for r in 0..m {
             for c in 0..n {
                 prop_assert_eq!(
                     term_dot_packed(&pw, r, &px, c),
-                    term_dot(w.row(r), x.row(c))
+                    pair_walk_dot(&w.rows[r], &x.rows[c])
                 );
             }
+        }
+    }
+
+    #[test]
+    fn group_pair_histogram_matches_the_oracle(
+        (m, k, n, seed) in (1usize..5, 1usize..40, 1usize..5, any::<u64>()),
+        enc in encoding(),
+        cfg in tr_config(),
+        cap in 1usize..6,
+    ) {
+        // Per-group pair counts (the Fig. 5 histogram, its max and p99)
+        // and the matmul's total, raw and after TR plus the data cap.
+        let qw = quantized(m, k, seed);
+        let qx = quantized(k, n, seed.wrapping_add(1));
+        let raw = (
+            (Oracle::weights(&qw, enc), Oracle::data_transposed(&qx, enc)),
+            (
+                PackedTermMatrix::from_weights(&qw, enc),
+                PackedTermMatrix::from_data_transposed(&qx, enc),
+            ),
+        );
+        let tr = (
+            (raw.0 .0.clone().reveal(&cfg), raw.0 .1.clone().cap_terms(cap)),
+            (raw.1 .0.clone().reveal(&cfg), raw.1 .1.clone().cap_terms(cap)),
+        );
+        for ((w, x), (pw, px)) in [raw, tr] {
+            let g = cfg.group_size;
+            let (want, total) = pair_histogram(&w, &x, g);
+            let got = group_pair_histogram(&pw, &px, g);
+            prop_assert_eq!(got.histogram.counts(), want.counts());
+            prop_assert_eq!(got.max, want.max());
+            prop_assert_eq!(got.p99, want.quantile(0.99));
+            prop_assert_eq!(term_pairs_total_packed(&pw, &px), total);
         }
     }
 
@@ -197,7 +293,7 @@ proptest! {
         let mut zeroed = vals.clone();
         for v in zeroed.iter_mut().skip(1) { *v = 0; }
         for codes in [vals.as_slice(), zeroed.as_slice(), &[0, 0, 0][..]] {
-            let packed = TermMatrix::from_vector(codes, enc).to_packed();
+            let packed = PackedTermMatrix::from_vector(codes, enc);
             let one = packed.clone().cap_terms(1);
             for p in [&packed, &one] {
                 let planes = BitPlaneMatrix::from_packed(p);
@@ -361,29 +457,22 @@ fn table_built_planes_match_the_legacy_conversion_exhaustively() {
     );
     for enc in Encoding::ALL {
         let pairs = [
-            (PackedTermMatrix::from_vector(&codes, enc), TermMatrix::from_vector(&codes, enc).to_packed()),
-            (PackedTermMatrix::from_weights(&q, enc), TermMatrix::from_weights(&q, enc).to_packed()),
             (
-                PackedTermMatrix::from_data_transposed(&q, enc),
-                TermMatrix::from_data_transposed(&q, enc).to_packed(),
+                PackedTermMatrix::from_vector(&codes, enc),
+                Oracle::from_codes(&codes, 1, codes.len(), enc),
             ),
+            (PackedTermMatrix::from_weights(&q, enc), Oracle::weights(&q, enc)),
+            (PackedTermMatrix::from_data_transposed(&q, enc), Oracle::data_transposed(&q, enc)),
             (
                 PackedTermMatrix::from_codes(&codes, 683, 3, enc),
-                TermMatrix::from_vector(&codes, enc).to_packed(),
+                Oracle::from_codes(&codes, 683, 3, enc),
             ),
         ];
-        for (i, (table_built, legacy)) in pairs.iter().enumerate() {
-            assert_eq!(table_built.total_terms(), legacy.total_terms(), "{enc} #{i}");
-            assert_eq!(table_built.offsets(), legacy.offsets(), "{enc} #{i}");
-            assert_eq!(table_built.exps(), legacy.exps(), "{enc} #{i}");
-            for t in 0..legacy.total_terms() {
-                assert_eq!(table_built.sign(t), legacy.sign(t), "{enc} #{i} sign bit {t}");
-            }
-            // The shape-free constructor differs from the vector oracle
-            // only in its row split, which the checksum covers.
-            if i < 3 {
-                assert_eq!(table_built.checksum(), legacy.checksum(), "{enc} #{i}");
-            }
+        for (i, (table_built, oracle)) in pairs.iter().enumerate() {
+            assert_eq!(Oracle::read(table_built), *oracle, "{enc} #{i}");
+            // A term-at-a-time rebuild (an uncapping cap) lays down the
+            // same planes, padding sign bits and seal included.
+            assert_eq!(table_built.clone().cap_terms(usize::MAX), *table_built, "{enc} #{i}");
         }
     }
 }

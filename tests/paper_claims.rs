@@ -5,7 +5,7 @@
 //! *relationships* are asserted.
 
 use tr_bench::zoo::test_zoo;
-use tr_core::{group_pair_histogram, TermMatrix, TrConfig};
+use tr_core::{group_pair_histogram, PackedTermMatrix, TrConfig};
 use tr_encoding::{term_count_histogram, Encoding};
 use tr_nn::exec::{calibrate_model, evaluate_precision};
 use tr_nn::Precision;
@@ -59,8 +59,8 @@ fn claim_group_pairs_far_below_theoretical_max() {
     let x = Tensor::randn(Shape::d2(128, 16), 0.25, &mut rng).map(f32::abs);
     let qw = quantize(&w, calibrate_max_abs(&w, 8));
     let qx = quantize(&x, calibrate_max_abs(&x, 8));
-    let wm = TermMatrix::from_weights(&qw, Encoding::Binary);
-    let xm = TermMatrix::from_data_transposed(&qx, Encoding::Binary);
+    let wm = PackedTermMatrix::from_weights(&qw, Encoding::Binary);
+    let xm = PackedTermMatrix::from_data_transposed(&qx, Encoding::Binary);
     let stats = group_pair_histogram(&wm, &xm, 16);
     assert!(stats.p99 < 200, "p99 {} not far below 784", stats.p99);
     assert!(stats.max <= 784);
@@ -110,13 +110,9 @@ fn claim_larger_groups_truncate_less() {
         let mut prev_dropped = u64::MAX;
         for g in [1usize, 4, 16] {
             let cfg = TrConfig::new(g, alpha * g).with_weight_encoding(Encoding::Binary);
-            let tm = TermMatrix::from_weights(&qw, Encoding::Binary).reveal(&cfg);
-            let kept_mass: u64 = tm
-                .exprs()
-                .iter()
-                .flat_map(|e| e.iter())
-                .map(|t| t.value().unsigned_abs())
-                .sum();
+            let tm = PackedTermMatrix::from_weights(&qw, Encoding::Binary).reveal(&cfg);
+            let kept_mass: u64 =
+                (0..tm.total_terms()).map(|i| tm.term(i).value().unsigned_abs()).sum();
             let orig_mass: u64 =
                 qw.values().iter().map(|&v| v.unsigned_abs() as u64).sum();
             let dropped = orig_mass - kept_mass;

@@ -2,7 +2,7 @@
 //! through quantization, term decomposition, receding water, and the
 //! term-pair matmul, checked against reference semantics at every stage.
 
-use tr_core::{reveal_group, term_matmul_i64, TermMatrix, TrConfig};
+use tr_core::{packed_term_matmul_i64, reveal_group, PackedTermMatrix, TrConfig};
 use tr_encoding::{Encoding, TermExpr};
 use tr_quant::{calibrate_max_abs, quantize};
 use tr_tensor::{Rng, Shape, Tensor};
@@ -19,9 +19,9 @@ fn unpruned_pipeline_is_exact_for_every_encoding() {
     let qx = random_quantized(48, 6, 2);
     let reference = qw.matmul_i64(&qx);
     for enc in Encoding::ALL {
-        let w = TermMatrix::from_weights(&qw, enc);
-        let x = TermMatrix::from_data_transposed(&qx, enc);
-        assert_eq!(term_matmul_i64(&w, &x), reference, "{enc}");
+        let w = PackedTermMatrix::from_weights(&qw, enc);
+        let x = PackedTermMatrix::from_data_transposed(&qx, enc);
+        assert_eq!(packed_term_matmul_i64(&w, &x), reference, "{enc}");
     }
 }
 
@@ -33,9 +33,9 @@ fn tr_matmul_equals_matmul_of_revealed_codes() {
     let qw = random_quantized(6, 64, 3);
     let qx = random_quantized(64, 4, 4);
     let cfg = TrConfig::new(8, 10).with_data_terms(2);
-    let w = TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
-    let x = TermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(2);
-    let got = term_matmul_i64(&w, &x);
+    let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
+    let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(2);
+    let got = packed_term_matmul_i64(&w, &x);
 
     let wc = w.reconstruct_codes();
     let xc = x.reconstruct_codes();
@@ -57,9 +57,9 @@ fn tr_error_shrinks_as_budget_grows() {
     let mut prev = f64::INFINITY;
     for k in [4usize, 8, 12, 16, 24] {
         let cfg = TrConfig::new(8, k);
-        let w = TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
-        let x = TermMatrix::from_data_transposed(&qx, Encoding::Hese);
-        let approx = term_matmul_i64(&w, &x);
+        let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
+        let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese);
+        let approx = packed_term_matmul_i64(&w, &x);
         let err: f64 = exact
             .iter()
             .zip(&approx)
@@ -72,9 +72,9 @@ fn tr_error_shrinks_as_budget_grows() {
     }
     // Generous budget is lossless (7 terms max per value, 8 values).
     let cfg = TrConfig::new(8, 56);
-    let w = TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
-    let x = TermMatrix::from_data_transposed(&qx, Encoding::Hese);
-    assert_eq!(term_matmul_i64(&w, &x), exact);
+    let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
+    let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese);
+    assert_eq!(packed_term_matmul_i64(&w, &x), exact);
 }
 
 #[test]
@@ -82,7 +82,7 @@ fn group_budget_invariant_holds_after_reveal() {
     let qw = random_quantized(16, 256, 7);
     for (g, k) in [(2usize, 3usize), (4, 6), (8, 12), (8, 24)] {
         let cfg = TrConfig::new(g, k);
-        let w = TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
+        let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
         assert!(w.max_group_terms_for(g) <= k, "budget violated at g={g}, k={k}");
     }
 }
@@ -127,13 +127,11 @@ fn systolic_outputs_lie_within_statically_proven_ranges() {
         let proof = analyze(&regs, &env, &ImplementedWidths::from_hw()).unwrap();
         assert!(proof.ok(), "g={g} k={k}: {:?}", proof.violations());
 
-        let wm = TermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
-        let xm = TermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(s);
-        let w_rows: Vec<Vec<TermExpr>> = (0..wm.rows()).map(|r| wm.row(r).to_vec()).collect();
-        let x_rows: Vec<Vec<TermExpr>>  = (0..xm.rows()).map(|r| xm.row(r).to_vec()).collect();
+        let wm = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
+        let xm = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(s);
 
         let array = SystolicArray { rows: 2, cols: 2 };
-        let (out, _cycles) = array.execute(&w_rows, &x_rows, g);
+        let (out, _cycles) = array.execute(&wm, &xm, g).unwrap();
         let out_bound = proof.bound(Stage::OutputAccumulator);
         for &v in &out {
             assert!(
@@ -148,11 +146,11 @@ fn systolic_outputs_lie_within_statically_proven_ranges() {
         // and compare against the coefficient/stream bounds.
         let coeff_bound = proof.bound(Stage::CoefficientCounter);
         let stream_bound = proof.bound(Stage::ConverterStream);
-        for wr in &w_rows {
-            for xr in &x_rows {
+        for wr in 0..wm.rows() {
+            for xr in 0..xm.rows() {
                 let mut tmac = Tmac::new();
-                for (wg, xg) in wr.chunks(g).zip(xr.chunks(g)) {
-                    tmac.process_group(wg, xg);
+                for c0 in (0..reduction).step_by(g) {
+                    tmac.process_group_packed(&wm, wr, &xm, xr, c0, (c0 + g).min(reduction));
                 }
                 for &c in tmac.accumulator().coeffs() {
                     assert!(
