@@ -297,7 +297,7 @@ pub struct LayerProof {
     pub data_range: ValueRange,
     /// One term-pair product `w·x`.
     pub pair_range: ValueRange,
-    /// The full dot-product accumulator (the `packed_term_matmul_i64` /
+    /// The full dot-product accumulator (the tr-core matmul executor /
     /// ScratchArena conv sum), including one code-band bias addend.
     pub acc_range: ValueRange,
     /// Minimal signed accumulator width holding `acc_range`.

@@ -1,5 +1,5 @@
 //! Soundness fuzz for the whole-model range prover: run the *concrete*
-//! integer pipeline — quantize → encode/reveal/cap → `packed_term_matmul_i64`
+//! integer pipeline — quantize → encode/reveal/cap → `try_packed_term_matmul_i64`
 //! → bias — on random shapes, configs, and values, and require every
 //! observed accumulator to lie inside the interval
 //! [`analyze_model`](tr_analysis::analyze_model) predicted for that
@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use tr_analysis::{analyze_model, LayerSpec, ModelSpec};
-use tr_core::{packed_term_matmul_i64, PackedTermMatrix, TrConfig};
+use tr_core::{try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_nn::lstm::LstmLm;
 use tr_nn::models::mlp::build_mlp;
 use tr_nn::models::mobilenet::build_mobilenet;
@@ -80,7 +80,7 @@ proptest! {
                 "capped data {c} outside {}", layer.data_range
             );
         }
-        for &acc in &packed_term_matmul_i64(&wm, &xm) {
+        for &acc in &try_packed_term_matmul_i64(&wm, &xm).unwrap() {
             prop_assert!(
                 layer.acc_range.contains(acc + bias),
                 "accumulator {acc} + bias {bias} outside {} (g={g} k={k} s={s} red={reduction})",
@@ -116,7 +116,7 @@ proptest! {
         let wm = PackedTermMatrix::from_weights(&qw, tr_encoding::Encoding::Binary);
         let xm = PackedTermMatrix::from_data_transposed(&qx, tr_encoding::Encoding::Binary);
 
-        for &acc in &packed_term_matmul_i64(&wm, &xm) {
+        for &acc in &try_packed_term_matmul_i64(&wm, &xm).unwrap() {
             prop_assert!(
                 layer.acc_range.contains(acc + bias),
                 "accumulator {acc} + bias {bias} outside {} (w{weight_bits} a{act_bits})",
@@ -204,7 +204,7 @@ fn narrowed_width_is_caught_by_the_prover_not_by_wraparound() {
     let qx = quantized(&alt, reduction, 1, 8);
     let wm = PackedTermMatrix::from_weights(&qw, tr_encoding::Encoding::Binary);
     let xm = PackedTermMatrix::from_data_transposed(&qx, tr_encoding::Encoding::Binary);
-    let acc = packed_term_matmul_i64(&wm, &xm)[0];
+    let acc = try_packed_term_matmul_i64(&wm, &xm).unwrap()[0];
     assert_eq!(acc, reduction as i64 * 127 * 127);
     assert_eq!(acc + 127, layer.acc_range.hi(), "witness + bias headroom attains the envelope");
 
@@ -237,7 +237,7 @@ fn mlp_first_layer_concrete_pass_respects_the_proof() {
     let qx = quantize(&x, calibrate_max_abs(&x, 8));
     let wm = PackedTermMatrix::from_weights(&qw, cfg.weight_encoding).reveal(&cfg);
     let xm = PackedTermMatrix::from_data_transposed(&qx, cfg.data_encoding).cap_terms(2);
-    for &acc in &packed_term_matmul_i64(&wm, &xm) {
+    for &acc in &try_packed_term_matmul_i64(&wm, &xm).unwrap() {
         assert!(layer.acc_range.contains(acc), "accumulator {acc} outside {}", layer.acc_range);
     }
 }

@@ -4,7 +4,7 @@
 //! TR.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use tr_core::{packed_term_matmul_i64, PackedTermMatrix, TrConfig};
+use tr_core::{try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_quant::{calibrate_max_abs, quantize, QTensor};
 use tr_tensor::matmul::{matmul_into_with, Tier};
@@ -39,13 +39,19 @@ fn bench_domains(c: &mut Criterion) {
     let wm = PackedTermMatrix::from_weights(&qa, Encoding::Hese);
     let xm = PackedTermMatrix::from_data_transposed(&qb, Encoding::Hese);
     group.bench_function("term_pairs_raw", |bch| {
-        bch.iter(|| packed_term_matmul_i64(black_box(&wm), black_box(&xm)))
+        bch.iter(|| {
+            try_packed_term_matmul_i64(black_box(&wm), black_box(&xm))
+                .expect("reduction dims agree")
+        })
     });
     let cfg = TrConfig::new(8, 12).with_data_terms(3);
     let wm_tr = PackedTermMatrix::from_weights(&qa, Encoding::Hese).reveal(&cfg);
     let xm_tr = PackedTermMatrix::from_data_transposed(&qb, Encoding::Hese).cap_terms(3);
     group.bench_function("term_pairs_tr_g8k12s3", |bch| {
-        bch.iter(|| packed_term_matmul_i64(black_box(&wm_tr), black_box(&xm_tr)))
+        bch.iter(|| {
+            try_packed_term_matmul_i64(black_box(&wm_tr), black_box(&xm_tr))
+                .expect("reduction dims agree")
+        })
     });
     group.finish();
 }

@@ -1,21 +1,31 @@
-//! bench — the machine-readable performance baseline (`BENCH_PR10.json`).
+//! bench — the machine-readable kernel baseline (`BENCH_PR10.json`).
 //!
-//! Not a paper figure: this experiment turns the `tr-obs` instrumentation
-//! threaded through core/nn/hw/serve into one schema-stable JSON artifact
-//! so successive PRs can diff wall time, per-layer breakdowns, terms/MAC,
-//! and serve tail latencies against a recorded baseline.
+//! Not a paper figure: this experiment times the tr-core matmul kernels
+//! under the `tr-obs` recorder and writes one schema-stable JSON artifact
+//! so successive PRs can diff kernel wall time and terms/MAC against a
+//! recorded baseline. Model, layer and serve timings live in perfbench
+//! (`perfbench/run.py`), which warms up, runs whole workloads and gates
+//! them under BENCHMARK.json's bounds; the hardware cycle schedules are
+//! printed by the `ablation` and `table3` experiments.
 //!
 //! Sections (all under the shared `tr-obs` recorder):
 //!
-//! * **core** — the packed term-pair matmul kernel timed under QT-8 and
+//! * **tune** — the tune table in force during the kernel sections
+//!   (the committed `TUNE_PR10.json` when present, sealed defaults
+//!   otherwise), so every wall clock in the artifact names the
+//!   thresholds it ran under;
+//! * **core** — the planned packed term-pair matmul timed under QT-8 and
 //!   TR operands, with the term pairs per MAC and the cost of a full
 //!   checksum verification of the packed operands (the integrity pass
 //!   the chaos-hardened cache pays on every rung revisit);
 //! * **bitplane** — the PR 9 popcount GEMM gate: the parallel
-//!   code-plane kernel vs the bit-plane kernel at the paper's
+//!   code-plane route vs the bit-plane route at the paper's
 //!   256×1152×196 shape (quick and full mode alike), swept down the
-//!   rung ladder; the speedup must grow monotonically as the term
-//!   budget shrinks and clear a per-ISA peak threshold (2x on
+//!   rung ladder and timed back to back in each of 9 paired reps. Each
+//!   rung reports its median paired speedup and interquartile range;
+//!   each step to a tighter rung is `monotone`, `non-monotone`, or
+//!   `unresolved` when the two rungs' ranges overlap. The gate wants no
+//!   non-monotone step and a peak median over a per-ISA threshold (2x on
 //!   AVX512-VPOPCNTDQ hosts, scaled down for the AVX2-LUT / scalar
 //!   tiers the PR 10 dispatch added) — the section reports which ISA
 //!   the kernel actually dispatched to;
@@ -25,28 +35,11 @@
 //!   this host (its ISA dispatch knew only AVX512-VPOPCNTDQ and scalar
 //!   POPCNT) by ≥ 1.3x at the same rung, scored on paired
 //!   back-to-back reps;
-//! * **nn** — zoo-model accuracy and forward timing per precision, with
-//!   the per-layer span breakdown `Sequential::try_forward` records, plus
-//!   a conv-forward row comparing the PR4-era per-image-allocation loop
-//!   against the arena eval path;
-//! * **hw** — cycle schedules of paper-sized layers under QT vs TR
-//!   registers, plus the functional array's per-tile cycle histogram;
-//! * **serve** — a short deterministic burst against a one-shard,
-//!   one-worker service, reporting p50/p99 completed latency from the
-//!   shared histogram;
-//! * **serve_sharded** — the same burst through a four-shard multi-tenant
-//!   configuration, proving the shard/dispatch layer does not regress
-//!   single-tenant tail latency;
 //! * **integrity_overhead** — the chaos-overhead gate: checksum
 //!   verification must cost < 2% of the packed matmul it protects;
-//! * **tune** — the tune table in force during the kernel sections
-//!   (the committed `TUNE_PR10.json` when present, sealed defaults
-//!   otherwise), so every wall clock in the artifact names the
-//!   thresholds it ran under;
 //! * **baseline** — the committed `BENCH_PR9.json` read back (path
-//!   override: `TR_BENCH_BASELINE`), with packed-kernel wall-clock
-//!   ratios, a sharded-vs-baseline serve p99 ratio, and a one-line
-//!   regression verdict.
+//!   override: `TR_BENCH_BASELINE`), with packed-kernel wall-clock drift
+//!   ratios and a one-line verdict folding in the kernel gates.
 //!
 //! The kernel sections fold their outputs and resolved plan names into
 //! `kernel_digest` fields (FNV over results, never timings): two runs
@@ -55,26 +48,21 @@
 //!
 //! The artifact goes to `BENCH_PR10.json` (override with `TR_BENCH_OUT`).
 
-use crate::experiments::serve::{mlp_factory, submit, wait_settled};
 use crate::report::Table;
 use crate::zoo::Zoo;
 use std::time::{Duration, Instant};
 use tr_core::seal::{fnv1a_word, FNV_OFFSET};
 use tr_core::tune::Isa;
 use tr_core::{
-    bitplane_matmul_i64, matmul_plan, packed_term_matmul_i64, term_pairs_total_packed,
-    try_bitplane_matmul_i64_blocked, try_bitplane_matmul_i64_with,
-    try_packed_term_matmul_i64_planned, BitPlaneMatrix, MatmulPlan, PackedTermMatrix, TrConfig,
+    matmul_plan, term_pairs_total_packed, try_bitplane_matmul_i64_blocked,
+    try_bitplane_matmul_i64_with, try_packed_term_matmul_i64,
+    try_packed_term_matmul_i64_planned_cached, BitPlaneMatrix, MatmulPlan, PackedTermMatrix,
+    TrConfig,
 };
 use tr_encoding::Encoding;
-use tr_hw::{ControlRegisters, MemorySubsystem, SystolicArray};
-use tr_nn::exec::{calibrate_model, evaluate_precision, forward_logits};
-use tr_nn::fake_quant::Precision;
-use tr_nn::layer::{ForwardCtx, Layer};
-use tr_nn::layers::{Conv2d, DepthwiseConv2d};
 use tr_obs::{recorder, set_enabled, JsonValue, Snapshot};
-use tr_serve::{DeadlineClass, ShardedConfig, ShardedService, TenantPolicy};
-use tr_tensor::{im2col, Conv2dGeometry, Rng, Shape, Tensor};
+use tr_quant::QTensor;
+use tr_tensor::{Rng, Shape, Tensor};
 
 /// Schema tag of the emitted artifact; bump only on breaking layout
 /// changes.
@@ -121,6 +109,29 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
     (out, best)
 }
 
+/// 8-bit weights `(m, k)` and data `(k, n)` drawn from one seeded stream.
+fn operands(m: usize, k: usize, n: usize, seed: u64) -> (QTensor, QTensor) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let wt = Tensor::randn(Shape::d2(m, k), 0.25, &mut rng);
+    let xt = Tensor::randn(Shape::d2(k, n), 0.25, &mut rng);
+    let q = |t: &Tensor| tr_quant::quantize(t, tr_quant::calibrate_max_abs(t, 8));
+    (q(&wt), q(&xt))
+}
+
+/// Best-of-3 wall time of the planned matmul and of the chaos-overhead
+/// probe — a full checksum verification of both packed operands, exactly
+/// what the integrity-checked rung cache pays before trusting a cached
+/// encoding — with the verify cost as a percentage of the matmul's.
+fn verify_overhead(pw: &PackedTermMatrix, px: &PackedTermMatrix) -> (f64, Duration, Duration) {
+    let (_, packed_wall) =
+        best_of(3, || try_packed_term_matmul_i64(pw, px).expect("reduction dims agree"));
+    let (ok, verify_wall) =
+        best_of(3, || pw.verify_integrity().is_ok() && px.verify_integrity().is_ok());
+    assert!(ok, "freshly packed operands must pass verification");
+    let pct = verify_wall.as_secs_f64() / packed_wall.as_secs_f64().max(f64::MIN_POSITIVE) * 100.0;
+    (pct, packed_wall, verify_wall)
+}
+
 /// The packed core kernel under one operand preparation.
 ///
 /// The recorder reset happens before `prep` runs so the reveal/cap pass
@@ -139,15 +150,7 @@ fn core_config(
     // separately (criterion `packed` bench in tr-core).
     let (pw, px) = prep();
     let pairs = term_pairs_total_packed(&pw, &px);
-    let (_, packed_wall) = best_of(3, || packed_term_matmul_i64(&pw, &px));
-    // The chaos-overhead probe: a full checksum verification of both
-    // packed operands — exactly what the integrity-checked rung cache
-    // pays before trusting a cached encoding.
-    let (verified, verify_wall) =
-        best_of(3, || pw.verify_integrity().is_ok() && px.verify_integrity().is_ok());
-    assert!(verified, "freshly packed operands must pass verification");
-    let verify_overhead_pct =
-        verify_wall.as_secs_f64() / packed_wall.as_secs_f64().max(f64::MIN_POSITIVE) * 100.0;
+    let (verify_overhead_pct, packed_wall, verify_wall) = verify_overhead(&pw, &px);
     let snap = recorder().snapshot();
     let terms_per_mac = pairs as f64 / macs.max(1) as f64;
     table.row(vec![
@@ -172,11 +175,7 @@ fn core_config(
 
 fn core_section(zoo: &Zoo, table: &mut Table) -> JsonValue {
     let (m, k, n) = if zoo.quick { (16, 64, 8) } else { (64, 256, 32) };
-    let mut rng = Rng::seed_from_u64(SEED);
-    let wt = Tensor::randn(Shape::d2(m, k), 0.25, &mut rng);
-    let xt = Tensor::randn(Shape::d2(k, n), 0.25, &mut rng);
-    let qw = tr_quant::quantize(&wt, tr_quant::calibrate_max_abs(&wt, 8));
-    let qx = tr_quant::quantize(&xt, tr_quant::calibrate_max_abs(&xt, 8));
+    let (qw, qx) = operands(m, k, n, SEED);
     let macs = (m * k * n) as u64;
 
     let mut fields = Vec::new();
@@ -196,456 +195,6 @@ fn core_section(zoo: &Zoo, table: &mut Table) -> JsonValue {
     JsonValue::object(fields.into_iter().collect())
 }
 
-/// One nn model under one precision: accuracy, pair counts, timed
-/// forward, per-layer span breakdown.
-fn nn_config(
-    model: &mut tr_nn::Sequential,
-    ds: &tr_nn::data::Dataset,
-    name: &str,
-    precision: &Precision,
-    rng: &mut Rng,
-    table: &mut Table,
-) -> (String, JsonValue) {
-    let (acc, counts) = evaluate_precision(model, ds, precision, 8, rng);
-    recorder().reset();
-    let batch = ds.test.x.slice_batch(0, 32.min(ds.test.len()));
-    let t0 = Instant::now();
-    let _ = forward_logits(model, &batch, rng);
-    let wall = t0.elapsed();
-    let snap = recorder().snapshot();
-    let layers = JsonValue::Array(
-        snap.spans
-            .iter()
-            .filter(|s| s.name.starts_with("nn.layer."))
-            .map(|s| {
-                obj(vec![
-                    ("name", JsonValue::str(&s.name)),
-                    ("count", uint(s.count)),
-                    ("total_ns", uint(s.total_ns)),
-                    ("self_ns", uint(s.self_ns)),
-                ])
-            })
-            .collect(),
-    );
-    let terms_per_mac = counts.actual as f64 / counts.macs.max(1) as f64;
-    table.row(vec![
-        format!("nn/{name}"),
-        format!("{:.2}ms", wall.as_secs_f64() * 1e3),
-        format!("{terms_per_mac:.2} pairs/MAC"),
-        format!("{:.1}% accuracy", acc * 100.0),
-    ]);
-    (
-        name.to_string(),
-        obj(vec![
-            ("accuracy", JsonValue::Num(acc)),
-            ("forward_wall_ms", ms(wall)),
-            ("term_pairs", uint(counts.actual)),
-            ("pair_bound", uint(counts.bound)),
-            ("macs", uint(counts.macs)),
-            ("terms_per_mac", JsonValue::Num(terms_per_mac)),
-            ("forward_ns", uint(snap.span("nn.forward").map_or(0, |s| s.total_ns))),
-            ("layers", layers),
-        ]),
-    )
-}
-
-/// Clone a layer's parameter tensor by name (the bench replays the
-/// legacy forward outside the layer, so it needs the actual weights).
-fn param_clone(layer: &mut dyn Layer, name: &str) -> Tensor {
-    let mut found = None;
-    layer.visit_params(&mut |n, p| {
-        if n == name {
-            found = Some(p.value.clone());
-        }
-    });
-    found.expect("layer exposes the parameter")
-}
-
-/// The PR4-era `Conv2d` eval loop: one freshly allocated patch matrix
-/// and one matmul temporary per image, copied into the output.
-fn legacy_conv2d_forward(w: &Tensor, bias: &Tensor, x: &Tensor, g: &Conv2dGeometry) -> Tensor {
-    let (n, o) = (x.shape().dim(0), w.shape().dim(0));
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let per_in = g.in_channels * g.in_h * g.in_w;
-    let per_out = o * oh * ow;
-    let mut out = Tensor::zeros(Shape::d4(n, o, oh, ow));
-    for i in 0..n {
-        let cols = im2col(&x.data()[i * per_in..(i + 1) * per_in], g);
-        let y = w.matmul(&cols);
-        let dst = &mut out.data_mut()[i * per_out..(i + 1) * per_out];
-        dst.copy_from_slice(y.data());
-        for (c, chunk) in dst.chunks_mut(oh * ow).enumerate() {
-            let b = bias.data()[c];
-            for v in chunk {
-                *v += b;
-            }
-        }
-    }
-    out
-}
-
-/// The PR4-era depthwise eval loop: a patch matrix, a weight-row tensor,
-/// and a matmul temporary allocated per (image, channel) pair.
-fn legacy_dwconv_forward(w: &Tensor, bias: &Tensor, x: &Tensor, g: &Conv2dGeometry) -> Tensor {
-    let (n, c_all) = (x.shape().dim(0), x.shape().dim(1));
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let chan_in = g.in_h * g.in_w;
-    let chan_out = oh * ow;
-    let mut out = Tensor::zeros(Shape::d4(n, c_all, oh, ow));
-    for i in 0..n {
-        for c in 0..c_all {
-            let off = (i * c_all + c) * chan_in;
-            let cols = im2col(&x.data()[off..off + chan_in], g);
-            let wrow = Tensor::from_vec(w.row(c).to_vec(), Shape::d2(1, g.patch_len()));
-            let y = wrow.matmul(&cols);
-            let dst_off = (i * c_all + c) * chan_out;
-            let dst = &mut out.data_mut()[dst_off..dst_off + chan_out];
-            let b = bias.data()[c];
-            for (o, &v) in dst.iter_mut().zip(y.data()) {
-                *o = v + b;
-            }
-        }
-    }
-    out
-}
-
-/// Time one sub-kernel both ways, assert bit-identical outputs, and emit
-/// a `{legacy_wall_ms, arena_wall_ms, speedup}` block.
-fn conv_pair(
-    reps: usize,
-    mut legacy: impl FnMut() -> Tensor,
-    mut arena: impl FnMut() -> Tensor,
-) -> (Duration, Duration, JsonValue) {
-    let (l_out, l_wall) = best_of(reps, &mut legacy);
-    let (a_out, a_wall) = best_of(reps, &mut arena);
-    assert_eq!(l_out.data(), a_out.data(), "arena conv path must be bit-identical");
-    let speedup = l_wall.as_secs_f64() / a_wall.as_secs_f64().max(f64::MIN_POSITIVE);
-    let block = obj(vec![
-        ("legacy_wall_ms", ms(l_wall)),
-        ("arena_wall_ms", ms(a_wall)),
-        ("speedup", JsonValue::Num(speedup)),
-    ]);
-    (l_wall, a_wall, block)
-}
-
-/// The conv arena row: a depthwise-separable block (3×3 conv + two 3×3
-/// depthwise layers, the MobileNet/EfficientNet shape the paper's CNNs
-/// lean on) forwarded through the PR4-era per-image-allocation loop and
-/// through the `ScratchArena` eval path. `BENCH_PR4.json` has no conv
-/// row, so the legacy loop is replayed in-run for a same-machine
-/// comparison.
-fn conv_forward_row(zoo: &Zoo, table: &mut Table) -> (String, JsonValue) {
-    let mut rng = Rng::seed_from_u64(SEED ^ 0x44);
-    let (c_in, c_mid, hw) = (4, 16, 8);
-    let n = if zoo.quick { 4 } else { 8 };
-    let reps = if zoo.quick { 8 } else { 20 };
-    let mut conv = Conv2d::new(c_in, c_mid, 3, 1, 1, &mut rng);
-    let mut dw1 = DepthwiseConv2d::new(c_mid, 3, 1, 1, &mut rng);
-    let mut dw2 = DepthwiseConv2d::new(c_mid, 3, 1, 1, &mut rng);
-    let x = Tensor::randn(Shape::d4(n, c_in, hw, hw), 0.5, &mut rng);
-
-    let conv_w = param_clone(&mut conv, "weight");
-    let conv_b = param_clone(&mut conv, "bias");
-    let dw1_w = param_clone(&mut dw1, "weight");
-    let dw1_b = param_clone(&mut dw1, "bias");
-    let dw2_w = param_clone(&mut dw2, "weight");
-    let dw2_b = param_clone(&mut dw2, "bias");
-    let conv_g = Conv2dGeometry {
-        in_channels: c_in,
-        in_h: hw,
-        in_w: hw,
-        k_h: 3,
-        k_w: 3,
-        stride: 1,
-        pad: 1,
-    };
-    let dw_g = Conv2dGeometry { in_channels: 1, ..conv_g };
-
-    let mut fwd_rng = Rng::seed_from_u64(SEED ^ 0x55);
-    let mut ctx = ForwardCtx::eval(&mut fwd_rng);
-    let y_mid = conv.forward(&x, &mut ctx);
-    let (conv_l, conv_a, conv_block) = conv_pair(
-        reps,
-        || legacy_conv2d_forward(&conv_w, &conv_b, &x, &conv_g),
-        || conv.forward(&x, &mut ctx),
-    );
-    let (dw_l, dw_a, dw_block) = conv_pair(
-        reps,
-        || {
-            let t = legacy_dwconv_forward(&dw1_w, &dw1_b, &y_mid, &dw_g);
-            legacy_dwconv_forward(&dw2_w, &dw2_b, &t, &dw_g)
-        },
-        || {
-            let t = dw1.forward(&y_mid, &mut ctx);
-            dw2.forward(&t, &mut ctx)
-        },
-    );
-    let (legacy, arena) = (conv_l + dw_l, conv_a + dw_a);
-    let speedup = legacy.as_secs_f64() / arena.as_secs_f64().max(f64::MIN_POSITIVE);
-    table.row(vec![
-        "nn/conv_forward".to_string(),
-        format!("{:.2}ms legacy / {:.2}ms arena", legacy.as_secs_f64() * 1e3, arena.as_secs_f64() * 1e3),
-        format!("batch {n}, {hw}x{hw}"),
-        format!("arena {speedup:.2}x"),
-    ]);
-    (
-        "conv_forward".to_string(),
-        obj(vec![
-            ("legacy_wall_ms", ms(legacy)),
-            ("arena_wall_ms", ms(arena)),
-            ("speedup", JsonValue::Num(speedup)),
-            ("conv2d", conv_block),
-            ("dwconv", dw_block),
-            ("batch", uint(n as u64)),
-        ]),
-    )
-}
-
-fn nn_section(zoo: &Zoo, table: &mut Table) -> JsonValue {
-    let (mut model, ds) = zoo.mlp();
-    let mut rng = Rng::seed_from_u64(SEED ^ 0x22);
-    let calib = ds.train.x.slice_batch(0, 32.min(ds.train.len()));
-    calibrate_model(&mut model, &calib, 8, &mut rng);
-    let tr = TrConfig::new(8, 12).with_data_terms(3);
-    let configs = [
-        ("mlp_qt8", Precision::Qt { weight_bits: 8, act_bits: 8 }),
-        ("mlp_tr_g8_k12_s3", Precision::Tr(tr)),
-    ];
-    let mut fields: Vec<(String, JsonValue)> = configs
-        .iter()
-        .map(|(name, p)| nn_config(&mut model, &ds, name, p, &mut rng, table))
-        .collect();
-    fields.push(conv_forward_row(zoo, table));
-    JsonValue::object(fields)
-}
-
-fn schedule_json(sched: &tr_hw::TileSchedule) -> JsonValue {
-    obj(vec![
-        ("compute_cycles", uint(sched.compute_cycles)),
-        ("stall_cycles", uint(sched.stall_cycles)),
-        ("total_cycles", uint(sched.total_cycles())),
-        ("dram_bytes", uint(sched.dram_bytes)),
-    ])
-}
-
-fn hw_section(zoo: &Zoo, table: &mut Table) -> JsonValue {
-    let array = SystolicArray::paper_build();
-    let mem = MemorySubsystem::default();
-    let tr_cfg = TrConfig::new(8, 12).with_data_terms(3);
-    let qt = ControlRegisters::for_qt(8);
-    let tr = ControlRegisters::for_tr(&tr_cfg);
-    let shapes: &[(usize, usize, usize)] =
-        if zoo.quick { &[(256, 1152, 196)] } else { &[(256, 1152, 196), (512, 4096, 196)] };
-    let mut layers = Vec::new();
-    for &(m, k, n) in shapes {
-        let qs = array.try_schedule(m, k, n, &qt, &mem).expect("valid QT schedule");
-        let ts = array.try_schedule(m, k, n, &tr, &mem).expect("valid TR schedule");
-        let speedup = qs.total_cycles() as f64 / ts.total_cycles().max(1) as f64;
-        table.row(vec![
-            format!("hw/{m}x{k}x{n}"),
-            format!("QT {} cycles", qs.total_cycles()),
-            format!("TR {} cycles", ts.total_cycles()),
-            format!("{speedup:.2}x"),
-        ]);
-        layers.push((
-            format!("{m}x{k}x{n}"),
-            obj(vec![
-                ("qt", schedule_json(&qs)),
-                ("tr", schedule_json(&ts)),
-                ("speedup", JsonValue::Num(speedup)),
-            ]),
-        ));
-    }
-
-    // Functional execution of a small array to populate the per-tile
-    // cycle histogram.
-    recorder().reset();
-    let mut rng = Rng::seed_from_u64(SEED ^ 0x33);
-    let wt = tr_tensor::Tensor::randn(tr_tensor::Shape::d2(8, 64), 0.25, &mut rng);
-    let xt = tr_tensor::Tensor::randn(tr_tensor::Shape::d2(64, 8), 0.25, &mut rng);
-    let qw = tr_quant::quantize(&wt, tr_quant::calibrate_max_abs(&wt, 8));
-    let qx = tr_quant::quantize(&xt, tr_quant::calibrate_max_abs(&xt, 8));
-    let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&tr_cfg);
-    let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
-    let small = SystolicArray { rows: 4, cols: 4 };
-    let (_, cycles) = small.execute(&w, &x, 8).expect("valid operands");
-    let snap = recorder().snapshot();
-    let tiles = snap.histogram("hw.systolic.tile_cycles");
-    let functional = obj(vec![
-        ("synchronized_cycles", uint(cycles)),
-        ("beats", uint(snap.counter("hw.systolic.beats"))),
-        ("tile_cycles_count", uint(tiles.map_or(0, tr_obs::HistSnapshot::count))),
-        ("tile_cycles_max", tiles.and_then(tr_obs::HistSnapshot::max).map_or(JsonValue::Null, uint)),
-        (
-            "tile_cycles_p50",
-            tiles.and_then(|h| h.quantile(500)).map_or(JsonValue::Null, uint),
-        ),
-    ]);
-
-    let mut fields: Vec<(String, JsonValue)> = layers;
-    fields.push(("functional".to_string(), functional));
-    JsonValue::object(fields)
-}
-
-fn serve_section(zoo: &Zoo, table: &mut Table) -> JsonValue {
-    let ds = zoo.digits();
-    let cfg = ShardedConfig {
-        shards: 1,
-        workers_per_shard: 1,
-        shard_queue_capacity: 128,
-        max_batch: 4,
-        batch_linger: Duration::from_millis(2),
-        service_estimate: Duration::from_millis(8),
-        ladder: tr_serve::LadderConfig::default_tr_ladder(),
-        ..ShardedConfig::default()
-    };
-    let n = if zoo.quick { 24 } else { 60 };
-    let svc = ShardedService::start(cfg, mlp_factory(zoo, Duration::from_micros(100)))
-        .expect("valid service config");
-    let t0 = Instant::now();
-    for i in 0..n {
-        let _ = submit(&svc, ds.test.x.row(i % ds.test.len()).to_vec(), Duration::from_secs(10));
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    wait_settled(&svc, Duration::from_secs(30));
-    let wall = t0.elapsed();
-    let report = svc.shutdown();
-    report.verify_conservation().expect("bench burst conserves every request");
-    let s = &report.snapshot;
-    let p = |pm: u64| {
-        s.latency_percentile(pm)
-            .map_or(JsonValue::Null, |d| JsonValue::Num(d.as_secs_f64() * 1e3))
-    };
-    table.row(vec![
-        "serve/burst".to_string(),
-        format!("{:.2}ms", wall.as_secs_f64() * 1e3),
-        format!(
-            "p50 {} / p99 {}",
-            s.latency_percentile(500).map_or_else(|| "-".into(), |d| format!("{d:.1?}")),
-            s.latency_percentile(990).map_or_else(|| "-".into(), |d| format!("{d:.1?}")),
-        ),
-        format!("{} completed", s.completed),
-    ]);
-    obj(vec![
-        ("wall_ms", ms(wall)),
-        ("submitted", uint(s.submitted)),
-        ("completed", uint(s.completed)),
-        ("batches", uint(s.batches)),
-        ("p50_ms", p(500)),
-        ("p99_ms", p(990)),
-        ("retries", uint(s.retries)),
-        ("cache_repairs", uint(s.cache_repairs)),
-        ("watchdog_recycles", uint(s.watchdog_recycles)),
-    ])
-}
-
-/// The PR 8 non-regression probe: the same single-tenant burst as
-/// [`serve_section`] pushed through a *multi-shard* configuration
-/// (4 shards, one worker each, tenant-hash dispatch, per-tenant ladder).
-/// One tenant homes onto one shard, so this measures exactly what the
-/// shard/dispatch layer adds over the one-shard configuration on the
-/// path a single-tenant deployment pays.
-///
-/// Every shard worker builds its own engine replica at spawn; on a
-/// small host those builds serialize and would otherwise dominate the
-/// first ~hundred ms of the burst. One warm-up probe per shard (via
-/// throwaway tenants homed there by the same hash dispatch) retires
-/// that one-time cost before the clock starts, and the percentiles are
-/// read from the burst tenant's own class histogram so the probes
-/// never pollute them.
-fn sharded_serve_section(zoo: &Zoo, table: &mut Table) -> JsonValue {
-    let ds = zoo.digits();
-    const SHARDS: usize = 4;
-    const WARM_IDS: u32 = 16;
-    let mut tenants = vec![TenantPolicy::new("solo")];
-    tenants.extend((1..=WARM_IDS).map(|i| TenantPolicy::new(&format!("warm_{i}"))));
-    let cfg = ShardedConfig {
-        shards: SHARDS,
-        workers_per_shard: 1,
-        shard_queue_capacity: 128,
-        max_batch: 4,
-        batch_linger: Duration::from_millis(2),
-        service_estimate: Duration::from_millis(8),
-        ladder: tr_serve::LadderConfig::default_tr_ladder(),
-        tenants,
-        worker_idle_poll: Duration::from_millis(5),
-        ..ShardedConfig::default()
-    };
-    let n = if zoo.quick { 24 } else { 60 };
-    let svc = ShardedService::start(cfg, mlp_factory(zoo, Duration::from_micros(100)))
-        .expect("valid sharded config");
-    // One probe per shard: the hash dispatch is stable, so pick any
-    // warm tenant homed on each shard and wait for its completion.
-    let probes: Vec<u32> = (0..SHARDS)
-        .filter_map(|shard| (1..=WARM_IDS).find(|t| svc.home_shard(*t) == shard))
-        .collect();
-    for &t in &probes {
-        svc.submit(
-            t,
-            DeadlineClass::Interactive,
-            ds.test.x.row(0).to_vec(),
-            Some(Duration::from_secs(30)),
-        )
-        .expect("warm-up probe admitted");
-    }
-    let warm = Instant::now();
-    while warm.elapsed() < Duration::from_secs(30) {
-        if probes.iter().all(|t| svc.tenant_snapshot(*t).is_some_and(|s| s.completed >= 1)) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let t0 = Instant::now();
-    for i in 0..n {
-        let _ = svc.submit(
-            0,
-            DeadlineClass::Interactive,
-            ds.test.x.row(i % ds.test.len()).to_vec(),
-            Some(Duration::from_secs(10)),
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let settle = Instant::now();
-    while settle.elapsed() < Duration::from_secs(30) {
-        let m = svc.metrics_snapshot();
-        if m.terminal_total() >= m.submitted {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let wall = t0.elapsed();
-    let report = svc.shutdown();
-    report.verify_conservation().expect("sharded bench burst conserves every request");
-    let s = &report.snapshot;
-    let solo = &report.tenants[0].snapshot;
-    let cls = &solo.classes[DeadlineClass::Interactive.index()];
-    let p = |pm: u64| {
-        cls.latency_percentile(pm)
-            .map_or(JsonValue::Null, |d| JsonValue::Num(d.as_secs_f64() * 1e3))
-    };
-    table.row(vec![
-        "serve_sharded/burst".to_string(),
-        format!("{:.2}ms", wall.as_secs_f64() * 1e3),
-        format!(
-            "p50 {} / p99 {}",
-            cls.latency_percentile(500).map_or_else(|| "-".into(), |d| format!("{d:.1?}")),
-            cls.latency_percentile(990).map_or_else(|| "-".into(), |d| format!("{d:.1?}")),
-        ),
-        format!("{} completed over {SHARDS} shards", solo.completed),
-    ]);
-    obj(vec![
-        ("shards", uint(u64::try_from(SHARDS).unwrap_or(4))),
-        ("wall_ms", ms(wall)),
-        ("submitted", uint(solo.submitted)),
-        ("completed", uint(solo.completed)),
-        ("batches", uint(s.batches)),
-        ("p50_ms", p(500)),
-        ("p99_ms", p(990)),
-        ("steals", uint(s.steals)),
-        ("hot_swaps", uint(s.hot_swaps)),
-    ])
-}
-
 /// The rung ladder the bit-plane sweep walks, tightest last:
 /// (label, weight budget k, data terms s, data reveal budget or 0 for
 /// cap-only). The data-side reveal on the tight rungs mirrors the
@@ -658,13 +207,55 @@ const BITPLANE_RUNGS: [(&str, usize, usize, usize); 5] = [
     ("k1_s1", 1, 1, 2),
 ];
 
-/// The PR 9 popcount-GEMM gate: the parallel code-plane kernel (the
-/// pre-bitplane hot path at this shape) vs the bit-plane kernel down
-/// the rung ladder. Bit-identity is asserted on every rung; the
-/// wall-clock gate (speedup monotone in tightness, ≥2x at the tight
-/// end) runs at the fixed paper shape in quick and full mode alike —
+/// Fold a kernel output and its resolved plan name into a determinism
+/// digest — never wall clocks, which vary run to run.
+fn fold_digest(mut digest: u64, out: &[i64], plan: MatmulPlan) -> u64 {
+    for &v in out {
+        digest = fnv1a_word(digest, v.cast_unsigned());
+    }
+    for &b in plan.name().as_bytes() {
+        digest = fnv1a_word(digest, u64::from(b));
+    }
+    digest
+}
+
+/// Paired reps per rung of the bit-plane sweep.
+const BITPLANE_REPS: usize = 9;
+
+/// First quartile, median and third quartile of `v` (sorted in place).
+fn quartiles(v: &mut [f64]) -> [f64; 3] {
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    [v[(n - 1) / 4], v[(n - 1) / 2], v[3 * (n - 1) / 4]]
+}
+
+/// One step down the rung ladder, from the speedup quartiles of the
+/// looser rung to those of the tighter one: `unresolved` when the
+/// interquartile ranges overlap (the reps cannot order the rungs),
+/// otherwise `monotone` when the tighter median is at least 95% of the
+/// looser one, `non-monotone` when it is below.
+fn step_verdict(loose: [f64; 3], tight: [f64; 3]) -> &'static str {
+    if tight[0] <= loose[2] && loose[0] <= tight[2] {
+        "unresolved"
+    } else if tight[1] >= loose[1] * 0.95 {
+        "monotone"
+    } else {
+        "non-monotone"
+    }
+}
+
+/// The popcount-GEMM gate: the parallel code-plane route (the
+/// pre-bitplane hot path at this shape) vs the bit-plane route down the
+/// rung ladder. Bit-identity is asserted on every rung; the wall-clock
+/// gate runs at the fixed paper shape in quick and full mode alike —
 /// like the integrity gate, smoke-sized operands sit far below the
 /// dispatch crossover and would say nothing about the hot path.
+///
+/// Both routes run back to back inside each of [`BITPLANE_REPS`] reps
+/// and each rung is scored by the median of its paired code/bit ratios:
+/// pairing within a rep compares the two kernels under the same host
+/// weather, and the interquartile range says when two rungs are too
+/// close to order.
 fn bitplane_section(table: &mut Table) -> (JsonValue, bool) {
     let isa = Isa::detect();
     // The peak-speedup gate is a property of the dispatched kernel, not
@@ -680,14 +271,10 @@ fn bitplane_section(table: &mut Table) -> (JsonValue, bool) {
         Isa::Portable => 0.8,
     };
     let (m, k, n) = (256usize, 1152usize, 196usize);
-    let mut rng = Rng::seed_from_u64(SEED ^ 0xB17);
-    let wt = Tensor::randn(Shape::d2(m, k), 0.25, &mut rng);
-    let xt = Tensor::randn(Shape::d2(k, n), 0.25, &mut rng);
-    let qw = tr_quant::quantize(&wt, tr_quant::calibrate_max_abs(&wt, 8));
-    let qx = tr_quant::quantize(&xt, tr_quant::calibrate_max_abs(&xt, 8));
+    let (qw, qx) = operands(m, k, n, SEED ^ 0xB17);
     recorder().reset();
     let mut rows = Vec::new();
-    let mut speedups = Vec::new();
+    let mut spreads = Vec::new();
     let mut digest = FNV_OFFSET;
     for (label, wk, s, data_k) in BITPLANE_RUNGS {
         let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese)
@@ -700,38 +287,42 @@ fn bitplane_section(table: &mut Table) -> (JsonValue, bool) {
         let plan = matmul_plan(&w, &x);
         let (bw, bx) = (BitPlaneMatrix::from_packed(&w), BitPlaneMatrix::from_packed(&x));
         // The code side pins the plan the pre-bitplane dispatcher would
-        // choose at this shape; the default entry point would route the
-        // tight rungs to the bit-plane kernel and compare it to itself.
-        let (code_out, code_wall) = best_of(3, || {
-            try_packed_term_matmul_i64_planned(&w, &x, MatmulPlan::ParallelCodePlane)
+        // choose at this shape; the planned route would send the tight
+        // rungs to the bit-plane kernel and compare it to itself.
+        let run = |plan| {
+            try_packed_term_matmul_i64_planned_cached(&w, Some(&bw), &x, Some(&bx), plan)
                 .expect("shapes agree")
-        });
-        let (bit_out, bit_wall) = best_of(3, || bitplane_matmul_i64(&bw, &bx));
+        };
+        let code_out = run(MatmulPlan::ParallelCodePlane);
+        let bit_out = run(MatmulPlan::BitPlane);
         assert_eq!(bit_out, code_out, "bit-plane kernel must be bit-identical ({label})");
-        // Outputs and resolved plans into the determinism digest —
-        // never wall clocks, which vary run to run.
-        for &v in &bit_out {
-            digest = fnv1a_word(digest, v.cast_unsigned());
+        let (mut code_ms, mut bit_ms, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..BITPLANE_REPS {
+            let t0 = Instant::now();
+            std::hint::black_box(run(MatmulPlan::ParallelCodePlane));
+            let code_t = t0.elapsed().as_secs_f64();
+            let t0 = Instant::now();
+            std::hint::black_box(run(MatmulPlan::BitPlane));
+            let bit_t = t0.elapsed().as_secs_f64();
+            code_ms.push(code_t * 1e3);
+            bit_ms.push(bit_t * 1e3);
+            ratios.push(code_t / bit_t.max(f64::MIN_POSITIVE));
         }
-        for &b in plan.name().as_bytes() {
-            digest = fnv1a_word(digest, u64::from(b));
-        }
-        let speedup = code_wall.as_secs_f64() / bit_wall.as_secs_f64().max(f64::MIN_POSITIVE);
-        speedups.push(speedup);
+        digest = fold_digest(digest, &bit_out, plan);
+        let [q1, speedup, q3] = quartiles(&mut ratios);
+        let code_wall = quartiles(&mut code_ms)[1];
+        let bit_wall = quartiles(&mut bit_ms)[1];
+        spreads.push([q1, speedup, q3]);
         table.row(vec![
             format!("bitplane/{label} @{m}x{k}x{n}"),
-            format!(
-                "{:.2}ms code / {:.2}ms bit",
-                code_wall.as_secs_f64() * 1e3,
-                bit_wall.as_secs_f64() * 1e3
-            ),
+            format!("{code_wall:.2}ms code / {bit_wall:.2}ms bit"),
             format!(
                 "{} w-planes, {} x-planes, plan {}",
                 bw.total_planes(),
                 bx.total_planes(),
                 plan.name()
             ),
-            format!("bit-plane {speedup:.2}x"),
+            format!("bit-plane {speedup:.2}x (IQR {q1:.2}–{q3:.2})"),
         ]);
         rows.push((
             label.to_string(),
@@ -739,9 +330,11 @@ fn bitplane_section(table: &mut Table) -> (JsonValue, bool) {
                 ("weight_k", uint(wk as u64)),
                 ("data_terms", uint(s as u64)),
                 ("data_k", uint(data_k as u64)),
-                ("code_wall_ms", ms(code_wall)),
-                ("bit_wall_ms", ms(bit_wall)),
+                ("code_wall_ms", JsonValue::Num(code_wall)),
+                ("bit_wall_ms", JsonValue::Num(bit_wall)),
                 ("speedup", JsonValue::Num(speedup)),
+                ("speedup_q1", JsonValue::Num(q1)),
+                ("speedup_q3", JsonValue::Num(q3)),
                 ("w_planes", uint(bw.total_planes() as u64)),
                 ("x_planes", uint(bx.total_planes() as u64)),
                 ("w_mean_row_planes", JsonValue::Num(bw.mean_row_planes())),
@@ -757,21 +350,36 @@ fn bitplane_section(table: &mut Table) -> (JsonValue, bool) {
             .map(|c| (c.name.clone(), uint(c.value)))
             .collect(),
     );
-    // Monotone with a 5% noise band: each tighter rung at least as fast
-    // relative to the pair walk as the looser one before it.
-    let monotone = speedups.windows(2).all(|p| p[1] >= p[0] * 0.95);
-    let peak = speedups.iter().copied().fold(0.0f64, f64::max);
+    let steps: Vec<(String, &str)> = BITPLANE_RUNGS
+        .windows(2)
+        .zip(spreads.windows(2))
+        .map(|(r, q)| (format!("{}->{}", r[0].0, r[1].0), step_verdict(q[0], q[1])))
+        .collect();
+    let monotone = steps.iter().all(|(_, v)| *v != "non-monotone");
+    let unresolved = steps.iter().filter(|(_, v)| *v == "unresolved").count();
+    let peak = spreads.iter().map(|q| q[1]).fold(0.0f64, f64::max);
     let pass = monotone && peak >= gate_speedup;
     let status = if pass {
-        format!("PASS (monotone, peak {peak:.2}x >= {gate_speedup}x on {})", isa.name())
+        format!(
+            "PASS (no non-monotone step, {unresolved} unresolved; peak {peak:.2}x >= {gate_speedup}x on {})",
+            isa.name()
+        )
     } else {
-        format!("WARN (monotone={monotone}, peak {peak:.2}x, {} gate {gate_speedup}x)", isa.name())
+        format!(
+            "WARN (monotone={monotone}, {unresolved} unresolved; peak {peak:.2}x, {} gate {gate_speedup}x)",
+            isa.name()
+        )
     };
     table.note(format!("bitplane gate: {status}"));
     let json = obj(vec![
         ("shape", JsonValue::str(&format!("{m}x{k}x{n}"))),
         ("isa", JsonValue::str(isa.name())),
+        ("reps", uint(BITPLANE_REPS as u64)),
         ("rungs", JsonValue::object(rows.into_iter().collect())),
+        (
+            "steps",
+            JsonValue::object(steps.into_iter().map(|(k, v)| (k, JsonValue::str(v))).collect()),
+        ),
         ("counters", counters),
         ("monotone", JsonValue::Bool(monotone)),
         ("peak_speedup", JsonValue::Num(peak)),
@@ -795,11 +403,7 @@ fn bitplane_section(table: &mut Table) -> (JsonValue, bool) {
 fn deep_k_section(zoo: &Zoo, table: &mut Table) -> (JsonValue, bool) {
     const GATE_SPEEDUP: f64 = 1.3;
     let (m, k, n) = if zoo.quick { (64usize, 32768usize, 392usize) } else { (128, 32768, 392) };
-    let mut rng = Rng::seed_from_u64(SEED ^ 0xDEE9);
-    let wt = Tensor::randn(Shape::d2(m, k), 0.25, &mut rng);
-    let xt = Tensor::randn(Shape::d2(k, n), 0.25, &mut rng);
-    let qw = tr_quant::quantize(&wt, tr_quant::calibrate_max_abs(&wt, 8));
-    let qx = tr_quant::quantize(&xt, tr_quant::calibrate_max_abs(&xt, 8));
+    let (qw, qx) = operands(m, k, n, SEED ^ 0xDEE9);
     let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&TrConfig::new(8, 1));
     let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese)
         .reveal(&TrConfig::new(8, 4))
@@ -832,7 +436,14 @@ fn deep_k_section(zoo: &Zoo, table: &mut Table) -> (JsonValue, bool) {
         pr9_out = try_bitplane_matmul_i64_with(&bw, &bx, pr9_isa).expect("host ISA runs");
         let pr9_t = t0.elapsed();
         let t0 = Instant::now();
-        flat_out = bitplane_matmul_i64(&bw, &bx);
+        flat_out = try_packed_term_matmul_i64_planned_cached(
+            &w,
+            Some(&bw),
+            &x,
+            Some(&bx),
+            MatmulPlan::BitPlane,
+        )
+        .expect("shapes agree");
         let flat_t = t0.elapsed();
         let t0 = Instant::now();
         blk_out = try_bitplane_matmul_i64_blocked(&bw, &bx, cols, words).expect("nonzero tiles");
@@ -849,13 +460,7 @@ fn deep_k_section(zoo: &Zoo, table: &mut Table) -> (JsonValue, bool) {
             ra.total_cmp(&rb)
         })
         .expect("at least one rep ran");
-    let mut digest = FNV_OFFSET;
-    for &v in &blk_out {
-        digest = fnv1a_word(digest, v.cast_unsigned());
-    }
-    for &b in plan.name().as_bytes() {
-        digest = fnv1a_word(digest, u64::from(b));
-    }
+    let digest = fold_digest(FNV_OFFSET, &blk_out, plan);
     let speedup_vs_pr9 = pr9_wall.as_secs_f64() / blk_wall.as_secs_f64().max(f64::MIN_POSITIVE);
     let speedup_vs_flat = flat_wall.as_secs_f64() / blk_wall.as_secs_f64().max(f64::MIN_POSITIVE);
     let pass = speedup_vs_pr9 >= GATE_SPEEDUP;
@@ -908,28 +513,15 @@ fn deep_k_section(zoo: &Zoo, table: &mut Table) -> (JsonValue, bool) {
 fn integrity_overhead_section(table: &mut Table) -> (JsonValue, bool) {
     const GATE_PCT: f64 = 2.0;
     let (m, k, n) = (256usize, 1152usize, 196usize);
-    let mut rng = Rng::seed_from_u64(SEED ^ 0x1A7E);
-    let wt = Tensor::randn(Shape::d2(m, k), 0.25, &mut rng);
-    let xt = Tensor::randn(Shape::d2(k, n), 0.25, &mut rng);
-    let qw = tr_quant::quantize(&wt, tr_quant::calibrate_max_abs(&wt, 8));
-    let qx = tr_quant::quantize(&xt, tr_quant::calibrate_max_abs(&xt, 8));
-    let measure = |pw: PackedTermMatrix, px: PackedTermMatrix| {
-        let (_, packed_wall) = best_of(3, || packed_term_matmul_i64(&pw, &px));
-        let (ok, verify_wall) =
-            best_of(3, || pw.verify_integrity().is_ok() && px.verify_integrity().is_ok());
-        assert!(ok, "freshly packed operands must pass verification");
-        let pct = verify_wall.as_secs_f64() / packed_wall.as_secs_f64().max(f64::MIN_POSITIVE)
-            * 100.0;
-        (pct, packed_wall, verify_wall)
-    };
-    let (qt8, qt8_matmul, qt8_verify) = measure(
-        PackedTermMatrix::from_weights(&qw, Encoding::Binary),
-        PackedTermMatrix::from_data_transposed(&qx, Encoding::Binary),
+    let (qw, qx) = operands(m, k, n, SEED ^ 0x1A7E);
+    let (qt8, qt8_matmul, qt8_verify) = verify_overhead(
+        &PackedTermMatrix::from_weights(&qw, Encoding::Binary),
+        &PackedTermMatrix::from_data_transposed(&qx, Encoding::Binary),
     );
     let cfg = TrConfig::new(8, 12).with_data_terms(3);
-    let (tr, tr_matmul, tr_verify) = measure(
-        PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg),
-        PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3),
+    let (tr, tr_matmul, tr_verify) = verify_overhead(
+        &PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg),
+        &PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3),
     );
     let worst = qt8.max(tr);
     let pass = worst < GATE_PCT;
@@ -954,32 +546,15 @@ fn integrity_overhead_section(table: &mut Table) -> (JsonValue, bool) {
     (json, pass)
 }
 
-/// Locate the committed PR9 baseline: `TR_BENCH_BASELINE` wins, then the
-/// repo-root file from either the root or a crate working directory.
-fn baseline_path() -> String {
-    if let Ok(p) = std::env::var("TR_BENCH_BASELINE") {
+/// Locate a committed artifact: the `env` override wins, then `file` at
+/// the repo root from either the root or a crate working directory.
+fn artifact_path(env: &str, file: &str) -> String {
+    if let Ok(p) = std::env::var(env) {
         return p;
     }
-    for candidate in ["BENCH_PR9.json", "../../BENCH_PR9.json"] {
-        if std::path::Path::new(candidate).is_file() {
-            return candidate.to_string();
-        }
-    }
-    "BENCH_PR9.json".to_string()
-}
-
-/// Locate the committed tune table: `TR_TUNE_TABLE` wins, then the
-/// repo-root artifact from either the root or a crate working directory.
-fn tune_table_path() -> String {
-    if let Ok(p) = std::env::var("TR_TUNE_TABLE") {
-        return p;
-    }
-    for candidate in ["TUNE_PR10.json", "../../TUNE_PR10.json"] {
-        if std::path::Path::new(candidate).is_file() {
-            return candidate.to_string();
-        }
-    }
-    "TUNE_PR10.json".to_string()
+    let nested = format!("../../{file}");
+    let found = [file, nested.as_str()].into_iter().find(|c| std::path::Path::new(c).is_file());
+    found.unwrap_or(file).to_string()
 }
 
 /// Install the committed tune table before any kernel section runs —
@@ -988,7 +563,7 @@ fn tune_table_path() -> String {
 /// ISA. Falls back to the sealed defaults when the artifact is missing,
 /// fails its seal, or was tuned for a different ISA tier.
 fn tune_section(table: &mut Table) -> JsonValue {
-    let path = tune_table_path();
+    let path = artifact_path("TR_TUNE_TABLE", "TUNE_PR10.json");
     let source = match std::fs::read_to_string(&path) {
         Ok(text) => match tr_core::tune::TuneTable::from_json_str(&text) {
             Ok(t) if t.isa == Isa::detect() => match tr_core::tune::install(t) {
@@ -1039,19 +614,16 @@ fn baseline_core_row(row: &str, core: &JsonValue, base: &JsonValue) -> (JsonValu
 /// machines without the artifact).
 ///
 /// Besides the packed-kernel drift ratios, the verdict folds in the
-/// sharding question carried over from PR 8 (the sharded service's
-/// single-tenant p99 vs the baseline's plain-service p99 — tails wobble
-/// more than kernel wall clocks, so that ratio gets a wider 0.5x band)
-/// and the PR 9/10 kernel gates (bit-plane peak + deep-K blocking).
+/// in-run gates: the checksum-verify budget and the kernel gates
+/// (bit-plane peak and steps, deep-K blocking).
 fn baseline_section(
     zoo: &Zoo,
     core: &JsonValue,
-    serve_sharded: &JsonValue,
     integrity_pass: bool,
     kernel_pass: bool,
     table: &mut Table,
 ) -> JsonValue {
-    let path = baseline_path();
+    let path = artifact_path("TR_BENCH_BASELINE", "BENCH_PR9.json");
     let integrity_note = if integrity_pass { "verify <2%" } else { "verify over 2% budget" };
     let bitplane_note =
         if kernel_pass { "kernel gates ok" } else { "kernel gate failed" };
@@ -1080,42 +652,24 @@ fn baseline_section(
         (Some(a), Some(b)) => Some(a.min(b)),
         _ => None,
     };
-    // Sharding non-regression: baseline plain-serve p99 over this run's
-    // sharded single-tenant p99 (≥ 1.0 means sharding is at least as
-    // fast on the single-tenant path).
-    let base_p99 = base.get("serve").and_then(|s| s.get("p99_ms")).and_then(JsonValue::as_f64);
-    let sharded_p99 = serve_sharded.get("p99_ms").and_then(JsonValue::as_f64);
-    let serve_ratio = match (base_p99, sharded_p99) {
-        (Some(old), Some(new)) => Some(old / new.max(f64::MIN_POSITIVE)),
-        _ => None,
-    };
-    let serve_ok = serve_ratio.is_none_or(|r| r >= 0.5);
     // Same kernel on both sides, so the bands are drift tolerances, not
     // speedup targets: a shared CI box can easily wobble ±25%.
     let status = match worst {
         _ if !comparable => "INCOMPARABLE (quick-mode mismatch vs baseline)".to_string(),
-        Some(w) if w >= 0.75 && integrity_pass && serve_ok && kernel_pass => {
-            "PASS".to_string()
-        }
-        Some(w) if w >= 0.75 && serve_ok && integrity_pass => {
+        Some(w) if w >= 0.75 && integrity_pass && kernel_pass => "PASS".to_string(),
+        Some(w) if w >= 0.75 && integrity_pass => {
             format!("WARN ({bitplane_note}; core drift ok at {w:.2}x)")
         }
-        Some(w) if w >= 0.5 && serve_ok => {
+        Some(w) if w >= 0.5 => {
             format!("WARN (drift band 0.75x, {integrity_note}; worst core {w:.2}x)")
         }
-        Some(w) if w >= 0.5 => format!(
-            "WARN (sharded serve p99 {:.2}x vs PR9 plain serve, band 0.5x)",
-            serve_ratio.unwrap_or(0.0)
-        ),
         Some(w) => format!("REGRESSION (core packed {w:.2}x vs PR9 packed)"),
         None => "SKIPPED (baseline rows missing)".to_string(),
     };
     let verdict = format!(
-        "{status} — packed core qt8 {}x / tr {}x vs PR9, sharded single-tenant p99 {}x vs \
-         PR9 serve p99, {integrity_note}, {bitplane_note}",
+        "{status} — packed core qt8 {}x / tr {}x vs PR9, {integrity_note}, {bitplane_note}",
         qt8.map_or_else(|| "?".to_string(), |v| format!("{v:.2}")),
         tr.map_or_else(|| "?".to_string(), |v| format!("{v:.2}")),
-        serve_ratio.map_or_else(|| "?".to_string(), |v| format!("{v:.2}")),
     );
     table.note(format!("verdict: {verdict}"));
     obj(vec![
@@ -1123,14 +677,6 @@ fn baseline_section(
         ("found", JsonValue::Bool(true)),
         ("comparable", JsonValue::Bool(comparable)),
         ("core", obj(vec![("qt8", qt8_block), ("tr_g8_k12_s3", tr_block)])),
-        (
-            "serve",
-            obj(vec![
-                ("baseline_p99_ms", base_p99.map_or(JsonValue::Null, JsonValue::Num)),
-                ("sharded_p99_ms", sharded_p99.map_or(JsonValue::Null, JsonValue::Num)),
-                ("ratio_vs_baseline", serve_ratio.map_or(JsonValue::Null, JsonValue::Num)),
-            ]),
-        ),
         ("integrity_pass", JsonValue::Bool(integrity_pass)),
         ("verdict", JsonValue::str(&verdict)),
     ])
@@ -1138,34 +684,22 @@ fn baseline_section(
 
 /// Run the experiment and write the JSON artifact.
 pub fn run(zoo: &Zoo) -> Vec<Table> {
-    // Warm the checkpoint cache before anything is timed.
-    let _ = zoo.mlp();
     set_enabled(true);
     recorder().reset();
 
     let mut table = Table::new(
         "bench",
-        "BENCH baseline: wall time, terms/MAC, cycle schedules, serve tail latency",
+        "BENCH baseline: kernel wall time, terms/MAC, kernel gates",
         &["section", "wall", "work", "outcome"],
     );
     let tune = tune_section(&mut table);
     let core = core_section(zoo, &mut table);
     let (bitplane, bitplane_pass) = bitplane_section(&mut table);
     let (deep_k, deep_k_pass) = deep_k_section(zoo, &mut table);
-    let nn = nn_section(zoo, &mut table);
-    let hw = hw_section(zoo, &mut table);
-    let serve = serve_section(zoo, &mut table);
-    let serve_sharded = sharded_serve_section(zoo, &mut table);
     set_enabled(false);
     let (integrity, integrity_pass) = integrity_overhead_section(&mut table);
-    let baseline = baseline_section(
-        zoo,
-        &core,
-        &serve_sharded,
-        integrity_pass,
-        bitplane_pass && deep_k_pass,
-        &mut table,
-    );
+    let baseline =
+        baseline_section(zoo, &core, integrity_pass, bitplane_pass && deep_k_pass, &mut table);
 
     let json = JsonValue::object(vec![
         ("schema".to_string(), JsonValue::str(SCHEMA)),
@@ -1175,10 +709,6 @@ pub fn run(zoo: &Zoo) -> Vec<Table> {
         ("core".to_string(), core),
         ("bitplane".to_string(), bitplane),
         ("bitplane_deep_k".to_string(), deep_k),
-        ("nn".to_string(), nn),
-        ("hw".to_string(), hw),
-        ("serve".to_string(), serve),
-        ("serve_sharded".to_string(), serve_sharded),
         ("integrity_overhead".to_string(), integrity),
         ("baseline".to_string(), baseline),
     ]);

@@ -36,27 +36,16 @@ fn bench_emits_schema_stable_json() {
         "\"bit_wall_ms\"",
         "\"peak_speedup\"",
         "\"k2_s1\"",
+        "\"speedup_q1\"",
+        "\"steps\"",
         "\"integrity_overhead\"",
         "\"verify_overhead_pct\"",
         "\"verify_wall_ms\"",
-        "\"cache_repairs\"",
         "\"core\"",
         "\"qt8\"",
         "\"tr_g8_k12_s3\"",
         "\"packed_wall_ms\"",
         "\"terms_per_mac\"",
-        "\"nn\"",
-        "\"mlp_qt8\"",
-        "\"mlp_tr_g8_k12_s3\"",
-        "\"conv_forward\"",
-        "\"arena_wall_ms\"",
-        "\"layers\"",
-        "\"hw\"",
-        "\"functional\"",
-        "\"serve\"",
-        "\"serve_sharded\"",
-        "\"steals\"",
-        "\"p99_ms\"",
         "\"baseline\"",
         "\"verdict\"",
     ] {

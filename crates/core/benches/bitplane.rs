@@ -8,8 +8,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tr_core::tune::Isa;
 use tr_core::{
-    bitplane_matmul_i64, packed_term_matmul_i64, try_bitplane_matmul_i64_blocked,
-    try_bitplane_matmul_i64_with, BitPlaneMatrix, PackedTermMatrix, TrConfig,
+    try_bitplane_matmul_i64_blocked, try_bitplane_matmul_i64_with,
+    try_packed_term_matmul_i64_planned_cached, BitPlaneMatrix, MatmulPlan, PackedTermMatrix,
+    TrConfig,
 };
 use tr_encoding::Encoding;
 use tr_quant::{calibrate_max_abs, quantize, QTensor};
@@ -42,6 +43,19 @@ fn operands(wk: usize, s: usize, data_k: usize) -> (PackedTermMatrix, PackedTerm
     (w, x.cap_terms(s))
 }
 
+/// The executor with `plan` forced; bit-plane routes get the prebuilt
+/// decompositions, so only the kernel is timed.
+fn run(
+    w: &PackedTermMatrix,
+    wp: &BitPlaneMatrix,
+    x: &PackedTermMatrix,
+    xp: &BitPlaneMatrix,
+    plan: MatmulPlan,
+) -> Vec<i64> {
+    try_packed_term_matmul_i64_planned_cached(w, Some(wp), x, Some(xp), plan)
+        .expect("reduction dims agree")
+}
+
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("bitplane/matmul");
     group.throughput(Throughput::Elements((M * K * N) as u64));
@@ -49,10 +63,10 @@ fn bench_kernels(c: &mut Criterion) {
         let (w, x) = operands(wk, s, data_k);
         let (bw, bx) = (BitPlaneMatrix::from_packed(&w), BitPlaneMatrix::from_packed(&x));
         group.bench_function(BenchmarkId::new("code_plane", label), |b| {
-            b.iter(|| packed_term_matmul_i64(black_box(&w), black_box(&x)))
+            b.iter(|| run(black_box(&w), &bw, black_box(&x), &bx, MatmulPlan::ParallelCodePlane))
         });
         group.bench_function(BenchmarkId::new("bit_plane", label), |b| {
-            b.iter(|| bitplane_matmul_i64(black_box(&bw), black_box(&bx)))
+            b.iter(|| run(&w, black_box(&bw), &x, black_box(&bx), MatmulPlan::BitPlane))
         });
     }
     group.finish();
@@ -101,7 +115,7 @@ fn bench_deep_k(c: &mut Criterion) {
         .cap_terms(1);
     let (bw, bx) = (BitPlaneMatrix::from_packed(&w), BitPlaneMatrix::from_packed(&x));
     group.bench_function("flat", |b| {
-        b.iter(|| bitplane_matmul_i64(black_box(&bw), black_box(&bx)))
+        b.iter(|| run(&w, black_box(&bw), &x, black_box(&bx), MatmulPlan::BitPlane))
     });
     let t = tr_core::tune::active();
     let cols = usize::try_from(t.block_cols).unwrap_or(16).max(1);

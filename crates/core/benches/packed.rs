@@ -5,7 +5,7 @@
 //! running the full `repro bench` experiment.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use tr_core::{packed_term_matmul_i64, PackedTermMatrix, TrConfig};
+use tr_core::{try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_quant::{calibrate_max_abs, quantize, QTensor};
 use tr_tensor::{Rng, Shape, Tensor};
@@ -35,7 +35,10 @@ fn bench_matmul(c: &mut Criterion) {
         group.throughput(Throughput::Elements((m * k * n) as u64));
         let (pw, px) = tr_operands(m, k, n);
         group.bench_function(BenchmarkId::new("packed", label), |b| {
-            b.iter(|| packed_term_matmul_i64(black_box(&pw), black_box(&px)))
+            b.iter(|| {
+                try_packed_term_matmul_i64(black_box(&pw), black_box(&px))
+                    .expect("reduction dims agree")
+            })
         });
     }
     group.finish();

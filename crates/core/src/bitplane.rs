@@ -21,9 +21,16 @@
 //! — one AND + popcount per 64 elements per live plane pair, with the
 //! pair's sign and shift hoisted out of the word loop entirely. Integer
 //! addition is associative and commutative (also modulo 2⁶⁴), so the
-//! result is **bit-identical** to
-//! [`packed_term_matmul_i64`](crate::packed_term_matmul_i64) and to the pair-walk kernels for any
-//! operand, regardless of summation order.
+//! result is **bit-identical** to the code-plane routes of
+//! [`try_packed_term_matmul_i64_planned_cached`](crate::try_packed_term_matmul_i64_planned_cached)
+//! for any operand, regardless of summation order.
+//!
+//! That executor reaches the kernels here through
+//! [`MatmulPlan::BitPlane`](crate::MatmulPlan::BitPlane) and
+//! [`MatmulPlan::BitPlaneBlocked`](crate::MatmulPlan::BitPlaneBlocked).
+//! Two forced-kernel harnesses stay public for races:
+//! [`try_bitplane_matmul_i64_with`] pins the row-kernel ISA tier and
+//! [`try_bitplane_matmul_i64_blocked`] pins the tile shape.
 //!
 //! Why this gets *faster as quantization gets more aggressive*: the cost
 //! is proportional to the product of live plane counts, and the receding
@@ -322,83 +329,14 @@ impl BitPlaneMatrix {
     }
 }
 
-/// Dot product of bit-plane row `wr` of `w` with row `xr` of `x`: the
-/// popcount counterpart of [`term_dot_packed`](crate::term_dot_packed),
-/// bit-identical to it for any operands built from the same packed
-/// planes.
-#[must_use]
-pub fn bitplane_dot(w: &BitPlaneMatrix, wr: usize, x: &BitPlaneMatrix, xr: usize) -> i64 {
-    debug_assert_eq!(w.len(), x.len());
-    let (wp0, wp1) = w.row_plane_range(wr);
-    let (xp0, xp1) = x.row_plane_range(xr);
-    dot_plane_ranges(w, wp0, wp1, x, xp0, xp1)
-}
-
-/// The kernel inner: Σ over live plane pairs of
-/// `±2^(e_w + e_x) · popcount(words_w ∧ words_x)`. Sign and shift are
-/// per-pair constants; the word loop is pure AND + popcount.
-///
-/// `inline(always)` so the feature-gated row wrappers below absorb this
-/// body and LLVM lowers `count_ones` to the real `popcnt` / `vpopcntq`
-/// instructions instead of the ~13-op portable bit-hack the baseline
-/// x86-64 target is restricted to.
-#[inline(always)]
-fn dot_plane_ranges(
-    w: &BitPlaneMatrix,
-    wp0: usize,
-    wp1: usize,
-    x: &BitPlaneMatrix,
-    xp0: usize,
-    xp1: usize,
-) -> i64 {
-    let wpr = w.words_per_row;
-    let mut acc = 0i64;
-    for p in wp0..wp1 {
-        let ww = &w.words[p * wpr..(p + 1) * wpr];
-        let we = w.plane_exps[p];
-        let wneg = w.plane_neg(p);
-        for q in xp0..xp1 {
-            let xw = &x.words[q * wpr..(q + 1) * wpr];
-            let mut cnt = 0i64;
-            for (&a, &b) in ww.iter().zip(xw) {
-                cnt += i64::from((a & b).count_ones());
-            }
-            if cnt == 0 {
-                continue;
-            }
-            // 2^(e_w + e_x), shifted in two steps so the release-mode
-            // masking matches the packed pair walk bit-for-bit even on
-            // (corrupt) out-of-range exponents; `shl_exp` asserts the
-            // legal range in debug builds.
-            let mag = crate::matmul::shl_exp(crate::matmul::shl_exp(cnt, we), x.plane_exps[q]);
-            let signed = if wneg != x.plane_neg(q) { mag.wrapping_neg() } else { mag };
-            acc = crate::matmul::acc_add(acc, signed);
-        }
-    }
-    acc
-}
-
-/// `W (M,K) @ X (K,N)` over bit-plane matrices — the popcount twin of
-/// [`packed_term_matmul_i64`](crate::packed_term_matmul_i64): bit-identical
-/// output for operands decomposed from the same packed planes, cost
-/// proportional to live plane pairs instead of dense MACs.
-///
-/// # Panics
-/// If the reduction dimensions differ. Use [`try_bitplane_matmul_i64`]
-/// for a `Result`.
-#[must_use]
-pub fn bitplane_matmul_i64(w: &BitPlaneMatrix, x: &BitPlaneMatrix) -> Vec<i64> {
-    match try_bitplane_matmul_i64(w, x) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`bitplane_matmul_i64`].
+/// `W (M,K) @ X (K,N)` over bit-plane matrices, the flat popcount route
+/// of [`MatmulPlan::BitPlane`](crate::MatmulPlan::BitPlane): cost
+/// proportional to live plane pairs instead of dense MACs, fanned out
+/// over row tiles past the tune table's `par_min_pair_words`.
 ///
 /// # Errors
 /// [`TrError::ShapeMismatch`] when the reduction dimensions differ.
-pub fn try_bitplane_matmul_i64(
+pub(crate) fn try_bitplane_matmul_i64(
     w: &BitPlaneMatrix,
     x: &BitPlaneMatrix,
 ) -> Result<Vec<i64>, TrError> {
@@ -407,17 +345,19 @@ pub fn try_bitplane_matmul_i64(
     let pairs = record_bitplane(w, x);
     let pair_words = pairs.saturating_mul(as_u64(w.words_per_row));
     let parallel = pair_words > tune::active().par_min_pair_words;
-    Ok(bitplane_matmul_flat(w, x, parallel))
+    Ok(bitplane_matmul_flat(w, x, parallel, Isa::detect()))
 }
 
-/// Flat (unblocked) popcount matmul with the fan-out decision made by the
-/// caller — the harness the autotuner races serial against parallel on.
-/// Reduction dims must already agree.
+/// Flat (unblocked) popcount matmul with the fan-out decision and the
+/// row-kernel tier made by the caller — the harness the autotuner races
+/// serial against parallel on. Reduction dims must already agree, and
+/// `isa` must be [`Isa::available`] on this host.
 #[must_use]
 pub(crate) fn bitplane_matmul_flat(
     w: &BitPlaneMatrix,
     x: &BitPlaneMatrix,
     parallel: bool,
+    isa: Isa,
 ) -> Vec<i64> {
     debug_assert_eq!(w.len(), x.len());
     let (m, n) = (w.rows(), x.rows());
@@ -425,11 +365,11 @@ pub(crate) fn bitplane_matmul_flat(
     if m * n == 0 || w.words_per_row == 0 {
         return out;
     }
-    let row_fn = row_fn_for(Isa::detect());
+    let row_fn = row_fn_for(isa);
     if !parallel || m < 2 * ROW_TILE {
         for (i, orow) in out.chunks_mut(n).enumerate() {
-            // SAFETY: `row_fn_for` returns a feature-gated variant only
-            // when the CPU reported that feature at run time.
+            // SAFETY: the caller verified `isa` is available, so the
+            // feature-gated variant's CPU features are present.
             unsafe { row_fn(w, x, i, orow) };
         }
     } else {
@@ -444,10 +384,11 @@ pub(crate) fn bitplane_matmul_flat(
     out
 }
 
-/// [`try_bitplane_matmul_i64`] with the row-kernel ISA forced — the
-/// harness benches and parity tests use to pit the per-ISA kernels
-/// against each other on identical operands. Runs serially so the only
-/// variable is the kernel.
+/// The flat popcount matmul with the row-kernel ISA forced. It exists for
+/// ISA-tier races: benches, the bench experiment and the parity tests
+/// pit the per-ISA kernels against each other on identical operands.
+/// Runs serially so the only variable is the kernel. Production code
+/// goes through the executor, which dispatches to the widest tier.
 ///
 /// # Errors
 /// [`TrError::ShapeMismatch`] when the reduction dimensions differ;
@@ -466,17 +407,7 @@ pub fn try_bitplane_matmul_i64_with(
     }
     let _span = tr_obs::span("core.bitplane_matmul");
     record_bitplane(w, x);
-    let (m, n) = (w.rows(), x.rows());
-    let mut out = vec![0i64; m * n];
-    if m * n == 0 || w.words_per_row == 0 {
-        return Ok(out);
-    }
-    let row_fn = row_fn_for(isa);
-    for (i, orow) in out.chunks_mut(n).enumerate() {
-        // SAFETY: `isa.available()` verified the required CPU features.
-        unsafe { row_fn(w, x, i, orow) };
-    }
-    Ok(out)
+    Ok(bitplane_matmul_flat(w, x, false, isa))
 }
 
 /// Plane-level L2-blocked popcount matmul for deep reductions: the
@@ -487,8 +418,13 @@ pub fn try_bitplane_matmul_i64_with(
 /// through the same shift/sign/accumulate chain as the flat walk;
 /// wrapping-i64 addition is associative and commutative and `<<`
 /// distributes over it mod 2⁶⁴, so any panel split is congruent — the
-/// output is **bit-identical** to [`try_bitplane_matmul_i64`] (the
-/// property `tests/packed_equivalence.rs` proves, ragged panels included).
+/// output is **bit-identical** to the flat route (the property
+/// `tests/packed_equivalence.rs` proves, ragged panels included).
+///
+/// Public with the tile forced for tile-shape races (benches, the
+/// autotuner's blocking sweep, the parity tests); the executor's
+/// [`MatmulPlan::BitPlaneBlocked`](crate::MatmulPlan::BitPlaneBlocked)
+/// route runs it with the active tune table's tile.
 ///
 /// # Errors
 /// [`TrError::ShapeMismatch`] when the reduction dimensions differ;
@@ -691,7 +627,7 @@ fn count_fn_for(isa: Isa) -> CountFn {
     }
 }
 
-/// 512-bit lanes: the same pair walk as [`dot_plane_ranges`], but with the
+/// 512-bit lanes: the same pair walk as [`bitplane_row_impl`], but with the
 /// word loop pinned to explicit AND + `VPOPCNTQ` intrinsics. Left to the
 /// auto-vectorizer, LLVM outer-loop-vectorizes the nested plane-pair loop
 /// into `vpgatherqq` gathers (~10x slower than contiguous loads), so the
@@ -1009,14 +945,45 @@ fn bitplane_row_portable(w: &BitPlaneMatrix, x: &BitPlaneMatrix, i: usize, orow:
     bitplane_row_impl(w, x, i, orow);
 }
 
-/// The weight row's plane range is hoisted; each output cell pairs it
-/// with one data row's planes.
+/// The scalar row kernel: each output cell is Σ over live plane pairs of
+/// `±2^(e_w + e_x) · popcount(words_w ∧ words_x)`. Sign and shift are
+/// per-pair constants; the word loop is pure AND + popcount. The weight
+/// row's plane range is hoisted out of the cell loop.
+///
+/// `inline(always)` so the feature-gated row wrappers absorb this body
+/// and LLVM lowers `count_ones` to the real `popcnt` instruction instead
+/// of the ~13-op portable bit-hack the baseline x86-64 target is
+/// restricted to.
 #[inline(always)]
 fn bitplane_row_impl(w: &BitPlaneMatrix, x: &BitPlaneMatrix, i: usize, orow: &mut [i64]) {
+    let wpr = w.words_per_row;
     let (wp0, wp1) = w.row_plane_range(i);
     for (j, o) in orow.iter_mut().enumerate() {
         let (xp0, xp1) = x.row_plane_range(j);
-        *o = dot_plane_ranges(w, wp0, wp1, x, xp0, xp1);
+        let mut acc = 0i64;
+        for p in wp0..wp1 {
+            let ww = &w.words[p * wpr..(p + 1) * wpr];
+            let we = w.plane_exps[p];
+            let wneg = w.plane_neg(p);
+            for q in xp0..xp1 {
+                let xw = &x.words[q * wpr..(q + 1) * wpr];
+                let mut cnt = 0i64;
+                for (&a, &b) in ww.iter().zip(xw) {
+                    cnt += i64::from((a & b).count_ones());
+                }
+                if cnt == 0 {
+                    continue;
+                }
+                // 2^(e_w + e_x), shifted in two steps so the release-mode
+                // masking matches the packed pair walk bit-for-bit even on
+                // (corrupt) out-of-range exponents; `shl_exp` asserts the
+                // legal range in debug builds.
+                let mag = crate::matmul::shl_exp(crate::matmul::shl_exp(cnt, we), x.plane_exps[q]);
+                let signed = if wneg != x.plane_neg(q) { mag.wrapping_neg() } else { mag };
+                acc = crate::matmul::acc_add(acc, signed);
+            }
+        }
+        *o = acc;
     }
 }
 
@@ -1056,9 +1023,14 @@ pub(crate) fn live_plane_sum(m: &PackedTermMatrix) -> u64 {
 mod tests {
     use super::*;
     use crate::config::TrConfig;
-    use crate::matmul::{packed_term_matmul_i64, term_dot_packed};
+    use crate::matmul::tests::pair_walk_matmul;
+    use crate::matmul::try_packed_term_matmul_i64;
     use tr_quant::{calibrate_max_abs, quantize, QTensor, QuantParams};
     use tr_tensor::{Rng, Shape, Tensor};
+
+    fn flat(w: &BitPlaneMatrix, x: &BitPlaneMatrix) -> Vec<i64> {
+        try_bitplane_matmul_i64(w, x).expect("reduction dims agree")
+    }
 
     fn random_qt(rows: usize, cols: usize, seed: u64) -> QTensor {
         let mut rng = Rng::seed_from_u64(seed);
@@ -1117,7 +1089,8 @@ mod tests {
             let px = PackedTermMatrix::from_weights(&qx, enc);
             let bw = BitPlaneMatrix::from_packed(&pw);
             let bx = BitPlaneMatrix::from_packed(&px);
-            assert_eq!(bitplane_dot(&bw, 0, &bx, 0), term_dot_packed(&pw, 0, &px, 0), "{enc}");
+            // One dot product: a 1x1 output.
+            assert_eq!(flat(&bw, &bx), pair_walk_matmul(&pw, &px), "{enc}");
         }
     }
 
@@ -1132,7 +1105,7 @@ mod tests {
             let px = PackedTermMatrix::from_data_transposed(&qx, cfg.data_encoding).cap_terms(3);
             let bw = BitPlaneMatrix::from_packed(&pw);
             let bx = BitPlaneMatrix::from_packed(&px);
-            assert_eq!(bitplane_matmul_i64(&bw, &bx), packed_term_matmul_i64(&pw, &px));
+            assert_eq!(flat(&bw, &bx), try_packed_term_matmul_i64(&pw, &px).unwrap());
         }
     }
 
@@ -1142,13 +1115,13 @@ mod tests {
         let be = BitPlaneMatrix::from_packed(&empty);
         assert!(be.is_empty());
         assert_eq!(be.total_planes(), 0);
-        assert_eq!(bitplane_matmul_i64(&be, &be), vec![0i64]); // 1x0 @ 0x1
+        assert_eq!(flat(&be, &be), vec![0i64]); // 1x0 @ 0x1
         // All-zero codes: no terms, no planes, zero outputs.
         let zeros = PackedTermMatrix::from_vector(&[0; 70], Encoding::Hese);
         let bz = BitPlaneMatrix::from_packed(&zeros);
         assert_eq!(bz.total_planes(), 0);
         assert_eq!(bz.reconstruct_codes(), vec![0i64; 70]);
-        assert_eq!(bitplane_matmul_i64(&bz, &bz), vec![0i64]);
+        assert_eq!(flat(&bz, &bz), vec![0i64]);
     }
 
     #[test]
@@ -1164,7 +1137,7 @@ mod tests {
         assert_eq!(b.total_planes(), 1);
         assert_eq!(b.max_row_planes(), 1);
         // 64 aligned pairs of 8·8 = 64·64.
-        assert_eq!(bitplane_dot(&b, 0, &b, 0), 64 * 64);
+        assert_eq!(flat(&b, &b), vec![64 * 64]);
     }
 
     #[test]
@@ -1190,11 +1163,11 @@ mod tests {
         let px = PackedTermMatrix::from_data_transposed(&qx, cfg.data_encoding).cap_terms(2);
         let bw = BitPlaneMatrix::from_packed(&pw);
         let bx = BitPlaneMatrix::from_packed(&px);
-        let flat = bitplane_matmul_i64(&bw, &bx);
+        let want = flat(&bw, &bx);
         for (cols, words) in [(1usize, 8usize), (3, 8), (4, 16), (64, 256), (11, 1000)] {
             let blocked = try_bitplane_matmul_i64_blocked(&bw, &bx, cols, words)
                 .unwrap_or_else(|e| panic!("{cols}x{words}: {e}"));
-            assert_eq!(blocked, flat, "tile {cols} cols x {words} words");
+            assert_eq!(blocked, want, "tile {cols} cols x {words} words");
         }
         assert!(try_bitplane_matmul_i64_blocked(&bw, &bx, 0, 8).is_err());
         assert!(try_bitplane_matmul_i64_blocked(&bw, &bx, 4, 0).is_err());
@@ -1209,7 +1182,7 @@ mod tests {
         let px = PackedTermMatrix::from_data_transposed(&qx, cfg.data_encoding).cap_terms(1);
         let bw = BitPlaneMatrix::from_packed(&pw);
         let bx = BitPlaneMatrix::from_packed(&px);
-        let reference = bitplane_matmul_i64(&bw, &bx);
+        let reference = flat(&bw, &bx);
         for isa in Isa::ALL {
             match try_bitplane_matmul_i64_with(&bw, &bx, isa) {
                 Ok(out) => assert_eq!(out, reference, "{}", isa.name()),

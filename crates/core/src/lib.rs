@@ -23,8 +23,11 @@
 //!   exponent/sign planes, the tMAC's register arrays) with TR applied;
 //! * [`termpairs`] — the term-pair-multiplication cost proxy (§III-B,
 //!   Figs. 5/15);
-//! * [`matmul`] — exact term-pair matmul kernels (what the tMAC hardware
-//!   computes), dispatched by a cost model and parallelized with rayon;
+//! * [`matmul`] — the exact term-pair matmul (what the tMAC hardware
+//!   computes): one executor running the [`MatmulPlan`] a cost model
+//!   picks, plus [`try_packed_term_matmul_i64`] to plan and run at once;
+//! * [`bitplane`] — the bit-plane layout behind the popcount routes and
+//!   its forced-kernel harnesses for ISA and tile races;
 //! * [`error_bound`] — the §III-F truncation-error bounds.
 //!
 //! ```
@@ -63,17 +66,13 @@ pub mod seal;
 pub mod termpairs;
 pub mod tune;
 
-pub use bitplane::{
-    bitplane_dot, bitplane_matmul_i64, try_bitplane_matmul_i64, try_bitplane_matmul_i64_blocked,
-    try_bitplane_matmul_i64_with, BitPlaneMatrix,
-};
+pub use bitplane::{try_bitplane_matmul_i64_blocked, try_bitplane_matmul_i64_with, BitPlaneMatrix};
 pub use config::TrConfig;
 pub use error::TrError;
 pub use error_bound::{dot_product_error_bound, value_sigma, waterline_sigma_bound};
 pub use matmul::{
-    matmul_plan, packed_term_matmul_i64, term_dot_packed, try_packed_term_matmul_i64,
-    try_packed_term_matmul_i64_cached, try_packed_term_matmul_i64_planned,
-    try_packed_term_matmul_i64_planned_cached, MatmulPlan, MatmulPlanner, ACCUMULATOR_BITS,
+    matmul_plan, try_packed_term_matmul_i64, try_packed_term_matmul_i64_planned_cached, MatmulPlan,
+    MatmulPlanner, ACCUMULATOR_BITS,
 };
 pub use packed::PackedTermMatrix;
 pub use reveal::{

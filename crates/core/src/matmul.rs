@@ -5,15 +5,24 @@
 //! into the result. The output is numerically identical to an integer
 //! matmul over the *reconstructed* (post-TR) codes, which is the property
 //! the hardware simulator and the paper-claims tests verify.
+//!
+//! Every route is a different schedule for that one product (§III-B),
+//! so there is one executor,
+//! [`try_packed_term_matmul_i64_planned_cached`], which runs a
+//! [`MatmulPlan`] chosen by [`matmul_plan`] (exact operand scans) or a
+//! [`MatmulPlanner`] (cached weight-side statistics), and one
+//! plan-it-yourself call, [`try_packed_term_matmul_i64`]. The forced-kernel
+//! harnesses for ISA and tile races live in [`crate::bitplane`].
 
 use crate::bitplane::{
     live_plane_sum, try_bitplane_matmul_i64, try_bitplane_matmul_i64_blocked, BitPlaneMatrix,
 };
 use crate::error::TrError;
-use crate::packed::{off_usize, PackedTermMatrix};
+use crate::packed::PackedTermMatrix;
 use crate::seal::{fnv1a_word, FNV_OFFSET};
 use crate::tune::{self, TuneTable};
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::sync::Mutex;
 use tr_obs::{as_u64, Counter};
 
@@ -112,7 +121,7 @@ const ROW_TILE: usize = 4;
 ///
 /// Public so callers with cost models of their own (benches, tests, the
 /// serve capacity planner) can interrogate — or force, via
-/// [`try_packed_term_matmul_i64_planned`] — the dispatch decision.
+/// [`try_packed_term_matmul_i64_planned_cached`] — the dispatch decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatmulPlan {
     /// Reconstruct code planes, dense matmul, single thread.
@@ -218,131 +227,49 @@ pub fn matmul_plan(w: &PackedTermMatrix, x: &PackedTermMatrix) -> MatmulPlan {
     )
 }
 
-/// Term-pair dot product of elements `c0..c1` of packed rows `wr` / `xr`.
-///
-/// Walks the flat exponent/sign planes directly: exponents of a term pair
-/// add and signs multiply, so each pair contributes `±2^(e_w + e_x)` — a
-/// shift-and-accumulate, never a multiply.
-#[inline]
-fn packed_dot_range(
-    w: &PackedTermMatrix,
-    wr: usize,
-    x: &PackedTermMatrix,
-    xr: usize,
-    c0: usize,
-    c1: usize,
-) -> i64 {
-    let wo = &w.offsets()[wr * w.len()..];
-    let xo = &x.offsets()[xr * x.len()..];
-    let wexps = w.exps();
-    let xexps = x.exps();
-    let mut acc = 0i64;
-    let mut ws = off_usize(wo[c0]);
-    let mut xs = off_usize(xo[c0]);
-    for c in c0..c1 {
-        let we = off_usize(wo[c + 1]);
-        let xe = off_usize(xo[c + 1]);
-        for (dw, &wexp) in wexps[ws..we].iter().enumerate() {
-            // ±2^exp of the weight term; shifting it by the data exponent
-            // and conditionally negating reproduces `Term::mul().value()`.
-            let wv = shl_exp(if w.sign(ws + dw) { -1i64 } else { 1i64 }, wexp);
-            for (dx, &xexp) in xexps[xs..xe].iter().enumerate() {
-                let p = shl_exp(wv, xexp);
-                acc = acc_add(acc, if x.sign(xs + dx) { p.wrapping_neg() } else { p });
-            }
-        }
-        ws = we;
-        xs = xe;
-    }
-    acc
-}
-
-/// Dot product of packed row `wr` of `w` with packed row `xr` of `x` by
-/// enumerating every term pair, the way a tMAC cell does (§III-B).
-pub fn term_dot_packed(w: &PackedTermMatrix, wr: usize, x: &PackedTermMatrix, xr: usize) -> i64 {
-    debug_assert_eq!(w.len(), x.len());
-    packed_dot_range(w, wr, x, xr, 0, w.len())
-}
-
 /// `W (M,K) @ X (K,N)` over packed term matrices, producing exact `i64`
-/// accumulators in row-major `(M, N)` order (span `core.matmul`,
-/// `core.matmul.*` counters).
+/// accumulators in row-major `(M, N)` order: plans with [`matmul_plan`]
+/// and runs [`try_packed_term_matmul_i64_planned_cached`], the one
+/// executor every route goes through.
 ///
-/// The speed comes from distributivity: an element's term-pair sum
-/// `Σ_w Σ_x ±2^(e_w+e_x)` factors exactly into
-/// `(Σ_w ±2^(e_w)) · (Σ_x ±2^(e_x))` — the product of the codes the kept
-/// terms reconstruct. So the kernel makes one flat pass over each
-/// operand's exponent/sign planes to rebuild the signed codes (a shift
-/// and add per term), then runs a dense `i64` matmul over the contiguous
-/// code rows. Integer arithmetic is exact, so the result is bit-identical
-/// to enumerating every pair the way [`term_dot_packed`] does — the enumeration
-/// cost `O(t_w · t_x)` per element drops to one multiply.
-///
-/// # Panics
-/// If the reduction dimensions differ. Use [`try_packed_term_matmul_i64`]
-/// to get a `Result` instead.
-pub fn packed_term_matmul_i64(w: &PackedTermMatrix, x: &PackedTermMatrix) -> Vec<i64> {
-    match try_packed_term_matmul_i64(w, x) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`packed_term_matmul_i64`]: plans with [`matmul_plan`] and
-/// executes.
+/// # Errors
+/// [`TrError::ShapeMismatch`] when the reduction dimensions differ.
 pub fn try_packed_term_matmul_i64(
     w: &PackedTermMatrix,
     x: &PackedTermMatrix,
 ) -> Result<Vec<i64>, TrError> {
-    try_packed_term_matmul_i64_cached(w, None, x, None)
+    try_packed_term_matmul_i64_planned_cached(w, None, x, None, matmul_plan(w, x))
 }
 
-/// [`try_packed_term_matmul_i64`] with optional pre-built bit-plane
-/// decompositions. When the plan lands on the popcount kernel, a provided
-/// decomposition is used as-is and only the missing side is built — this
-/// is how the serve `PreparedWeights` cache amortizes the weight-side
-/// decomposition across every batch of a rung. A provided decomposition
-/// **must** have been built (by [`BitPlaneMatrix::from_packed`]) from the
-/// matching packed operand; the prepared-weights content seal upholds
-/// that invariant for cached entries.
+/// The matmul executor: runs `plan` on `W (M,K) @ X (K,N)` (span
+/// `core.matmul`, `core.matmul.*` counters). Production callers resolve
+/// the plan once per (rung, batch shape) with a [`MatmulPlanner`];
+/// benches and parity tests force a plan to pit the routes against each
+/// other on identical operands. Every route is bit-identical.
+///
+/// The code-plane routes rest on distributivity: an element's term-pair
+/// sum `Σ_w Σ_x ±2^(e_w+e_x)` factors exactly into
+/// `(Σ_w ±2^(e_w)) · (Σ_x ±2^(e_x))` — the product of the codes the kept
+/// terms reconstruct. So the kernel makes one flat pass over each
+/// operand's exponent/sign planes to rebuild the signed codes (a shift
+/// and add per term), then runs a dense `i64` matmul over the contiguous
+/// code rows. Integer arithmetic is exact, so the result equals
+/// enumerating every term pair, at one multiply per element instead of
+/// `t_w · t_x` shifts.
+///
+/// On the bit-plane routes a provided decomposition is used as-is and
+/// only the missing side is built — this is how the serve
+/// `PreparedWeights` cache amortizes the weight-side decomposition across
+/// every batch of a rung. A provided decomposition **must** have been
+/// built (by [`BitPlaneMatrix::from_packed`]) from the matching packed
+/// operand; the prepared-weights content seal upholds that for cached
+/// entries, and a decomposition of the wrong shape is refused. A zero
+/// blocking tile in the active tune table runs as a tile of one.
 ///
 /// # Errors
-/// [`TrError::ShapeMismatch`] when the reduction dimensions differ.
-pub fn try_packed_term_matmul_i64_cached(
-    w: &PackedTermMatrix,
-    w_planes: Option<&BitPlaneMatrix>,
-    x: &PackedTermMatrix,
-    x_planes: Option<&BitPlaneMatrix>,
-) -> Result<Vec<i64>, TrError> {
-    let plan = matmul_plan(w, x);
-    try_packed_term_matmul_i64_planned_cached(w, w_planes, x, x_planes, plan)
-}
-
-/// [`try_packed_term_matmul_i64`] with the dispatch decision forced —
-/// the harness the benches and parity tests use to pit the kernels
-/// against each other on identical operands. Production callers should
-/// let [`matmul_plan`] (or a [`MatmulPlanner`]) decide.
-///
-/// # Errors
-/// [`TrError::ShapeMismatch`] when the reduction dimensions differ.
-pub fn try_packed_term_matmul_i64_planned(
-    w: &PackedTermMatrix,
-    x: &PackedTermMatrix,
-    plan: MatmulPlan,
-) -> Result<Vec<i64>, TrError> {
-    try_packed_term_matmul_i64_planned_cached(w, None, x, None, plan)
-}
-
-/// The one execution path every matmul entry point funnels through: a
-/// forced [`MatmulPlan`] plus optional pre-built bit-plane
-/// decompositions. This is what the serve rung cache calls after
-/// resolving the plan once at prepare time via [`MatmulPlanner`].
-///
-/// # Errors
-/// [`TrError::ShapeMismatch`] when the reduction dimensions differ;
-/// [`TrError::InvalidConfig`] if the active tune table carries a zero
-/// blocking tile (a corrupt table is refused at install, so this only
-/// fires on a hand-built table).
+/// [`TrError::ShapeMismatch`] when the reduction dimensions differ, or
+/// when a provided decomposition's `(rows, len)` differs from its packed
+/// operand's.
 pub fn try_packed_term_matmul_i64_planned_cached(
     w: &PackedTermMatrix,
     w_planes: Option<&BitPlaneMatrix>,
@@ -357,37 +284,40 @@ pub fn try_packed_term_matmul_i64_planned_cached(
             x.len()
         )));
     }
+    // A cached decomposition must describe its packed operand: the
+    // bit-plane kernels size their output from the planes, so a stale one
+    // would return the wrong number of cells rather than fail.
+    for (side, p, planes) in [("w", w, w_planes), ("x", x, x_planes)] {
+        if let Some(b) = planes.filter(|b| (b.rows(), b.len()) != (p.rows(), p.len())) {
+            return Err(TrError::ShapeMismatch(format!(
+                "{side} planes are {}x{}, packed operand is {}x{}",
+                b.rows(),
+                b.len(),
+                p.rows(),
+                p.len()
+            )));
+        }
+    }
     let (m, n, k) = (w.rows(), x.rows(), w.len());
-    record_matmul(m, n);
-    record_route(plan);
+    MATMUL_CALLS.inc();
+    MATMUL_ROWS.add(as_u64(m));
+    MATMUL_CELLS.add(as_u64(m).saturating_mul(as_u64(n)));
+    match plan {
+        MatmulPlan::SerialCodePlane => ROUTE_SERIAL.inc(),
+        MatmulPlan::ParallelCodePlane => ROUTE_PARALLEL.inc(),
+        MatmulPlan::BitPlane => ROUTE_BITPLANE.inc(),
+        MatmulPlan::BitPlaneBlocked => ROUTE_BITPLANE_BLOCKED.inc(),
+    }
     if matches!(plan, MatmulPlan::BitPlane | MatmulPlan::BitPlaneBlocked) {
-        let built_w;
-        let wp = match w_planes {
-            Some(p) => p,
-            None => {
-                built_w = BitPlaneMatrix::from_packed(w);
-                &built_w
-            }
-        };
-        let built_x;
-        let xp = match x_planes {
-            Some(p) => p,
-            None => {
-                built_x = BitPlaneMatrix::from_packed(x);
-                &built_x
-            }
-        };
+        let build = |p: &PackedTermMatrix| Cow::Owned(BitPlaneMatrix::from_packed(p));
+        let wp = w_planes.map_or_else(|| build(w), Cow::Borrowed);
+        let xp = x_planes.map_or_else(|| build(x), Cow::Borrowed);
         if let MatmulPlan::BitPlaneBlocked = plan {
             let t = tune::active();
-            let cols = usize::try_from(t.block_cols)
-                .expect("block_cols fits usize")
-                .max(1);
-            let words = usize::try_from(t.block_words)
-                .expect("block_words fits usize")
-                .max(1);
-            return try_bitplane_matmul_i64_blocked(wp, xp, cols, words);
+            let tile = |v: u64| usize::try_from(v).expect("tile fits usize").max(1);
+            return try_bitplane_matmul_i64_blocked(&wp, &xp, tile(t.block_cols), tile(t.block_words));
         }
-        return try_bitplane_matmul_i64(wp, xp);
+        return try_bitplane_matmul_i64(&wp, &xp);
     }
     let _span = tr_obs::span("core.matmul");
     let mut out = vec![0i64; m * n];
@@ -410,16 +340,6 @@ pub fn try_packed_term_matmul_i64_planned_cached(
         }
     }
     Ok(out)
-}
-
-#[inline]
-fn record_route(plan: MatmulPlan) {
-    match plan {
-        MatmulPlan::SerialCodePlane => ROUTE_SERIAL.inc(),
-        MatmulPlan::ParallelCodePlane => ROUTE_PARALLEL.inc(),
-        MatmulPlan::BitPlane => ROUTE_BITPLANE.inc(),
-        MatmulPlan::BitPlaneBlocked => ROUTE_BITPLANE_BLOCKED.inc(),
-    }
 }
 
 /// Per-shape plan cache for a fixed packed operand — the "x"/weight side
@@ -465,19 +385,17 @@ impl MatmulPlanner {
         let k = x.len();
         let planes = live_plane_sum(x);
         let terms = as_u64(x.total_terms());
-        let mut h = FNV_OFFSET;
-        for v in [as_u64(rows), as_u64(k), planes, terms, as_u64(peer_term_bound)] {
-            h = fnv1a_word(h, v);
-        }
-        MatmulPlanner {
+        let mut planner = MatmulPlanner {
             rows,
             k,
             planes,
             terms,
             peer_term_bound,
             plans: Mutex::new((0, Vec::new())),
-            checksum: h,
-        }
+            checksum: 0,
+        };
+        planner.checksum = planner.content_checksum();
+        planner
     }
 
     /// Resolve the plan for a batch of `m` streamed rows against the
@@ -556,13 +474,6 @@ impl MatmulPlanner {
     }
 }
 
-#[inline]
-fn record_matmul(m: usize, n: usize) {
-    MATMUL_CALLS.inc();
-    MATMUL_ROWS.add(as_u64(m));
-    MATMUL_CELLS.add(as_u64(m).saturating_mul(as_u64(n)));
-}
-
 /// One output row of the dense code-plane matmul: both operands are
 /// walked as contiguous `k`-length rows, so the inner loop vectorizes.
 #[inline]
@@ -575,12 +486,30 @@ fn code_row(wcodes: &[i64], xcodes: &[i64], i: usize, orow: &mut [i64], k: usize
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::TrConfig;
     use tr_encoding::Encoding;
     use tr_quant::{calibrate_max_abs, quantize, QTensor};
     use tr_tensor::{Rng, Shape, Tensor};
+
+    /// The auto-planned product, for operands whose dims agree.
+    fn matmul(w: &PackedTermMatrix, x: &PackedTermMatrix) -> Vec<i64> {
+        try_packed_term_matmul_i64(w, x).expect("reduction dims agree")
+    }
+
+    /// `plan` forced, no cached planes.
+    fn forced(w: &PackedTermMatrix, x: &PackedTermMatrix, plan: MatmulPlan) -> Vec<i64> {
+        try_packed_term_matmul_i64_planned_cached(w, None, x, None, plan)
+            .expect("reduction dims agree")
+    }
+
+    const PLANS: [MatmulPlan; 4] = [
+        MatmulPlan::SerialCodePlane,
+        MatmulPlan::ParallelCodePlane,
+        MatmulPlan::BitPlane,
+        MatmulPlan::BitPlaneBlocked,
+    ];
 
     fn quantized(rows: usize, cols: usize, seed: u64) -> QTensor {
         let mut rng = Rng::seed_from_u64(seed);
@@ -590,7 +519,7 @@ mod tests {
 
     /// The §III-B definition, element by element: every (weight term,
     /// data term) pair contributes `Term::mul().value()`.
-    fn pair_walk_matmul(w: &PackedTermMatrix, x: &PackedTermMatrix) -> Vec<i64> {
+    pub(crate) fn pair_walk_matmul(w: &PackedTermMatrix, x: &PackedTermMatrix) -> Vec<i64> {
         let mut out = Vec::with_capacity(w.rows() * x.rows());
         for i in 0..w.rows() {
             for j in 0..x.rows() {
@@ -614,7 +543,9 @@ mod tests {
         // term-pair multiplications.
         let w = PackedTermMatrix::from_vector(&[12], Encoding::Binary);
         let x = PackedTermMatrix::from_vector(&[2], Encoding::Binary);
-        assert_eq!(term_dot_packed(&w, 0, &x, 0), 24);
+        for plan in PLANS {
+            assert_eq!(forced(&w, &x, plan), vec![24], "{}", plan.name());
+        }
     }
 
     #[test]
@@ -627,7 +558,7 @@ mod tests {
         for enc in Encoding::ALL {
             let w = PackedTermMatrix::from_weights(&qw, enc);
             let x = PackedTermMatrix::from_data_transposed(&qx, enc);
-            let got_t = packed_term_matmul_i64(&w, &x);
+            let got_t = matmul(&w, &x);
             // Transpose (N-major j within row i) is already row-major (M,N).
             assert_eq!(got_t, reference, "{enc} disagrees with integer matmul");
         }
@@ -643,7 +574,7 @@ mod tests {
         let cfg = TrConfig::new(8, 12);
         let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
         let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
-        let got = packed_term_matmul_i64(&w, &x);
+        let got = matmul(&w, &x);
 
         let wc = w.reconstruct_codes();
         let xc = x.reconstruct_codes();
@@ -671,7 +602,7 @@ mod tests {
         let cfg = TrConfig::new(8, 16);
         let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
         let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese);
-        let approx = packed_term_matmul_i64(&w, &x);
+        let approx = matmul(&w, &x);
         let num: f64 = exact
             .iter()
             .zip(&approx)
@@ -685,13 +616,16 @@ mod tests {
 
     #[test]
     fn packed_dot_matches_legacy_dot() {
-        // The plane-walking dot against the per-element pair enumeration.
+        // A single dot product (a 1x1 output) down every route against
+        // the per-element pair enumeration.
         let qw = quantized(1, 48, 20);
         let qx = quantized(48, 1, 21);
         for enc in Encoding::ALL {
             let w = PackedTermMatrix::from_weights(&qw, enc);
             let x = PackedTermMatrix::from_data_transposed(&qx, enc);
-            assert_eq!(vec![term_dot_packed(&w, 0, &x, 0)], pair_walk_matmul(&w, &x), "{enc}");
+            for plan in PLANS {
+                assert_eq!(forced(&w, &x, plan), pair_walk_matmul(&w, &x), "{enc} {}", plan.name());
+            }
         }
     }
 
@@ -703,7 +637,7 @@ mod tests {
         for enc in Encoding::ALL {
             let w = PackedTermMatrix::from_weights(&qw, enc);
             let x = PackedTermMatrix::from_data_transposed(&qx, enc);
-            assert_eq!(packed_term_matmul_i64(&w, &x), pair_walk_matmul(&w, &x), "{enc}");
+            assert_eq!(matmul(&w, &x), pair_walk_matmul(&w, &x), "{enc}");
         }
     }
 
@@ -716,7 +650,7 @@ mod tests {
         let cfg = TrConfig::new(8, 12);
         let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
         let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
-        assert_eq!(packed_term_matmul_i64(&w, &x), pair_walk_matmul(&w, &x));
+        assert_eq!(matmul(&w, &x), pair_walk_matmul(&w, &x));
     }
 
     #[test]
@@ -765,15 +699,9 @@ mod tests {
             .cap_terms(1);
         assert_eq!(matmul_plan(&wt, &xt), MatmulPlan::BitPlane);
         // Whatever the plan, all four kernels agree bit-for-bit.
-        let auto = packed_term_matmul_i64(&wt, &xt);
-        for plan in [
-            MatmulPlan::SerialCodePlane,
-            MatmulPlan::ParallelCodePlane,
-            MatmulPlan::BitPlane,
-            MatmulPlan::BitPlaneBlocked,
-        ] {
-            let forced = try_packed_term_matmul_i64_planned(&wt, &xt, plan).unwrap();
-            assert_eq!(forced, auto, "{}", plan.name());
+        let auto = matmul(&wt, &xt);
+        for plan in PLANS {
+            assert_eq!(forced(&wt, &xt, plan), auto, "{}", plan.name());
         }
     }
 
@@ -792,9 +720,7 @@ mod tests {
             .reveal(&TrConfig::new(8, 4))
             .cap_terms(1);
         assert_eq!(matmul_plan(&w, &x), MatmulPlan::BitPlaneBlocked);
-        let blocked = packed_term_matmul_i64(&w, &x);
-        let flat = try_packed_term_matmul_i64_planned(&w, &x, MatmulPlan::BitPlane).unwrap();
-        assert_eq!(blocked, flat);
+        assert_eq!(matmul(&w, &x), forced(&w, &x, MatmulPlan::BitPlane));
     }
 
     #[test]
@@ -853,9 +779,42 @@ mod tests {
         let cfg = TrConfig::new(8, 2).with_data_terms(1);
         let w = PackedTermMatrix::from_weights(&qw, cfg.weight_encoding).reveal(&cfg);
         let x = PackedTermMatrix::from_data_transposed(&qx, cfg.data_encoding).cap_terms(1);
-        let wp = crate::bitplane::BitPlaneMatrix::from_packed(&w);
-        let cached = try_packed_term_matmul_i64_cached(&w, Some(&wp), &x, None).unwrap();
-        assert_eq!(cached, try_packed_term_matmul_i64(&w, &x).unwrap());
+        let wp = BitPlaneMatrix::from_packed(&w);
+        let plan = matmul_plan(&w, &x);
+        let cached = try_packed_term_matmul_i64_planned_cached(&w, Some(&wp), &x, None, plan);
+        assert_eq!(cached.unwrap(), matmul(&w, &x));
+    }
+
+    /// Whether every route refuses the operands with a shape error.
+    fn refused(
+        w: &PackedTermMatrix,
+        wp: Option<&BitPlaneMatrix>,
+        x: &PackedTermMatrix,
+        xp: Option<&BitPlaneMatrix>,
+    ) -> bool {
+        PLANS.iter().all(|&plan| {
+            let got = try_packed_term_matmul_i64_planned_cached(w, wp, x, xp, plan);
+            matches!(got, Err(TrError::ShapeMismatch(_)))
+        })
+    }
+
+    #[test]
+    fn stale_weight_planes_are_refused() {
+        // Planes of a 48-row operand beside a 47-row one: the bit-plane
+        // routes would size their output from the planes.
+        let q = quantized(48, 256, 37);
+        let planes = BitPlaneMatrix::from_packed(&PackedTermMatrix::from_weights(&q, Encoding::Hese));
+        let fewer = PackedTermMatrix::from_codes(&q.values()[..47 * 256], 47, 256, Encoding::Hese);
+        let x = PackedTermMatrix::from_data_transposed(&quantized(256, 8, 38), Encoding::Hese);
+        assert!(refused(&fewer, Some(&planes), &x, None));
+    }
+
+    #[test]
+    fn stale_data_planes_are_refused() {
+        let w = PackedTermMatrix::from_weights(&quantized(8, 128, 39), Encoding::Hese);
+        let x = PackedTermMatrix::from_data_transposed(&quantized(128, 6, 40), Encoding::Hese);
+        let wider = PackedTermMatrix::from_data_transposed(&quantized(128, 7, 41), Encoding::Hese);
+        assert!(refused(&w, None, &x, Some(&BitPlaneMatrix::from_packed(&wider))));
     }
 
     #[test]
@@ -868,7 +827,7 @@ mod tests {
     #[test]
     fn packed_matmul_handles_degenerate_shapes() {
         let empty = PackedTermMatrix::from_vector(&[], Encoding::Binary);
-        let out = packed_term_matmul_i64(&empty, &empty);
+        let out = matmul(&empty, &empty);
         assert_eq!(out, vec![0i64]); // 1x0 @ 0x1 -> one empty dot
     }
 }

@@ -56,7 +56,7 @@ pub(crate) fn off_usize(v: u32) -> usize {
 /// A term-decomposed matrix stored as flat offset/exponent/sign planes.
 ///
 /// `rows` dot-product vectors of `len` elements each, contiguous in
-/// memory, so the hot kernels (`packed_term_matmul_i64`, the histogram
+/// memory, so the hot kernels (the matmul executor, the histogram
 /// reveal) stream it without per-element indirection or allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedTermMatrix {
@@ -401,7 +401,7 @@ impl PackedTermMatrix {
     /// the word it lives in, never through per-cell
     /// [`PackedTermMatrix::value`] calls (which re-derive element bounds
     /// and re-index the sign bitset per term). This is the pass the
-    /// `packed_term_matmul_i64` docs promise, and the same walk
+    /// code-plane matmul routes run, and the same walk
     /// [`BitPlaneMatrix::from_packed`](crate::BitPlaneMatrix::from_packed)
     /// fans out into bit-planes.
     pub fn reconstruct_codes(&self) -> Vec<i64> {

@@ -427,9 +427,11 @@ pub fn autotune(seed: u64, quick: bool) -> TuneTable {
         let pairs = u128::from(as_u64(bw.total_planes())) * u128::from(as_u64(bx.total_planes()));
         let pairs_per_cell = pairs / (u128::from(as_u64(m)) * u128::from(as_u64(n)));
         let code = best_of(reps, || {
-            let out = crate::matmul::try_packed_term_matmul_i64_planned(
+            let out = crate::matmul::try_packed_term_matmul_i64_planned_cached(
                 &w,
+                None,
                 &x,
+                None,
                 crate::matmul::MatmulPlan::SerialCodePlane,
             );
             std::hint::black_box(&out);
@@ -457,11 +459,11 @@ pub fn autotune(seed: u64, quick: bool) -> TuneTable {
             .saturating_mul(as_u64(bx.total_planes()))
             .saturating_mul(as_u64(bw.words_per_row()));
         let serial = best_of(reps, || {
-            let out = crate::bitplane::bitplane_matmul_flat(&bw, &bx, false);
+            let out = crate::bitplane::bitplane_matmul_flat(&bw, &bx, false, isa);
             std::hint::black_box(&out);
         });
         let parallel = best_of(reps, || {
-            let out = crate::bitplane::bitplane_matmul_flat(&bw, &bx, true);
+            let out = crate::bitplane::bitplane_matmul_flat(&bw, &bx, true, isa);
             std::hint::black_box(&out);
         });
         if parallel < serial * 0.95 {
@@ -490,7 +492,7 @@ pub fn autotune(seed: u64, quick: bool) -> TuneTable {
         let bw = crate::bitplane::BitPlaneMatrix::from_packed(&w);
         let bx = crate::bitplane::BitPlaneMatrix::from_packed(&x);
         let flat = best_of(reps, || {
-            let out = crate::bitplane::bitplane_matmul_flat(&bw, &bx, false);
+            let out = crate::bitplane::bitplane_matmul_flat(&bw, &bx, false, isa);
             std::hint::black_box(&out);
         });
         let mut best = (f64::INFINITY, table.block_cols, table.block_words);
@@ -517,7 +519,7 @@ pub fn autotune(seed: u64, quick: bool) -> TuneTable {
             let bw4 = crate::bitplane::BitPlaneMatrix::from_packed(&w4);
             let bx4 = crate::bitplane::BitPlaneMatrix::from_packed(&x4);
             let flat4 = best_of(reps, || {
-                let out = crate::bitplane::bitplane_matmul_flat(&bw4, &bx4, false);
+                let out = crate::bitplane::bitplane_matmul_flat(&bw4, &bx4, false, isa);
                 std::hint::black_box(&out);
             });
             let blocked4 = best_of(reps, || {

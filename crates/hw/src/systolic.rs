@@ -420,7 +420,7 @@ impl SystolicArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tr_core::{packed_term_matmul_i64, TrConfig};
+    use tr_core::{try_packed_term_matmul_i64, TrConfig};
     use tr_encoding::Encoding;
     use tr_quant::{calibrate_max_abs, quantize, QTensor};
     use tr_tensor::{Rng, Shape, Tensor};
@@ -452,7 +452,7 @@ mod tests {
         let (wm, xm) = planes(&qw, &qx, false);
         let array = SystolicArray { rows: 4, cols: 4 };
         let (got, cycles) = array.execute(&wm, &xm, 8).unwrap();
-        assert_eq!(got, packed_term_matmul_i64(&wm, &xm));
+        assert_eq!(got, try_packed_term_matmul_i64(&wm, &xm).unwrap());
         assert!(cycles > 0);
     }
 

@@ -145,7 +145,7 @@ pub fn collect_pair_counts(model: &mut dyn Layer) -> PairCounts {
 /// Every site stores its weight as an `(out, in)` matrix — conv and
 /// depthwise included, via their im2col layout `(out_channels,
 /// in_channels·kh·kw)` — so `reduction` is exactly the dot-product length
-/// of `packed_term_matmul_i64` and of the ScratchArena conv kernel at
+/// of the tr-core matmul executor and of the ScratchArena conv kernel at
 /// that site. This is the only model fact the tr-analysis whole-model
 /// range prover needs.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -78,8 +78,8 @@ impl Linear {
     /// array performs.
     ///
     /// `None` when the site lacks integer state (float mode, calibrating,
-    /// no packed weights): the caller falls back to the float-simulated
-    /// path.
+    /// no packed weights or planner — `prepare_weights` builds the two
+    /// together): the caller falls back to the float-simulated path.
     fn integer_forward(&self, codes: &[i32], batch: usize) -> Option<Tensor> {
         if !self.fq.exec_integer || self.fq.calibrating {
             return None;
@@ -87,26 +87,18 @@ impl Linear {
         let act = self.fq.act_params?;
         let wp = self.fq.weight_params?;
         let wt = self.fq.weight_terms.as_deref()?;
+        let planner = self.fq.planner.as_deref()?;
         let enc = self.fq.act_cap.map_or(Encoding::Hese, |(e, _)| e);
         let data = PackedTermMatrix::from_codes(codes, batch, self.in_features, enc);
         // Route selection: the prepared planner memoizes the plan per
-        // batch size (one lookup); sites without a planner fall back to
-        // the exact two-scan decision.
-        let y = match self.fq.planner.as_deref() {
-            Some(p) => tr_core::try_packed_term_matmul_i64_planned_cached(
-                &data,
-                None,
-                wt,
-                self.fq.weight_planes.as_deref(),
-                p.plan_for(batch),
-            ),
-            None => tr_core::try_packed_term_matmul_i64_cached(
-                &data,
-                None,
-                wt,
-                self.fq.weight_planes.as_deref(),
-            ),
-        }
+        // batch size (one lookup).
+        let y = tr_core::try_packed_term_matmul_i64_planned_cached(
+            &data,
+            None,
+            wt,
+            self.fq.weight_planes.as_deref(),
+            planner.plan_for(batch),
+        )
         .ok()?;
         let scale = act.scale.max(f32::MIN_POSITIVE) * wp.scale;
         let out: Vec<f32> = y.iter().map(|&v| v as f32 * scale).collect();
@@ -281,7 +273,7 @@ mod tests {
             x.data().iter().map(|&v| tr_quant::truncate::truncate_value(enc, act.code(v), s)).collect();
         let data = PackedTermMatrix::from_codes(&codes, 4, 32, enc);
         let wt = layer.fq.weight_terms.as_ref().unwrap();
-        let exact = tr_core::packed_term_matmul_i64(&data, wt);
+        let exact = tr_core::try_packed_term_matmul_i64(&data, wt).unwrap();
         let scale = act.scale * layer.fq.weight_params.unwrap().scale;
         for (r, chunk) in exact.chunks(8).enumerate() {
             for (c, &v) in chunk.iter().enumerate() {

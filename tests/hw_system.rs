@@ -3,7 +3,7 @@
 //! → ReLU — must compute exactly what the algorithmic reference computes,
 //! and the system-level schedules must honor the paper's relative claims.
 
-use tr_core::{packed_term_matmul_i64, PackedTermMatrix, TrConfig};
+use tr_core::{try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_hw::comparator::streams_to_terms;
 use tr_hw::{
@@ -79,7 +79,7 @@ fn functional_array_agrees_with_reference_matmul_after_tr() {
     let cfg = TrConfig::new(8, 10).with_data_terms(3);
     let wm = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
     let xm = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(3);
-    let expect = packed_term_matmul_i64(&wm, &xm);
+    let expect = try_packed_term_matmul_i64(&wm, &xm).unwrap();
 
     let array = SystolicArray { rows: 2, cols: 3 };
     let (got, cycles) = array.execute(&wm, &xm, 8).unwrap();

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use std::sync::Mutex;
 use std::time::Instant;
-use tr_core::{packed_term_matmul_i64, PackedTermMatrix, TrConfig};
+use tr_core::{try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_hw::SystolicArray;
 use tr_obs::{recorder, set_enabled, Counter};
 use tr_quant::{calibrate_max_abs, quantize};
@@ -47,7 +47,7 @@ fn run_pipeline(seed: u64) -> PipelineOut {
     let cfg = TrConfig::new(8, 12).with_data_terms(3);
     let wm = PackedTermMatrix::from_weights(&qw, cfg.weight_encoding).reveal(&cfg);
     let xm = PackedTermMatrix::from_data_transposed(&qx, cfg.data_encoding).cap_terms(3);
-    let matmul = packed_term_matmul_i64(&wm, &xm);
+    let matmul = try_packed_term_matmul_i64(&wm, &xm).expect("reduction dims agree");
     let array = SystolicArray { rows: 4, cols: 4 };
     let (systolic, cycles) = array.execute(&wm, &xm, cfg.group_size).expect("valid operands");
     PipelineOut { revealed: wm, matmul, systolic, cycles }

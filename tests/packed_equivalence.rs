@@ -7,14 +7,13 @@
 //! compares exact integer or f32 bit patterns, never tolerances.
 
 use proptest::prelude::*;
-use tr_core::matmul::{term_dot_packed, MatmulPlanner};
+use tr_core::matmul::MatmulPlanner;
 use tr_core::reveal::reveal_row;
 use tr_core::tune::Isa;
 use tr_core::{
-    bitplane_dot, bitplane_matmul_i64, group_pair_histogram, packed_term_matmul_i64,
-    term_pairs_total_packed, try_bitplane_matmul_i64_blocked, try_bitplane_matmul_i64_with,
-    try_packed_term_matmul_i64_cached, try_packed_term_matmul_i64_planned_cached, BitPlaneMatrix,
-    PackedTermMatrix, TrConfig,
+    group_pair_histogram, matmul_plan, term_pairs_total_packed, try_bitplane_matmul_i64_blocked,
+    try_bitplane_matmul_i64_with, try_packed_term_matmul_i64_planned_cached, BitPlaneMatrix,
+    MatmulPlan, PackedTermMatrix, TrConfig,
 };
 use tr_encoding::{Encoding, TermExpr};
 use tr_nn::exec::{
@@ -31,6 +30,25 @@ fn quantized(rows: usize, cols: usize, seed: u64) -> QTensor {
     let mut rng = Rng::seed_from_u64(seed);
     let t = Tensor::randn(Shape::d2(rows, cols), 0.25, &mut rng);
     quantize(&t, calibrate_max_abs(&t, 8))
+}
+
+const PLANS: [MatmulPlan; 4] = [
+    MatmulPlan::SerialCodePlane,
+    MatmulPlan::ParallelCodePlane,
+    MatmulPlan::BitPlane,
+    MatmulPlan::BitPlaneBlocked,
+];
+
+/// The matmul executor with `plan` forced and, on the bit-plane routes,
+/// any prebuilt decompositions used as-is.
+fn execute(
+    w: &PackedTermMatrix,
+    wp: Option<&BitPlaneMatrix>,
+    x: &PackedTermMatrix,
+    xp: Option<&BitPlaneMatrix>,
+    plan: MatmulPlan,
+) -> Vec<i64> {
+    try_packed_term_matmul_i64_planned_cached(w, wp, x, xp, plan).expect("shapes agree")
 }
 
 fn encoding() -> impl Strategy<Value = Encoding> {
@@ -188,14 +206,11 @@ proptest! {
         let x = Oracle::data_transposed(&qx, enc).cap_terms(cap);
         let pw = PackedTermMatrix::from_weights(&qw, enc).reveal(&cfg);
         let px = PackedTermMatrix::from_data_transposed(&qx, enc).cap_terms(cap);
-        prop_assert_eq!(packed_term_matmul_i64(&pw, &px), pair_walk_matmul(&w, &x));
-        for r in 0..m {
-            for c in 0..n {
-                prop_assert_eq!(
-                    term_dot_packed(&pw, r, &px, c),
-                    pair_walk_dot(&w.rows[r], &x.rows[c])
-                );
-            }
+        // Every cell is one dot product, so each route's output equals
+        // the oracle's per-cell pair walk.
+        let want = pair_walk_matmul(&w, &x);
+        for plan in PLANS {
+            prop_assert_eq!(execute(&pw, None, &px, None, plan), want.clone(), "{}", plan.name());
         }
     }
 
@@ -239,7 +254,8 @@ proptest! {
         cfg in tr_config(),
     ) {
         // Build → reconstruct must reproduce the packed codes exactly;
-        // the popcount dot must match the packed pair walk bit for bit.
+        // the popcount kernel over those planes must match the oracle's
+        // pair walk bit for bit.
         let q = quantized(m, k, seed);
         let packed = PackedTermMatrix::from_weights(&q, enc).reveal(&cfg);
         let planes = BitPlaneMatrix::from_packed(&packed);
@@ -247,17 +263,13 @@ proptest! {
             planes.reconstruct_codes(),
             packed.reconstruct_codes()
         );
-        let other = PackedTermMatrix::from_data_transposed(
-            &quantized(k, 3, seed.wrapping_add(9)), enc);
+        let qo = quantized(k, 3, seed.wrapping_add(9));
+        let other = PackedTermMatrix::from_data_transposed(&qo, enc);
         let op = BitPlaneMatrix::from_packed(&other);
-        for r in 0..m {
-            for c in 0..3 {
-                prop_assert_eq!(
-                    bitplane_dot(&planes, r, &op, c),
-                    term_dot_packed(&packed, r, &other, c)
-                );
-            }
-        }
+        prop_assert_eq!(
+            execute(&packed, Some(&planes), &other, Some(&op), MatmulPlan::BitPlane),
+            pair_walk_matmul(&Oracle::weights(&q, enc).reveal(&cfg), &Oracle::data_transposed(&qo, enc))
+        );
     }
 
     #[test]
@@ -267,18 +279,17 @@ proptest! {
         cfg in tr_config(),
         cap in 1usize..5,
     ) {
-        // Same product through three routes: the packed pair walk, the
-        // explicit bit-plane kernel, and the dispatching entry point fed
-        // prebuilt planes (as serve's rung cache does). All bit-equal.
+        // Same product through three routes: the code-plane walk, the
+        // bit-plane route forced, and the plan the dispatcher picks, both
+        // fed prebuilt planes (as serve's rung cache does). All bit-equal.
         let qw = quantized(m, k, seed);
         let qx = quantized(k, n, seed.wrapping_add(1));
         let w = PackedTermMatrix::from_weights(&qw, enc).reveal(&cfg);
         let x = PackedTermMatrix::from_data_transposed(&qx, enc).cap_terms(cap);
-        let want = packed_term_matmul_i64(&w, &x);
+        let want = execute(&w, None, &x, None, MatmulPlan::SerialCodePlane);
         let (bw, bx) = (BitPlaneMatrix::from_packed(&w), BitPlaneMatrix::from_packed(&x));
-        prop_assert_eq!(bitplane_matmul_i64(&bw, &bx), want.clone());
-        let dispatched = try_packed_term_matmul_i64_cached(&w, Some(&bw), &x, Some(&bx))
-            .expect("shapes agree");
+        prop_assert_eq!(execute(&w, Some(&bw), &x, Some(&bx), MatmulPlan::BitPlane), want.clone());
+        let dispatched = execute(&w, Some(&bw), &x, Some(&bx), matmul_plan(&w, &x));
         prop_assert_eq!(dispatched, want);
     }
 
@@ -289,18 +300,19 @@ proptest! {
     ) {
         // Degenerate shapes: rows holding zeros only (no planes at all)
         // and rows capped to one term (a single plane each) must still
-        // round-trip and dot correctly against themselves.
+        // round-trip and dot correctly against themselves (a 1x1 output).
         let mut zeroed = vals.clone();
         for v in zeroed.iter_mut().skip(1) { *v = 0; }
         for codes in [vals.as_slice(), zeroed.as_slice(), &[0, 0, 0][..]] {
             let packed = PackedTermMatrix::from_vector(codes, enc);
+            let oracle = Oracle::from_codes(codes, 1, codes.len(), enc);
             let one = packed.clone().cap_terms(1);
-            for p in [&packed, &one] {
+            for (p, o) in [(&packed, oracle.clone()), (&one, oracle.cap_terms(1))] {
                 let planes = BitPlaneMatrix::from_packed(p);
                 prop_assert_eq!(planes.reconstruct_codes(), p.reconstruct_codes());
                 prop_assert_eq!(
-                    bitplane_dot(&planes, 0, &planes, 0),
-                    term_dot_packed(p, 0, p, 0)
+                    execute(p, Some(&planes), p, Some(&planes), MatmulPlan::BitPlane),
+                    pair_walk_matmul(&o, &o)
                 );
             }
         }
@@ -324,7 +336,7 @@ proptest! {
         let qx = quantized(k, n, seed.wrapping_add(1));
         let w = PackedTermMatrix::from_weights(&qw, enc).reveal(&cfg);
         let x = PackedTermMatrix::from_data_transposed(&qx, enc).cap_terms(cap);
-        let want = packed_term_matmul_i64(&w, &x);
+        let want = execute(&w, None, &x, None, MatmulPlan::SerialCodePlane);
         let (bw, bx) = (BitPlaneMatrix::from_packed(&w), BitPlaneMatrix::from_packed(&x));
         let blocked = try_bitplane_matmul_i64_blocked(&bw, &bx, cols, words)
             .expect("nonzero tiles");
@@ -346,7 +358,7 @@ proptest! {
         let qx = quantized(k, 3, seed.wrapping_add(2));
         let w = PackedTermMatrix::from_weights(&qw, enc).reveal(&cfg);
         let x = PackedTermMatrix::from_data_transposed(&qx, enc).cap_terms(cap);
-        let want = packed_term_matmul_i64(&w, &x);
+        let want = execute(&w, None, &x, None, MatmulPlan::SerialCodePlane);
         let (bw, bx) = (BitPlaneMatrix::from_packed(&w), BitPlaneMatrix::from_packed(&x));
         for isa in Isa::ALL {
             if !isa.available() {
@@ -374,14 +386,12 @@ proptest! {
         let qx = quantized(m, k, seed.wrapping_add(3));
         let weights = PackedTermMatrix::from_data_transposed(&qw, enc).reveal(&cfg);
         let acts = PackedTermMatrix::from_weights(&qx, enc).cap_terms(cap);
-        let want = packed_term_matmul_i64(&acts, &weights);
+        let want = execute(&acts, None, &weights, None, MatmulPlan::SerialCodePlane);
         let planner = MatmulPlanner::for_weights(&weights, cap);
         planner.verify_integrity().expect("fresh planner verifies");
         for _ in 0..2 {
             let plan = planner.plan_for(m);
-            let got = try_packed_term_matmul_i64_planned_cached(
-                &acts, None, &weights, None, plan,
-            ).expect("shapes agree");
+            let got = execute(&acts, None, &weights, None, plan);
             prop_assert_eq!(got, want.clone(), "plan {}", plan.name());
         }
     }

@@ -2,7 +2,7 @@
 //! through quantization, term decomposition, receding water, and the
 //! term-pair matmul, checked against reference semantics at every stage.
 
-use tr_core::{packed_term_matmul_i64, reveal_group, PackedTermMatrix, TrConfig};
+use tr_core::{reveal_group, try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_encoding::{Encoding, TermExpr};
 use tr_quant::{calibrate_max_abs, quantize};
 use tr_tensor::{Rng, Shape, Tensor};
@@ -21,7 +21,7 @@ fn unpruned_pipeline_is_exact_for_every_encoding() {
     for enc in Encoding::ALL {
         let w = PackedTermMatrix::from_weights(&qw, enc);
         let x = PackedTermMatrix::from_data_transposed(&qx, enc);
-        assert_eq!(packed_term_matmul_i64(&w, &x), reference, "{enc}");
+        assert_eq!(try_packed_term_matmul_i64(&w, &x).unwrap(), reference, "{enc}");
     }
 }
 
@@ -35,7 +35,7 @@ fn tr_matmul_equals_matmul_of_revealed_codes() {
     let cfg = TrConfig::new(8, 10).with_data_terms(2);
     let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
     let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese).cap_terms(2);
-    let got = packed_term_matmul_i64(&w, &x);
+    let got = try_packed_term_matmul_i64(&w, &x).unwrap();
 
     let wc = w.reconstruct_codes();
     let xc = x.reconstruct_codes();
@@ -59,7 +59,7 @@ fn tr_error_shrinks_as_budget_grows() {
         let cfg = TrConfig::new(8, k);
         let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
         let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese);
-        let approx = packed_term_matmul_i64(&w, &x);
+        let approx = try_packed_term_matmul_i64(&w, &x).unwrap();
         let err: f64 = exact
             .iter()
             .zip(&approx)
@@ -74,7 +74,7 @@ fn tr_error_shrinks_as_budget_grows() {
     let cfg = TrConfig::new(8, 56);
     let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&cfg);
     let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese);
-    assert_eq!(packed_term_matmul_i64(&w, &x), exact);
+    assert_eq!(try_packed_term_matmul_i64(&w, &x).unwrap(), exact);
 }
 
 #[test]
