@@ -23,6 +23,19 @@
 //! so integer consumers pack exactly what the cap produced (including
 //! the `2^(bits-1)` a cap can round up to) instead of re-quantizing the
 //! dequantized floats.
+//!
+//! The transform is vectorized and equal to the per-element path bit for
+//! bit. Codes come from [`QuantParams::code_into`], a branch-free
+//! restatement of [`QuantParams::code`] compiled for AVX2 and for the
+//! baseline ISA that returns `code`'s value on every f32 (tr-quant's
+//! `slice` module gives the case split: NaN, in range, past the clamp).
+//! For codes of at most 8 bits, the rest of an element's work —
+//! `truncate_with` under the cap, then `real` or the identity — depends
+//! only on the code, so it is tabulated once per call over the
+//! `2·qmax + 1` codes, from the same `truncate_with` and `real` calls the
+//! per-element path makes, and each element costs one load. Wider codes
+//! and `scale == 0` run the per-element path. The tests race both
+//! against `code` and `truncate_with` at every rounding threshold.
 
 use std::sync::Arc;
 use tr_core::seal::{fnv1a_word, mix, FNV_OFFSET};
@@ -142,6 +155,49 @@ struct ActQuantizer {
     cap: Option<(&'static TermTable, usize)>,
 }
 
+/// Inputs quantized per pass of [`ActQuantizer::map_codes`]: its codes
+/// stay in a stack buffer between the vector pass and the table pass.
+const CODE_CHUNK: usize = 256;
+
+impl ActQuantizer {
+    /// The capped code of an already-quantized `code`.
+    fn cap(&self, code: i32) -> i32 {
+        match self.cap {
+            None => code,
+            Some((table, s)) => truncate_with(table, code, s),
+        }
+    }
+
+    /// `out[i] = of(cap(code(xs[i])))` for every element. For codes of
+    /// at most 8 bits (and a non-zero scale) the codes come from the
+    /// vectorized [`QuantParams::code_into`] and `of ∘ cap` from a table
+    /// of its `2·qmax + 1` values built per call, so each element costs
+    /// a share of a vector quantize and one load. Wider codes and
+    /// `scale == 0` take the per-element path.
+    fn map_codes<T: Copy>(&self, xs: &[f32], out: &mut [T], of: impl Fn(i32) -> T) {
+        let p = self.params;
+        if p.bits > 8 || p.scale == 0.0 {
+            for (o, &x) in out.iter_mut().zip(xs) {
+                *o = of(self.cap(p.code(x)));
+            }
+            return;
+        }
+        let qmax = p.qmax();
+        let table: Vec<T> = (-qmax..=qmax).map(|c| of(self.cap(c))).collect();
+        let mut codes = [0i32; CODE_CHUNK];
+        for (xs, out) in xs.chunks(CODE_CHUNK).zip(out.chunks_mut(CODE_CHUNK)) {
+            let codes = &mut codes[..xs.len()];
+            p.code_into(xs, codes);
+            for (o, &c) in out.iter_mut().zip(codes.iter()) {
+                // `code_into` keeps `c` within ±qmax: the slot is in 0..2·qmax.
+                #[allow(clippy::cast_sign_loss)]
+                let slot = (c + qmax) as usize;
+                *o = table[slot];
+            }
+        }
+    }
+}
+
 /// Per-site fake-quantization state (one per weight matrix).
 #[derive(Debug, Clone, Default)]
 pub struct FakeQuant {
@@ -215,13 +271,9 @@ impl FakeQuant {
     /// dequantize). Identity while inactive or calibrating.
     pub fn transform_input(&mut self, x: &Tensor) -> Tensor {
         self.observe(x);
-        let Some(q) = self.act_quantizer() else {
-            return x.clone();
-        };
-        match q.cap {
-            None => x.map(|v| q.params.real(q.params.code(v))),
-            Some((table, s)) => x.map(|v| q.params.real(truncate_with(table, q.params.code(v), s))),
-        }
+        let mut out = Vec::new();
+        self.transform_slice_into(x.data(), &mut out);
+        Tensor::from_vec(out, x.shape().clone())
     }
 
     /// [`FakeQuant::transform_input`] that also hands back the capped
@@ -233,17 +285,33 @@ impl FakeQuant {
     /// turns `127 = 2^7 - 2^0` into 128) back to `qmax`.
     pub fn transform_input_codes(&mut self, x: &Tensor) -> (Tensor, Option<Vec<i32>>) {
         self.observe(x);
-        let Some(q) = self.act_quantizer() else {
+        let (Some(codes), Some(params)) = (self.capped_codes(x.data()), self.act_params) else {
             return (x.clone(), None);
         };
-        let codes: Vec<i32> = match q.cap {
-            None => x.data().iter().map(|&v| q.params.code(v)).collect(),
-            Some((table, s)) => {
-                x.data().iter().map(|&v| truncate_with(table, q.params.code(v), s)).collect()
-            }
-        };
-        let real = codes.iter().map(|&c| q.params.real(c)).collect();
+        let real = codes.iter().map(|&c| params.real(c)).collect();
         (Tensor::from_vec(real, x.shape().clone()), Some(codes))
+    }
+
+    /// The transform of part of a batch that [`FakeQuant::observe`] has
+    /// already seen, written into `out` (resized to `xs`): layers that
+    /// stream a batch image by image transform each image into one
+    /// reused buffer. The transform is element-wise, so this gives the
+    /// bits [`FakeQuant::transform_input`] gives those elements.
+    pub(crate) fn transform_slice_into(&self, xs: &[f32], out: &mut Vec<f32>) {
+        out.resize(xs.len(), 0.0);
+        match self.act_quantizer() {
+            None => out.copy_from_slice(xs),
+            Some(q) => q.map_codes(xs, out, |c| q.params.real(c)),
+        }
+    }
+
+    /// The capped codes of `xs`, as [`FakeQuant::transform_input_codes`]
+    /// returns them (`None` while inactive or calibrating).
+    pub(crate) fn capped_codes(&self, xs: &[f32]) -> Option<Vec<i32>> {
+        let q = self.act_quantizer()?;
+        let mut codes = vec![0; xs.len()];
+        q.map_codes(xs, &mut codes, |c| c);
+        Some(codes)
     }
 
     /// The activation quantizer and cap in effect, with the cap's
@@ -526,7 +594,8 @@ pub fn prepare_weights(w: &Tensor, precision: &Precision) -> PreparedWeights {
             let (rows, len) = w.shape().as_matrix();
             // `quantize`'s codes, without the QTensor: the one-pass reveal
             // overwrites them with the kept codes.
-            let codes = w.data().iter().map(|&x| params.code(x)).collect();
+            let mut codes = vec![0; w.numel()];
+            params.code_into(w.data(), &mut codes);
             let (tm, codes) = PackedTermMatrix::try_reveal_codes(codes, rows, len, cfg)
                 .unwrap_or_else(|e| panic!("{e}"));
             let data_term_bound = cfg.data_terms.unwrap_or(7);
@@ -729,6 +798,101 @@ mod tests {
             p.qweight != pristine.qweight
         });
         assert!(hit, "no salt corrupted the reconstruction tensor");
+    }
+
+    /// The per-element path the vector transform must reproduce:
+    /// `code`, then `truncate_with` under the cap.
+    fn scalar_codes(p: QuantParams, cap: Option<(Encoding, usize)>, xs: &[f32]) -> Vec<i32> {
+        xs.iter()
+            .map(|&x| match cap {
+                None => p.code(x),
+                Some((enc, s)) => truncate_with(enc.table(), p.code(x), s),
+            })
+            .collect()
+    }
+
+    fn bit_patterns(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `transform_input` and `transform_input_codes` against the scalar
+    /// path, codes and output bits.
+    fn assert_matches_scalar(p: QuantParams, cap: Option<(Encoding, usize)>, xs: &[f32]) {
+        let mut fq = FakeQuant { act_params: Some(p), act_cap: cap, ..FakeQuant::default() };
+        let x = Tensor::from_vec(xs.to_vec(), Shape::d1(xs.len()));
+        let want = scalar_codes(p, cap, xs);
+        let want_real: Vec<f32> = want.iter().map(|&c| p.real(c)).collect();
+        let (t, codes) = fq.transform_input_codes(&x);
+        assert!(codes.as_ref() == Some(&want), "codes differ: {p:?} cap {cap:?}");
+        assert!(bit_patterns(t.data()) == bit_patterns(&want_real), "reals differ: {p:?} cap {cap:?}");
+        let t = fq.transform_input(&x);
+        assert!(bit_patterns(t.data()) == bit_patterns(&want_real), "transform differs: {p:?} cap {cap:?}");
+    }
+
+    /// No cap, and every encoding at every budget `s` from 1 to 7.
+    fn caps() -> Vec<Option<(Encoding, usize)>> {
+        let capped = Encoding::ALL.into_iter().flat_map(|e| (1..=7).map(move |s| Some((e, s))));
+        std::iter::once(None).chain(capped).collect()
+    }
+
+    /// Two ulps either side of every code's value and rounding
+    /// thresholds (and past the clamp), plus the specials.
+    fn threshold_sweep(p: QuantParams) -> Vec<f32> {
+        let mut xs = vec![0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, f32::MAX, f32::MIN];
+        xs.extend([f32::MIN_POSITIVE, f32::from_bits(1), -f32::from_bits(1)]);
+        for c in -(p.qmax() + 2)..=p.qmax() + 2 {
+            let c = c as f32;
+            for v in [c * p.scale, (c - 0.5) * p.scale, (c + 0.5) * p.scale] {
+                let (mut up, mut down) = (v, v);
+                xs.push(v);
+                for _ in 0..2 {
+                    up = up.next_up();
+                    down = down.next_down();
+                    xs.extend([up, down]);
+                }
+            }
+        }
+        xs
+    }
+
+    /// The vector transform (slice quantizer plus per-call code table)
+    /// equals the scalar path bit for bit: bits 2 to 8 and a wider width
+    /// (the per-element path), scales from a subnormal up and zero,
+    /// every cap, ±2 ulps around every threshold.
+    #[test]
+    fn vector_transform_matches_the_scalar_path_bitwise() {
+        for bits in (2..=8u8).chain([12]) {
+            for scale in [1.0e-40, 4.2e-4, 0.031, 1.0, 0.0] {
+                let p = QuantParams { scale, bits };
+                let xs = threshold_sweep(QuantParams { scale: if scale == 0.0 { 1.0 } else { scale }, bits });
+                for cap in caps() {
+                    assert_matches_scalar(p, cap, &xs);
+                }
+            }
+        }
+        // HESE at s = 1 rounds 127 = 2^7 - 2^0 up to 128, past qmax.
+        let p = QuantParams { scale: 1.0 / 127.0, bits: 8 };
+        let mut fq = FakeQuant { act_params: Some(p), act_cap: Some((Encoding::Hese, 1)), ..FakeQuant::default() };
+        let (t, codes) = fq.transform_input_codes(&Tensor::from_vec(vec![1.0, -1.0], Shape::d1(2)));
+        assert_eq!(codes, Some(vec![128, -128]));
+        assert_eq!(t.data(), &[p.real(128), p.real(-128)]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn vector_transform_matches_the_scalar_path_on_random_tensors(
+            len in 0usize..700,
+            bits in 2u8..=8,
+            scale in 1.0e-3f32..0.5,
+            cap_pick in 0usize..29,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let xs: Vec<f32> = (0..len).map(|_| rng.normal() * 2.0).collect();
+            assert_matches_scalar(QuantParams { scale, bits }, caps()[cap_pick], &xs);
+        }
     }
 
     #[test]

@@ -121,27 +121,22 @@ impl Layer for Conv2d {
     fn try_forward(&mut self, x: &Tensor, ctx: &mut ForwardCtx) -> Result<Tensor, TrError> {
         let g = self.try_geometry_for(x)?;
         let (n, oh, ow) = (x.shape().dim(0), g.out_h(), g.out_w());
-        // Borrow the input when no activation transform applies — the
-        // common eval case, where a per-forward clone would be the last
-        // remaining batch-sized allocation.
         let per_in = g.in_channels * g.in_h * g.in_w;
-        let xq_owned;
-        let xq: &Tensor = if self.fq.input_passthrough() {
-            x
-        } else if self.fq.count_pairs && self.fq.weight_terms.is_some() {
+        // The transform runs image by image into one arena buffer, right
+        // before that image's im2col reads it: no batch-sized copy of the
+        // input is made, and without an activation transform the input
+        // is read in place.
+        self.fq.observe(x);
+        let passthrough = self.fq.input_passthrough();
+        if !passthrough && self.fq.count_pairs && self.fq.weight_terms.is_some() && n > 0 {
             // Count pairs on the first image only (one representative
             // sample per batch keeps counting passes affordable), scaled
             // by the batch size at the accounting level.
-            let (t, codes) = self.fq.transform_input_codes(x);
-            if let Some(codes) = codes.filter(|_| n > 0) {
-                self.count_pairs(&codes[..per_in], &g);
+            if let Some(codes) = self.fq.capped_codes(&x.data()[..per_in]) {
+                self.count_pairs(&codes, &g);
             }
-            xq_owned = t;
-            &xq_owned
-        } else {
-            xq_owned = self.fq.transform_input(x);
-            &xq_owned
-        };
+        }
+        let mut image = self.scratch.take_image();
         // Borrowed, not cloned: the fields the loops below write are
         // disjoint from the quant site and the weight parameter.
         let w = self.fq.effective_weight(&self.weight.value);
@@ -149,41 +144,39 @@ impl Layer for Conv2d {
         self.cached_cols.clear();
         let per_out = self.out_channels * oh * ow;
         let (patch, np) = (g.patch_len(), g.n_patches());
-        if ctx.train {
-            // Training must keep an owned patch matrix per image for the
-            // backward pass, so this path allocates as before.
-            for i in 0..n {
-                let cols = im2col(&xq.data()[i * per_in..(i + 1) * per_in], &g);
-                let y = w.matmul(&cols);
-                let dst = &mut out.data_mut()[i * per_out..(i + 1) * per_out];
-                dst.copy_from_slice(y.data());
-                for (c, chunk) in dst.chunks_mut(oh * ow).enumerate() {
-                    let b = self.bias.value.data()[c];
-                    for v in chunk {
-                        *v += b;
-                    }
-                }
-                self.cached_cols.push(cols);
+        let mut cols = self.scratch.take_cols();
+        for i in 0..n {
+            let mut xq = &x.data()[i * per_in..(i + 1) * per_in];
+            if !passthrough {
+                self.fq.transform_slice_into(xq, &mut image);
+                xq = &image;
             }
-            self.cached_geometry = Some(g);
-        } else {
-            // Eval reuses one arena-owned patch buffer across the batch
-            // and multiplies straight into the output tensor (zeroed
-            // above), so the loop performs no per-image allocation.
-            let mut cols = self.scratch.take_cols();
-            for i in 0..n {
-                im2col_into(&xq.data()[i * per_in..(i + 1) * per_in], &g, &mut cols);
-                let dst = &mut out.data_mut()[i * per_out..(i + 1) * per_out];
+            let dst = &mut out.data_mut()[i * per_out..(i + 1) * per_out];
+            if ctx.train {
+                // Training must keep an owned patch matrix per image for
+                // the backward pass, so this path allocates as before.
+                let owned = im2col(xq, &g);
+                dst.copy_from_slice(w.matmul(&owned).data());
+                self.cached_cols.push(owned);
+            } else {
+                // Eval reuses one arena-owned patch buffer across the
+                // batch and multiplies straight into the output tensor
+                // (zeroed above): no per-image allocation.
+                im2col_into(xq, &g, &mut cols);
                 matmul_into(w.data(), &cols, dst, self.out_channels, patch, np);
-                for (c, chunk) in dst.chunks_mut(oh * ow).enumerate() {
-                    let b = self.bias.value.data()[c];
-                    for v in chunk {
-                        *v += b;
-                    }
+            }
+            for (c, chunk) in dst.chunks_mut(oh * ow).enumerate() {
+                let b = self.bias.value.data()[c];
+                for v in chunk {
+                    *v += b;
                 }
             }
-            self.scratch.put_cols(cols);
         }
+        if ctx.train {
+            self.cached_geometry = Some(g);
+        }
+        self.scratch.put_cols(cols);
+        self.scratch.put_image(image);
         Ok(out)
     }
 

@@ -3,9 +3,14 @@
 use crate::fake_quant::FakeQuant;
 use crate::layer::{ForwardCtx, Layer, QuantSite};
 use crate::param::Param;
-use tr_core::PackedTermMatrix;
+use tr_core::{PackedTermMatrix, TrError};
 use tr_encoding::Encoding;
+use tr_obs::Counter;
 use tr_tensor::{Rng, Shape, Tensor};
+
+/// Integer forwards refused by the packed kernel (the layer returned its
+/// error instead of an output).
+static INTEGER_REFUSALS: Counter = Counter::new("nn.linear.integer_refusals");
 
 /// `y = x W^T + b` over a batch: `x (N, in) -> y (N, out)`.
 ///
@@ -79,8 +84,11 @@ impl Linear {
     ///
     /// `None` when the site lacks integer state (float mode, calibrating,
     /// no packed weights or planner — `prepare_weights` builds the two
-    /// together): the caller falls back to the float-simulated path.
-    fn integer_forward(&self, codes: &[i32], batch: usize) -> Option<Tensor> {
+    /// together): the caller takes the float-simulated path. With the
+    /// state present, a kernel error (a stale bit-plane decomposition of
+    /// the wrong shape, say) is counted and returned, never replaced by
+    /// float output.
+    fn integer_forward(&self, codes: &[i32], batch: usize) -> Option<Result<Tensor, TrError>> {
         if !self.fq.exec_integer || self.fq.calibrating {
             return None;
         }
@@ -98,22 +106,34 @@ impl Linear {
             wt,
             self.fq.weight_planes.as_deref(),
             planner.plan_for(batch),
-        )
-        .ok()?;
+        );
         let scale = act.scale.max(f32::MIN_POSITIVE) * wp.scale;
-        let out: Vec<f32> = y.iter().map(|&v| v as f32 * scale).collect();
-        Some(Tensor::from_vec(out, Shape::d2(batch, self.out_features)))
+        Some(y.inspect_err(|_| INTEGER_REFUSALS.inc()).map(|y| {
+            let out: Vec<f32> = y.iter().map(|&v| v as f32 * scale).collect();
+            Tensor::from_vec(out, Shape::d2(batch, self.out_features))
+        }))
     }
 }
 
 impl Layer for Linear {
     fn forward(&mut self, x: &Tensor, ctx: &mut ForwardCtx) -> Tensor {
-        assert_eq!(
-            x.shape().as_matrix().1,
-            self.in_features,
-            "linear expected {} input features",
-            self.in_features
-        );
+        match self.try_forward(x, ctx) {
+            Ok(y) => y,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// The forward, with a batch of the wrong width refused as
+    /// [`TrError::ShapeMismatch`] and the integer kernel's error
+    /// returned as it is.
+    fn try_forward(&mut self, x: &Tensor, ctx: &mut ForwardCtx) -> Result<Tensor, TrError> {
+        let features = x.shape().as_matrix().1;
+        if features != self.in_features {
+            return Err(TrError::ShapeMismatch(format!(
+                "linear expected {} input features, got {features}",
+                self.in_features
+            )));
+        }
         let x2 = if x.shape().rank() == 2 {
             x.clone()
         } else {
@@ -134,7 +154,7 @@ impl Layer for Linear {
             self.cached_input = Some(xq.clone());
         }
         let mut y = match codes.and_then(|c| self.integer_forward(&c, batch)) {
-            Some(y) => y,
+            Some(y) => y?,
             None => xq.matmul_transb(self.fq.effective_weight(&self.weight.value)),
         };
         let b = self.bias.value.data();
@@ -143,7 +163,7 @@ impl Layer for Linear {
                 *o += bv;
             }
         }
-        y
+        Ok(y)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -337,6 +357,45 @@ mod tests {
         let mut ctx = ForwardCtx::eval(&mut rng);
         let y_int = layer.forward(&x, &mut ctx);
         assert!(y_float.rel_l2(&y_int) < 1e-5, "rel {}", y_float.rel_l2(&y_int));
+    }
+
+    /// With integer state installed, a kernel error is the layer's
+    /// answer: a stale bit-plane decomposition of the wrong shape makes
+    /// `try_forward` return the kernel's `ShapeMismatch`, not the float
+    /// simulation's output.
+    #[test]
+    fn integer_kernel_errors_are_returned_not_replaced_by_float() {
+        let mut rng = Rng::seed_from_u64(14);
+        let mut layer = Linear::new(32, 8, &mut rng);
+        let cfg = tr_core::TrConfig::new(8, 4).with_data_terms(2);
+        let precision = crate::fake_quant::Precision::Tr(cfg);
+        layer.fq.install_weights(&layer.weight.value.clone(), &precision);
+        layer.fq.install_act_cap(&precision);
+        layer.fq.act_params = Some(QuantParams { scale: 0.05, bits: 8 });
+        layer.fq.exec_integer = true;
+        // The planes of another layer's 16x32 weights.
+        let other = Tensor::randn(Shape::d2(16, 32), 0.3, &mut rng);
+        layer.fq.weight_planes = crate::fake_quant::prepare_weights(&other, &precision).weight_planes;
+        let x = Tensor::randn(Shape::d2(4, 32), 1.0, &mut rng);
+        let mut ctx = ForwardCtx::eval(&mut rng);
+        let err = layer.try_forward(&x, &mut ctx).unwrap_err();
+        assert!(matches!(&err, TrError::ShapeMismatch(m) if m.contains("planes")), "{err}");
+        // Without integer execution the float simulation serves.
+        layer.fq.exec_integer = false;
+        assert!(layer.try_forward(&x, &mut ctx).is_ok());
+        // A batch of the wrong width is refused the same way.
+        let narrow = Tensor::zeros(Shape::d2(1, 31));
+        let err = layer.try_forward(&narrow, &mut ctx).unwrap_err();
+        assert!(matches!(&err, TrError::ShapeMismatch(m) if m.contains("32 input features")), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "linear expected 5 input features, got 4")]
+    fn forward_panics_with_the_shape_error() {
+        let mut rng = Rng::seed_from_u64(15);
+        let mut layer = Linear::new(5, 3, &mut rng);
+        let mut ctx = ForwardCtx::eval(&mut rng);
+        layer.forward(&Tensor::zeros(Shape::d2(2, 4)), &mut ctx);
     }
 
     #[test]

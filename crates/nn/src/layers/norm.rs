@@ -72,6 +72,27 @@ impl BatchNorm2d {
         }
     }
 
+    /// The eval forward: `γ·((x − μ)·(1/σ)) + β` with the running
+    /// statistics, the arithmetic of the train path, written straight
+    /// into the output. It keeps nothing for a backward pass, so it
+    /// neither copies `x` nor builds `x̂`.
+    fn eval_forward(&self, x: &Tensor, n: usize, hw: usize) -> Tensor {
+        let per_channel: Vec<[f32; 4]> = (0..self.channels)
+            .map(|ch| {
+                let inv_std = 1.0 / (self.running_var[ch] + self.eps).sqrt();
+                [self.running_mean[ch], inv_std, self.gamma.value.data()[ch], self.beta.value.data()[ch]]
+            })
+            .collect();
+        let mut out = Vec::with_capacity(x.numel());
+        for ni in 0..n {
+            for (ch, &[mean, inv_std, g, b]) in per_channel.iter().enumerate() {
+                let off = (ni * self.channels + ch) * hw;
+                out.extend(x.data()[off..off + hw].iter().map(|&v| g * ((v - mean) * inv_std) + b));
+            }
+        }
+        Tensor::from_vec(out, x.shape().clone())
+    }
+
     fn stats_dims(x: &Tensor) -> (usize, usize, usize) {
         assert_eq!(x.shape().rank(), 4, "batchnorm2d expects NCHW input");
         (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2) * x.shape().dim(3))
@@ -85,6 +106,9 @@ impl Layer for BatchNorm2d {
     fn forward(&mut self, x: &Tensor, ctx: &mut ForwardCtx) -> Tensor {
         let (n, c, hw) = Self::stats_dims(x);
         assert_eq!(c, self.channels, "batchnorm channel mismatch");
+        if !ctx.train {
+            return self.eval_forward(x, n, hw);
+        }
         let count = (n * hw) as f32;
         let mut out = x.clone();
         let mut inv_stds = vec![0.0f32; c];
@@ -92,26 +116,19 @@ impl Layer for BatchNorm2d {
 
         #[allow(clippy::needless_range_loop)] // ch also indexes the running stats
         for ch in 0..c {
-            let (mean, var) = if ctx.train {
-                let mut sum = 0.0f64;
-                let mut sq = 0.0f64;
-                for ni in 0..n {
-                    let off = (ni * c + ch) * hw;
-                    for &v in &x.data()[off..off + hw] {
-                        sum += v as f64;
-                        sq += (v as f64) * (v as f64);
-                    }
+            let mut sum = 0.0f64;
+            let mut sq = 0.0f64;
+            for ni in 0..n {
+                let off = (ni * c + ch) * hw;
+                for &v in &x.data()[off..off + hw] {
+                    sum += v as f64;
+                    sq += (v as f64) * (v as f64);
                 }
-                let mean = (sum / count as f64) as f32;
-                let var = ((sq / count as f64) - (mean as f64) * (mean as f64)).max(0.0) as f32;
-                self.running_mean[ch] =
-                    (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
-                self.running_var[ch] =
-                    (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
-                (mean, var)
-            } else {
-                (self.running_mean[ch], self.running_var[ch])
-            };
+            }
+            let mean = (sum / count as f64) as f32;
+            let var = ((sq / count as f64) - (mean as f64) * (mean as f64)).max(0.0) as f32;
+            self.running_mean[ch] = (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
+            self.running_var[ch] = (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
             let inv_std = 1.0 / (var + self.eps).sqrt();
             inv_stds[ch] = inv_std;
             let g = self.gamma.value.data()[ch];
@@ -125,9 +142,7 @@ impl Layer for BatchNorm2d {
                 }
             }
         }
-        if ctx.train {
-            self.cached = Some(BnCache { x_hat, inv_std: inv_stds, shape: x.shape().clone() });
-        }
+        self.cached = Some(BnCache { x_hat, inv_std: inv_stds, shape: x.shape().clone() });
         out
     }
 

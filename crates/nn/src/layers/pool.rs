@@ -29,7 +29,8 @@ impl Layer for MaxPool2d {
         assert!(h % self.k == 0 && w % self.k == 0, "input {h}x{w} not divisible by pool {0}", self.k);
         let (oh, ow) = (h / self.k, w / self.k);
         let mut out = Tensor::zeros(Shape::d4(n, c, oh, ow));
-        let mut argmax = vec![0usize; out.numel()];
+        // Only a backward pass reads the winners' positions.
+        let mut argmax = if ctx.train { vec![0usize; out.numel()] } else { Vec::new() };
         let data = x.data();
         for nc in 0..n * c {
             let src = &data[nc * h * w..(nc + 1) * h * w];
@@ -50,7 +51,9 @@ impl Layer for MaxPool2d {
                     }
                     let o = nc * oh * ow + oy * ow + ox;
                     out.data_mut()[o] = best;
-                    argmax[o] = best_idx;
+                    if ctx.train {
+                        argmax[o] = best_idx;
+                    }
                 }
             }
         }

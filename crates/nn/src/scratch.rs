@@ -7,15 +7,17 @@
 //! lifetime), so steady-state eval forwards perform no per-image
 //! allocation: `im2col_into` overwrites every slot of the reused patch
 //! buffer and `matmul_into` accumulates straight into the (zeroed)
-//! output tensor region.
+//! output tensor region. Each image's activation transform is written
+//! to an arena buffer too, just before its im2col reads it.
 //!
-//! The arena is deliberately not used on the training path, which must
-//! cache an owned patch matrix per image for the backward pass.
+//! The patch buffer is deliberately not used on the training path, which
+//! must cache an owned patch matrix per image for the backward pass.
 
 /// Per-layer scratch buffers, reused across the images of a batch.
 #[derive(Debug, Clone, Default)]
 pub struct ScratchArena {
     cols: Vec<f32>,
+    image: Vec<f32>,
 }
 
 impl ScratchArena {
@@ -34,6 +36,17 @@ impl ScratchArena {
     /// Return the patch buffer so the next forward reuses its capacity.
     pub fn put_cols(&mut self, cols: Vec<f32>) {
         self.cols = cols;
+    }
+
+    /// Take ownership of the transformed-image buffer (leaves an empty
+    /// one behind), as [`ScratchArena::take_cols`] does for patches.
+    pub(crate) fn take_image(&mut self) -> Vec<f32> {
+        std::mem::take(&mut self.image)
+    }
+
+    /// Return the transformed-image buffer for the next forward.
+    pub(crate) fn put_image(&mut self, image: Vec<f32>) {
+        self.image = image;
     }
 
     /// Current capacity of the patch buffer, in elements.

@@ -6,7 +6,8 @@
 //!
 //! * [`QuantParams`] / [`quantize`] — symmetric fixed-point quantization at
 //!   4–8 bits with layerwise max-abs calibration (the \[44\]-style procedure
-//!   of §VI);
+//!   of §VI); [`QuantParams::code_into`] quantizes a whole slice with
+//!   vector instructions, bit for bit as [`QuantParams::code`] does;
 //! * [`QTensor`] — a quantized tensor: integer codes plus a scale;
 //! * [`truncate`] — per-value top-`s` term truncation under any encoding
 //!   (the "no grouping" baselines of Fig. 17 and the data-side `s`
@@ -30,6 +31,7 @@ pub mod error;
 pub mod errors;
 pub mod per_channel;
 pub mod qtensor;
+mod slice;
 pub mod truncate;
 
 pub use calibrate::{

@@ -132,7 +132,8 @@ impl QTensor {
 
 /// Quantize a float tensor with the given parameters.
 pub fn quantize(t: &Tensor, params: QuantParams) -> QTensor {
-    let values = t.data().iter().map(|&x| params.code(x)).collect();
+    let mut values = vec![0; t.numel()];
+    params.code_into(t.data(), &mut values);
     QTensor { values, params, shape: t.shape().clone() }
 }
 

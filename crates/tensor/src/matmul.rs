@@ -4,10 +4,16 @@
 //! layers directly; convolutions via im2col), so this is the hot kernel of
 //! the whole reproduction. [`matmul_into`] is a register-blocked kernel:
 //! B is packed in column panels, and each `MR × NR` block of the output
-//! stays in vector registers for the whole K loop. One safe block body is
-//! compiled for three instruction sets ([`Tier`]), the widest one the host
-//! supports is picked at run time, and every tier returns the bits of the
-//! zero-skipping scalar kernel it replaced (see [`matmul_into`]).
+//! stays in vector registers for the whole K loop. There are three
+//! builds ([`Tier`]), with a block shape each: the portable tier is safe
+//! code over a 4×16 block; the AVX2 (6×16) and AVX-512 (6×32) tiers
+//! write their blocks in intrinsics, twelve accumulator registers each,
+//! and compile the whole packing driver under their target feature. The
+//! widest tier the host supports is picked at run time. Every tier
+//! returns the bits of the zero-skipping scalar kernel (see
+//! [`matmul_into`]): the intrinsics multiply, then add (`mul_ps`, then
+//! `add_ps`, never a fused multiply-add), so each product is rounded to
+//! f32 before its add, in ascending `kk` order, as in the scalar loop.
 //! [`matmul_transb_into`] and [`Tensor::matmul_transa`] keep row kernels
 //! with a rayon `par_chunks_mut` outer loop over output rows, which keeps
 //! the parallel version bit-identical to the sequential one (each output
@@ -101,9 +107,9 @@ pub enum Tier {
     Scalar,
     /// The blocked kernel at the target's baseline instruction set.
     Portable,
-    /// The blocked kernel compiled for AVX2 (256-bit lanes, 4×16 block).
+    /// The blocked kernel in AVX2 intrinsics (256-bit lanes, 6×16 block).
     Avx2,
-    /// The blocked kernel compiled for AVX512F (512-bit lanes, 4×32 block).
+    /// The blocked kernel in AVX512F intrinsics (512-bit lanes, 6×32 block).
     Avx512,
 }
 
@@ -179,17 +185,13 @@ pub fn matmul_into_with(tier: Tier, a: &[f32], b: &[f32], out: &mut [f32], m: us
     assert!(tier.available(), "matmul tier {} is not supported on this host", tier.name());
     match tier {
         Tier::Scalar => scalar(a, b, out, k, n, 0..n),
-        Tier::Portable => blocked::<PORTABLE_NR>(a, b, out, m, k, n, block_portable),
+        Tier::Portable => blocked::<PORTABLE_MR, PORTABLE_NR>(a, b, out, m, k, n, block_portable),
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => blocked::<16>(a, b, out, m, k, n, |a, p, o, ldo| {
-            // SAFETY: `tier.available()` asserted above that this host has AVX2.
-            unsafe { block_avx2(a, p, o, ldo) }
-        }),
+        // SAFETY: `tier.available()` asserted above that this host has AVX2.
+        Tier::Avx2 => unsafe { blocked_avx2(a, b, out, m, k, n) },
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => blocked::<32>(a, b, out, m, k, n, |a, p, o, ldo| {
-            // SAFETY: `tier.available()` asserted above that this host has AVX512F.
-            unsafe { block_avx512(a, p, o, ldo) }
-        }),
+        // SAFETY: `tier.available()` asserted above that this host has AVX512F.
+        Tier::Avx512 => unsafe { blocked_avx512(a, b, out, m, k, n) },
         #[cfg(not(target_arch = "x86_64"))]
         Tier::Avx2 | Tier::Avx512 => unreachable!("unavailable tiers were rejected above"),
     }
@@ -211,104 +213,29 @@ fn scalar(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, cols: Range
     }
 }
 
-/// Rows of every blocked tier's register block.
-const MR: usize = 4;
-/// Columns of the portable tier's register block (four SSE2 registers
-/// per row on x86-64).
+/// The portable tier's register block: 4 rows of 16 columns, four SSE2
+/// registers per row on x86-64.
+const PORTABLE_MR: usize = 4;
 const PORTABLE_NR: usize = 16;
+/// The AVX2 tier's block: 6 rows of two 8-lane registers. Twelve
+/// accumulators, two B loads and one broadcast fill fifteen of the
+/// sixteen `ymm` registers.
+#[cfg(target_arch = "x86_64")]
+const AVX2_MR: usize = 6;
+/// The AVX-512 tier's block: 6 rows of two 16-lane registers, the same
+/// register plan as AVX2 at twice the width.
+#[cfg(target_arch = "x86_64")]
+const AVX512_MR: usize = 6;
 
-// The three compilations of `block`. Each is a function of its own so
-// the optimizer sees the block's K loop as the outermost loop: inlined
-// into the panel loops, it vectorizes the K loop with gathers instead.
+/// The portable tier's block, in safe code. A function of its own so the
+/// optimizer sees the block's K loop as the outermost loop: inlined into
+/// the panel loops, it vectorizes the K loop with gathers instead.
+/// Constant-bound index loops let it unroll the update and keep each
+/// accumulator row in vector registers.
 #[inline(never)]
 fn block_portable(a: &[f32], packed: &[f32], out: &mut [f32], ldo: usize) {
-    block::<PORTABLE_NR>(a, packed, out, ldo);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn block_avx2(a: &[f32], packed: &[f32], out: &mut [f32], ldo: usize) {
-    block::<16>(a, packed, out, ldo);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn block_avx512(a: &[f32], packed: &[f32], out: &mut [f32], ldo: usize) {
-    block::<32>(a, packed, out, ldo);
-}
-
-thread_local! {
-    /// `blocked`'s A-tail and packed-panel buffers, kept per thread so a
-    /// steady stream of calls (a conv layer's images) allocates nothing.
-    static PACK_BUFFERS: std::cell::RefCell<(Vec<f32>, Vec<f32>)> = const {
-        std::cell::RefCell::new((Vec::new(), Vec::new()))
-    };
-}
-
-/// The register-blocked GEMM driver. Columns are walked in `NR`-wide
-/// panels; each B panel is first packed into a contiguous `k × NR`
-/// buffer (the rows of a strided panel of a wide B map to the same few
-/// L1 sets), then `kernel` computes the panel `MR` output rows at a time,
-/// so each packed B row is loaded once per `MR` rows. Edge tiles (fewer
-/// than `MR` rows or `NR` columns) run on zero-padded copies.
-fn blocked<const NR: usize>(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    kernel: impl Fn(&[f32], &[f32], &mut [f32], usize),
-) {
-    PACK_BUFFERS.with_borrow_mut(|(a_tail, packed)| {
-        let full_rows = m - m % MR;
-        a_tail.clear();
-        a_tail.extend_from_slice(&a[full_rows * k..]);
-        a_tail.resize(MR * k, 0.0);
-        packed.clear();
-        packed.resize(k * NR, 0.0);
-        let mut tile = [[0.0f32; NR]; MR];
-        for j in (0..n).step_by(NR) {
-            let width = NR.min(n - j);
-            for (dst, src) in packed.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
-                dst[..width].copy_from_slice(&src[j..j + width]);
-            }
-            // The blocked sum equals the zero-skipping one unless this
-            // panel of B holds a non-finite value (see `matmul_into`);
-            // such a panel runs on the scalar kernel.
-            if !packed.iter().fold(true, |ok, v| ok & v.is_finite()) {
-                scalar(a, b, out, k, n, j..j + width);
-                continue;
-            }
-            for i in (0..m).step_by(MR) {
-                let height = MR.min(m - i);
-                let a_rows = if height == MR { &a[i * k..(i + MR) * k] } else { &a_tail[..] };
-                if height == MR && width == NR {
-                    kernel(a_rows, packed, &mut out[i * n + j..], n);
-                } else {
-                    let tile = tile.as_flattened_mut();
-                    for (dst, src) in tile.chunks_exact_mut(NR).zip(out[i * n + j..].chunks(n)).take(height) {
-                        dst[..width].copy_from_slice(&src[..width]);
-                    }
-                    kernel(a_rows, packed, tile, NR);
-                    for (src, dst) in tile.chunks_exact(NR).zip(out[i * n + j..].chunks_mut(n)).take(height) {
-                        dst[..width].copy_from_slice(&src[..width]);
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// One `MR × NR` block of `out` (row stride `ldo`), held in
-/// accumulators for the whole K loop; `a` is the block's `MR` rows of A
-/// and `packed` its `k × NR` B panel.
-///
-/// Constant-bound index loops let the optimizer unroll the update and
-/// keep each accumulator row in vector registers; `MR × NR` stays at 128
-/// or below, past which it vectorizes the K loop with gathers instead.
-#[inline(always)]
-fn block<const NR: usize>(a: &[f32], packed: &[f32], out: &mut [f32], ldo: usize) {
+    const MR: usize = PORTABLE_MR;
+    const NR: usize = PORTABLE_NR;
     let k = a.len() / MR;
     let mut acc = [[0.0f32; NR]; MR];
     for (r, row) in acc.iter_mut().enumerate() {
@@ -327,6 +254,156 @@ fn block<const NR: usize>(a: &[f32], packed: &[f32], out: &mut [f32], ldo: usize
     for (r, row) in acc.iter().enumerate() {
         out[r * ldo..r * ldo + NR].copy_from_slice(row);
     }
+}
+
+/// Generates one x86-64 tier: the [`blocked`] driver compiled for
+/// `$feature` around a block kernel of `$mr` rows of two `$lanes`-wide
+/// registers. The whole driver takes the target feature, so panel
+/// packing and the finiteness check run at that width too. Each step of
+/// the block multiplies, then adds (`mul_ps` and `add_ps`, never a fused
+/// multiply-add), so every product is rounded to f32 before its add, as
+/// in the scalar kernel.
+#[cfg(target_arch = "x86_64")]
+macro_rules! x86_tier {
+    ($name:ident, $feature:literal, $mr:expr, $lanes:expr,
+     $load:ident, $store:ident, $set1:ident, $mul:ident, $add:ident) => {
+        /// [`blocked`] with this tier's block kernel.
+        ///
+        /// # Safety
+        /// The host must support the target feature.
+        #[target_feature(enable = $feature)]
+        unsafe fn $name(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+            use std::arch::x86_64::*;
+            const MR: usize = $mr;
+            const NR: usize = 2 * $lanes;
+            // One block of `out` (row stride `ldo`): `MR` rows of `NR`
+            // columns held in registers for the whole K loop, over the
+            // block's `MR` rows of A and its `K × NR` B panel.
+            blocked::<MR, NR>(a, b, out, m, k, n, |a, packed, out, ldo| {
+                let k = a.len() / MR;
+                assert!(a.len() == MR * k && packed.len() >= k * NR, "block operands are MR x K and K x NR");
+                assert!(ldo >= NR && out.len() >= (MR - 1) * ldo + NR, "block output holds MR rows of NR");
+                let (ap, bp, op) = (a.as_ptr(), packed.as_ptr(), out.as_mut_ptr());
+                // SAFETY: the asserts above bound every offset: `r*k + kk
+                // < MR*k = a.len()`, `kk*NR + NR <= packed.len()` and
+                // `r*ldo + NR <= out.len()`; the loads and stores are
+                // unaligned, and the caller guarantees the feature.
+                unsafe {
+                    let mut acc = [[$set1(0.0); 2]; MR];
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        row[0] = $load(op.add(r * ldo));
+                        row[1] = $load(op.add(r * ldo + $lanes));
+                    }
+                    for kk in 0..k {
+                        let b0 = $load(bp.add(kk * NR));
+                        let b1 = $load(bp.add(kk * NR + $lanes));
+                        for (r, row) in acc.iter_mut().enumerate() {
+                            let av = $set1(*ap.add(r * k + kk));
+                            row[0] = $add(row[0], $mul(av, b0));
+                            row[1] = $add(row[1], $mul(av, b1));
+                        }
+                    }
+                    for (r, row) in acc.iter().enumerate() {
+                        $store(op.add(r * ldo), row[0]);
+                        $store(op.add(r * ldo + $lanes), row[1]);
+                    }
+                }
+            });
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+x86_tier!(
+    blocked_avx2,
+    "avx2",
+    AVX2_MR,
+    8,
+    _mm256_loadu_ps,
+    _mm256_storeu_ps,
+    _mm256_set1_ps,
+    _mm256_mul_ps,
+    _mm256_add_ps
+);
+#[cfg(target_arch = "x86_64")]
+x86_tier!(
+    blocked_avx512,
+    "avx512f",
+    AVX512_MR,
+    16,
+    _mm512_loadu_ps,
+    _mm512_storeu_ps,
+    _mm512_set1_ps,
+    _mm512_mul_ps,
+    _mm512_add_ps
+);
+
+thread_local! {
+    /// `blocked`'s A-tail and packed-panel buffers, kept per thread so a
+    /// steady stream of calls (a conv layer's images) allocates nothing.
+    static PACK_BUFFERS: std::cell::RefCell<(Vec<f32>, Vec<f32>)> = const {
+        std::cell::RefCell::new((Vec::new(), Vec::new()))
+    };
+}
+
+/// The register-blocked GEMM driver. Columns are walked in `NR`-wide
+/// panels; each B panel is first packed into a contiguous `k × NR`
+/// buffer (the rows of a strided panel of a wide B map to the same few
+/// L1 sets), then `kernel` computes the panel `MR` output rows at a time,
+/// so each packed B row is loaded once per `MR` rows. Edge tiles (fewer
+/// than `MR` rows or `NR` columns) run on zero-padded copies. Inlined
+/// into each tier, so it compiles at that tier's instruction set.
+#[inline(always)]
+fn blocked<const MR: usize, const NR: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    kernel: impl Fn(&[f32], &[f32], &mut [f32], usize),
+) {
+    // Taken out of the thread-local and put back, not borrowed through
+    // `with`: a closure passed to `with` would compile outside the
+    // tier's target feature.
+    let (mut a_tail, mut packed) = PACK_BUFFERS.take();
+    let full_rows = m - m % MR;
+    a_tail.clear();
+    a_tail.extend_from_slice(&a[full_rows * k..]);
+    a_tail.resize(MR * k, 0.0);
+    packed.clear();
+    packed.resize(k * NR, 0.0);
+    let mut tile = [[0.0f32; NR]; MR];
+    for j in (0..n).step_by(NR) {
+        let width = NR.min(n - j);
+        for (dst, src) in packed.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+            dst[..width].copy_from_slice(&src[j..j + width]);
+        }
+        // The blocked sum equals the zero-skipping one unless this
+        // panel of B holds a non-finite value (see `matmul_into`);
+        // such a panel runs on the scalar kernel.
+        if !packed.iter().fold(true, |ok, v| ok & v.is_finite()) {
+            scalar(a, b, out, k, n, j..j + width);
+            continue;
+        }
+        for i in (0..m).step_by(MR) {
+            let height = MR.min(m - i);
+            let a_rows = if height == MR { &a[i * k..(i + MR) * k] } else { &a_tail[..] };
+            if height == MR && width == NR {
+                kernel(a_rows, &packed, &mut out[i * n + j..], n);
+            } else {
+                let tile = tile.as_flattened_mut();
+                for (dst, src) in tile.chunks_exact_mut(NR).zip(out[i * n + j..].chunks(n)).take(height) {
+                    dst[..width].copy_from_slice(&src[..width]);
+                }
+                kernel(a_rows, &packed, tile, NR);
+                for (src, dst) in tile.chunks_exact(NR).zip(out[i * n + j..].chunks_mut(n)).take(height) {
+                    dst[..width].copy_from_slice(&src[..width]);
+                }
+            }
+        }
+    }
+    PACK_BUFFERS.set((a_tail, packed));
 }
 
 /// `a (M,K) @ b^T (N,K)` into `out (M,N)`. `out` must be zeroed by the caller.

@@ -54,6 +54,40 @@ fn im2col_oracle<T: Copy + Default>(input: &[T], g: &Conv2dGeometry) -> Vec<T> {
     out
 }
 
+/// The tier race at the register blocks' edges and the conv shapes: M
+/// from 1 to 13 (around the 4- and 6-row blocks), N on each side of the
+/// 16- and 32-column panels and one conv width, K from a single term to
+/// the deepest VGG patch. A holds a zero row and signed zeros, B holds
+/// `-0.0`, and on every other shape one B panel holds inf and NaN.
+#[test]
+fn every_tier_matches_the_scalar_kernel_at_block_edges() {
+    let mut rng = Rng::seed_from_u64(2024);
+    let mut case = 0usize;
+    for m in 1..=13usize {
+        for n in [1usize, 15, 16, 17, 31, 32, 33, 1024] {
+            for k in [1usize, 27, 216, 864] {
+                case += 1;
+                let mut a: Vec<f32> = (0..m * k).map(|_| value_or_zero(&mut rng, 0.3)).collect();
+                a[(m / 2) * k..(m / 2 + 1) * k].fill(0.0);
+                let mut b: Vec<f32> = (0..k * n).map(|_| value_or_zero(&mut rng, 0.2)).collect();
+                b[0] = -0.0;
+                if case.is_multiple_of(2) {
+                    let col = rng.below(n);
+                    b[rng.below(k) * n + col] = f32::INFINITY;
+                    b[rng.below(k) * n + col] = f32::NAN;
+                }
+                let mut expect = vec![0.0; m * n];
+                matmul_into_with(Tier::Scalar, &a, &b, &mut expect, m, k, n);
+                for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
+                    let mut got = vec![0.0; m * n];
+                    matmul_into_with(tier, &a, &b, &mut got, m, k, n);
+                    assert!(bits(&got) == bits(&expect), "tier {} differs at {m}x{k}x{n}", tier.name());
+                }
+            }
+        }
+    }
+}
+
 fn tensor_strategy(max_side: usize) -> impl Strategy<Value = (usize, usize, u64)> {
     (1..=max_side, 1..=max_side, any::<u64>())
 }

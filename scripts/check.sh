@@ -12,9 +12,11 @@ cd "$(dirname "$0")/.."
 cargo build --release --workspace
 cargo test -q --workspace
 # The f32 GEMM tiers (portable, AVX2, AVX-512) race the scalar kernel bit
-# for bit in tr-tensor's tests; run them on optimized code too, where the
-# optimizer unrolls and vectorizes the block bodies they check.
+# for bit in tr-tensor's tests, and tr-quant's slice quantizer tiers race
+# the scalar `code`; run them on optimized code too, where the optimizer
+# unrolls and vectorizes the bodies they check.
 cargo test -q --release -p tr-tensor
+cargo test -q --release -p tr-quant
 # The end-to-end benchmark is its own Cargo workspace over the crates'
 # public APIs: building and testing it here makes an API change that
 # breaks it fail this gate, not the benchmark run.
