@@ -12,6 +12,11 @@
 //! Batch formation skips (and reports) requests whose deadline can no
 //! longer be met given the configured service-time estimate, so dead
 //! work is shed before it wastes compute.
+//!
+//! Each lane also keeps an online estimate of its admitted inter-arrival
+//! gap, so a batch whose lane is empty closes at once when no arrival is
+//! expected before its linger window ends, instead of idling through a
+//! window that cannot grow it.
 
 use crate::clock::{monotonic, SharedClock};
 use crate::request::Request;
@@ -20,6 +25,24 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+use tr_obs::Counter;
+
+/// Batches closed because they reached `max_batch`.
+static CLOSE_FULL: Counter = Counter::new("serve.batch.close.full");
+/// Batches closed because the linger window ended.
+static CLOSE_WINDOW: Counter = Counter::new("serve.batch.close.window");
+/// Batches closed early because the lane expected no arrival before the
+/// close time.
+static CLOSE_FORECAST: Counter = Counter::new("serve.batch.close.forecast");
+/// Batches closed because the first request's deadline slack ran down
+/// to the service estimate before the linger window ended.
+static CLOSE_DEADLINE: Counter = Counter::new("serve.batch.close.deadline");
+/// Batches closed because shutdown was observed.
+static CLOSE_SHUTDOWN: Counter = Counter::new("serve.batch.close.shutdown");
+
+/// Weight of the newest sample in a lane's inter-arrival EWMA, as a
+/// divisor: each admitted arrival moves the estimate 1/8 of the way.
+const GAP_EWMA_DIVISOR: u32 = 8;
 
 /// Recover a mutex even if a panicking thread poisoned it — the service
 /// is designed to survive worker panics, so lock poisoning must never
@@ -40,12 +63,35 @@ pub struct Pull {
     pub depth: usize,
 }
 
+/// One tenant's FIFO plus its arrival-gap estimate.
+#[derive(Debug, Default)]
+struct Lane {
+    q: VecDeque<Request>,
+    /// Clock time of the last admitted arrival.
+    last_arrival: Option<Instant>,
+    /// EWMA of the admitted inter-arrival gap; `None` until the lane
+    /// has admitted two arrivals.
+    gap: Option<Duration>,
+}
+
+impl Lane {
+    fn note_arrival(&mut self, now: Instant) {
+        if let Some(last) = self.last_arrival {
+            let sample = now.saturating_duration_since(last);
+            self.gap = Some(self.gap.map_or(sample, |g| {
+                g - g / GAP_EWMA_DIVISOR + sample / GAP_EWMA_DIVISOR
+            }));
+        }
+        self.last_arrival = Some(now);
+    }
+}
+
 /// The per-tenant FIFO lanes plus the fairness cursor. One mutex guards
 /// the whole structure; the tenant count is small (a policy table, not
 /// a user population).
 #[derive(Debug, Default)]
 struct Lanes {
-    lanes: BTreeMap<TenantId, VecDeque<Request>>,
+    lanes: BTreeMap<TenantId, Lane>,
     /// Next tenant the round-robin scan starts from.
     cursor: TenantId,
     /// Total queued requests across lanes.
@@ -53,9 +99,18 @@ struct Lanes {
 }
 
 impl Lanes {
-    fn push(&mut self, req: Request) {
-        self.lanes.entry(req.tenant).or_default().push_back(req);
+    fn push(&mut self, req: Request, now: Instant) {
+        let lane = self.lanes.entry(req.tenant).or_default();
+        lane.note_arrival(now);
+        lane.q.push_back(req);
         self.len += 1;
+    }
+
+    /// Whether `tenant`'s lane expects no arrival within `window`: its
+    /// gap estimate exceeds the window. A lane without an estimate yet
+    /// expects one.
+    fn expects_none_within(&self, tenant: TenantId, window: Duration) -> bool {
+        self.lanes.get(&tenant).and_then(|l| l.gap).is_some_and(|gap| gap > window)
     }
 
     /// First tenant at or after `from` (wrapping) whose lane is
@@ -64,7 +119,7 @@ impl Lanes {
         self.lanes
             .range(from..)
             .chain(self.lanes.range(..from))
-            .find(|(_, q)| !q.is_empty())
+            .find(|(_, l)| !l.q.is_empty())
             .map(|(t, _)| *t)
     }
 
@@ -77,7 +132,7 @@ impl Lanes {
         service_estimate: Duration,
         expired: &mut Vec<Request>,
     ) -> Option<Request> {
-        let q = self.lanes.get_mut(&tenant)?;
+        let q = &mut self.lanes.get_mut(&tenant)?.q;
         while let Some(front) = q.front() {
             let hopeless = front.deadline <= now + service_estimate;
             let r = q.pop_front()?;
@@ -184,7 +239,8 @@ impl BoundedQueue {
         if g.len >= limit.min(self.capacity) {
             return Err(req);
         }
-        g.push(req);
+        let now = self.clock.now();
+        g.push(req, now);
         let depth = g.len;
         drop(g);
         self.cv.notify_one();
@@ -202,8 +258,8 @@ impl BoundedQueue {
     pub fn drain_all(&self) -> Vec<Request> {
         let mut g = lock(&self.inner);
         let mut out = Vec::with_capacity(g.len);
-        for q in g.lanes.values_mut() {
-            out.extend(q.drain(..));
+        for l in g.lanes.values_mut() {
+            out.extend(l.q.drain(..));
         }
         g.len = 0;
         out
@@ -219,9 +275,18 @@ impl BoundedQueue {
     /// time is reached. The close time is the earlier of `linger` from
     /// the first pull and the moment the first request's remaining
     /// deadline slack equals `service_estimate` — waiting any longer
-    /// would spend slack the execution itself needs. Requests whose
-    /// deadline cannot be met (deadline ≤ now + `service_estimate`) are
-    /// expired instead of batched.
+    /// would spend slack the execution itself needs. `linger` is an upper
+    /// bound: when the lane runs empty and its inter-arrival gap estimate
+    /// (an EWMA over admitted arrivals, kept per lane on the queue's
+    /// clock) exceeds the time left to the close time, no arrival is
+    /// expected to grow the batch and it closes at once. A lane that has
+    /// admitted fewer than two arrivals has no estimate and lingers.
+    /// Requests whose deadline cannot be met (deadline ≤ now +
+    /// `service_estimate`) are expired instead of batched.
+    ///
+    /// Each formed batch bumps one `serve.batch.close.*` counter naming
+    /// why it closed: `full`, `window`, `forecast`, `deadline` or
+    /// `shutdown`.
     ///
     /// `max_idle` bounds how long an *empty* pull blocks: once that much
     /// clock time passes with no viable work, an empty [`Pull`] is
@@ -267,30 +332,44 @@ impl BoundedQueue {
         // Pin the fill phase to the lane the fair scan landed on.
         let tenant = first.tenant;
         // Phase 2: fill the batch until close time or max_batch.
-        let close = (self.clock.now() + linger).min(first.deadline - service_estimate);
+        let window_close = self.clock.now() + linger;
+        let deadline_close = first.deadline - service_estimate;
+        let (close, timed_close) = if deadline_close < window_close {
+            (deadline_close, &CLOSE_DEADLINE)
+        } else {
+            (window_close, &CLOSE_WINDOW)
+        };
         let mut batch = vec![first];
-        while batch.len() < max_batch {
-            let now = self.clock.now();
-            match g.pop_viable(tenant, now, service_estimate, &mut expired) {
-                Some(r) => batch.push(r),
-                None => {
-                    if now >= close || shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let (ng, timeout) = self
-                        .cv
-                        .wait_timeout(g, close.duration_since(now))
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    g = ng;
-                    // A frozen test clock never reaches `close`; the
-                    // real-time condvar timeout terminates the linger
-                    // regardless.
-                    if g.len == 0 && (timeout.timed_out() || self.clock.now() >= close) {
-                        break;
-                    }
-                }
+        let mut waited_out = false;
+        let closed_by: &'static Counter = loop {
+            if batch.len() >= max_batch {
+                break &CLOSE_FULL;
             }
-        }
+            let now = self.clock.now();
+            if let Some(r) = g.pop_viable(tenant, now, service_estimate, &mut expired) {
+                batch.push(r);
+                continue;
+            }
+            if shutdown.load(Ordering::SeqCst) {
+                break &CLOSE_SHUTDOWN;
+            }
+            // A frozen test clock never reaches `close`; the real-time
+            // condvar timeout ends the linger regardless.
+            if now >= close || waited_out {
+                break timed_close;
+            }
+            let left = close.duration_since(now);
+            if g.expects_none_within(tenant, left) {
+                break &CLOSE_FORECAST;
+            }
+            let (ng, timeout) = self
+                .cv
+                .wait_timeout(g, left)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            g = ng;
+            waited_out = timeout.timed_out();
+        };
+        closed_by.inc();
         let depth = g.len;
         drop(g);
         (Pull { batch, expired, depth }, Some(tenant))
@@ -300,7 +379,9 @@ impl BoundedQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::{Clock, MockClock};
     use crate::tenant::DeadlineClass;
+    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     /// Effectively-infinite idle bound for tests that predate it.
@@ -429,8 +510,6 @@ mod tests {
 
     #[test]
     fn mock_clock_drives_deadline_expiry_without_real_waiting() {
-        use crate::clock::{Clock, MockClock};
-        use std::sync::Arc;
         let clock = Arc::new(MockClock::new());
         let q = BoundedQueue::with_clock(4, Arc::clone(&clock) as SharedClock);
         let now = clock.now();
@@ -453,6 +532,115 @@ mod tests {
         assert!(pull.batch.is_empty());
         assert_eq!(pull.expired.len(), 1);
         assert!(t0.elapsed() < Duration::from_millis(500), "expiry must not wait in real time");
+    }
+
+    /// A request on `clock`'s time line, due a minute after `clock.now()`.
+    fn mreq(id: u64, tenant: TenantId, clock: &MockClock) -> Request {
+        let now = clock.now();
+        Request {
+            id,
+            tenant,
+            class: DeadlineClass::Interactive,
+            input: vec![0.0],
+            submitted: now,
+            deadline: now + Duration::from_secs(60),
+        }
+    }
+
+    /// A mock-clock queue whose `tenant` lane has admitted `arrivals`
+    /// requests `gap` apart (then drained), so its gap estimate is `gap`.
+    fn with_history(tenant: TenantId, arrivals: u64, gap: Duration) -> (BoundedQueue, Arc<MockClock>) {
+        let clock = Arc::new(MockClock::new());
+        let q = BoundedQueue::with_clock(64, Arc::clone(&clock) as SharedClock);
+        for id in 0..arrivals {
+            q.try_push(mreq(id, tenant, &clock)).unwrap();
+            clock.advance(gap);
+        }
+        q.drain_all();
+        (q, clock)
+    }
+
+    fn close_count(reason: &str) -> u64 {
+        tr_obs::recorder().snapshot().counter(&format!("serve.batch.close.{reason}"))
+    }
+
+    #[test]
+    fn sparse_lane_closes_a_batch_before_the_window_ends() {
+        tr_obs::set_enabled(true);
+        let (q, clock) = with_history(0, 4, Duration::from_secs(10));
+        q.try_push(mreq(9, 0, &clock)).unwrap();
+        let shutdown = AtomicBool::new(false);
+        let before = close_count("forecast");
+        let t0 = Instant::now();
+        let pull = q.pop_batch_tenant(4, Duration::from_millis(200), Duration::ZERO, IDLE, &shutdown).0;
+        let waited = t0.elapsed();
+        assert_eq!(pull.batch.len(), 1);
+        // Arrivals 10 s apart cannot grow a 200 ms window: no linger.
+        assert!(waited < Duration::from_millis(150), "lingered for {waited:?}");
+        assert!(close_count("forecast") > before);
+    }
+
+    #[test]
+    fn dense_lane_keeps_lingering_for_the_next_arrival() {
+        let (q, clock) = with_history(0, 4, Duration::from_millis(1));
+        q.try_push(mreq(9, 0, &clock)).unwrap();
+        let q = Arc::new(q);
+        let pusher = {
+            let (q, clock) = (Arc::clone(&q), Arc::clone(&clock));
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                q.try_push(mreq(10, 0, &clock)).unwrap();
+            })
+        };
+        let shutdown = AtomicBool::new(false);
+        let pull = q.pop_batch_tenant(2, Duration::from_secs(5), Duration::ZERO, IDLE, &shutdown).0;
+        pusher.join().expect("pusher thread");
+        let ids: Vec<u64> = pull.batch.iter().map(|r| r.id).collect();
+        assert_eq!(ids, vec![9, 10], "a 1 ms gap is worth waiting for in a 5 s window");
+    }
+
+    #[test]
+    fn deadline_clamp_closes_before_the_window() {
+        tr_obs::set_enabled(true);
+        let (q, clock) = with_history(0, 4, Duration::from_millis(1));
+        let now = clock.now();
+        q.try_push(Request { deadline: now + Duration::from_millis(50), ..mreq(9, 0, &clock) }).unwrap();
+        let shutdown = AtomicBool::new(false);
+        let before = close_count("deadline");
+        let t0 = Instant::now();
+        let pull = q.pop_batch_tenant(4, Duration::from_secs(5), Duration::ZERO, IDLE, &shutdown).0;
+        let waited = t0.elapsed();
+        assert_eq!(pull.batch.len(), 1);
+        // The 1 ms gap estimate keeps the batch open; the 50 ms deadline
+        // slack, not the 5 s window, closes it.
+        assert!(waited >= Duration::from_millis(40), "closed too early: {waited:?}");
+        assert!(waited < Duration::from_secs(2), "waited out the window: {waited:?}");
+        assert!(close_count("deadline") > before);
+    }
+
+    #[test]
+    fn busy_tenant_does_not_make_a_sparse_lane_linger() {
+        let clock = Arc::new(MockClock::new());
+        let q = BoundedQueue::with_clock(256, Arc::clone(&clock) as SharedClock);
+        // Tenant 0 arrives every 10 s; tenant 1 floods 20 requests 10 µs
+        // apart in between.
+        for round in 0..4 {
+            q.try_push(mreq(round, 0, &clock)).unwrap();
+            clock.advance(Duration::from_secs(10));
+            for id in 0..20 {
+                q.try_push(mreq(100 + round * 20 + id, 1, &clock)).unwrap();
+                clock.advance(Duration::from_micros(10));
+            }
+        }
+        q.drain_all();
+        q.try_push(mreq(9, 0, &clock)).unwrap();
+        let shutdown = AtomicBool::new(false);
+        let t0 = Instant::now();
+        let (pull, tenant) =
+            q.pop_batch_tenant(4, Duration::from_millis(200), Duration::ZERO, IDLE, &shutdown);
+        let waited = t0.elapsed();
+        assert_eq!((tenant, pull.batch.len()), (Some(0), 1));
+        assert!(waited < Duration::from_millis(150), "tenant 1's flood made tenant 0 linger {waited:?}");
     }
 
     /// The fairness regression the multi-tenant queue exists for: a 10:1

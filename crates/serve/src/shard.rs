@@ -113,7 +113,11 @@ pub struct ShardedConfig {
     pub shard_queue_capacity: usize,
     /// Largest batch handed to an engine.
     pub max_batch: usize,
-    /// Longest a worker waits to fill a batch past the first request.
+    /// Upper bound on how long a worker waits to fill a batch past the
+    /// first request. The wait ends sooner when the batch's tenant lane
+    /// is empty and its estimated inter-arrival gap is longer than the
+    /// time left, so sparse traffic pays no linger
+    /// ([`BoundedQueue::pop_batch_tenant`]).
     pub batch_linger: Duration,
     /// Per-batch execution estimate for expiry-at-formation decisions.
     pub service_estimate: Duration,

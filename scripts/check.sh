@@ -41,11 +41,13 @@ cargo run -q --release -p tr-bench --bin repro -- verify-widths
 # empty artifact means the gate never passed.
 cargo run -q --release -p tr-bench --bin repro -- --quick prove
 test -s CERTS_PR7.json
-# Serving resilience: the multi-threaded panic/deadline soak in release
-# mode (the dev-profile run is part of `cargo test` above), then the
-# quick serve experiment end to end — ladder shedding, fault latch,
-# poison quarantine, exact request conservation (DESIGN.md SS9).
-cargo test -q --release -p tr-serve --test soak
+# Serving resilience: tr-serve's whole suite in release mode (the
+# dev-profile run is part of `cargo test` above), so the multi-threaded
+# panic/deadline soak and the timing-based batch-formation tests also run
+# on optimized code; then the quick serve experiment end to end — ladder
+# shedding, fault latch, poison quarantine, exact request conservation
+# (DESIGN.md SS9).
+cargo test -q --release -p tr-serve
 cargo run -q --release -p tr-bench --bin repro -- --quick serve
 # Chaos smoke: the end-to-end fault campaign — injected cache
 # corruption detected and repaired via content checksums, retries,
