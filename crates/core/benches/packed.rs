@@ -2,10 +2,16 @@
 //! hidden layer (batch × 256 → 128) and an im2col'd conv tile (C·k²
 //! reduction over a feature-map of patches). Covers the term matmul and
 //! the histogram reveal, so a regression in either is visible without
-//! running the full `repro bench` experiment.
+//! running the full `repro bench` experiment. `packed/serial` forces the
+//! serial code-plane route at the integer `Linear` shapes of the
+//! perfbench workloads, batch-major data against TR weights, as
+//! `Linear`'s integer forward passes them.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use tr_core::{try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
+use tr_core::{
+    try_packed_term_matmul_i64, try_packed_term_matmul_i64_planned_cached, MatmulPlan,
+    PackedTermMatrix, TrConfig,
+};
 use tr_encoding::Encoding;
 use tr_quant::{calibrate_max_abs, quantize, QTensor};
 use tr_tensor::{Rng, Shape, Tensor};
@@ -44,6 +50,38 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
+/// (label, batch, in, out, g, k, s): `mlp_serve`'s first Linear at batch
+/// 1, `mlp_int_k8`'s at batch 32, and `vgg_tr_k8`'s `linear192x1536` at
+/// batch 8.
+const LINEAR_SITES: [(&str, usize, usize, usize, usize, usize, usize); 3] = [
+    ("1x784x512_g8k24s3", 1, 784, 512, 8, 24, 3),
+    ("32x784x512_g8k8s2", 32, 784, 512, 8, 8, 2),
+    ("8x1536x192_g8k8s2", 8, 1536, 192, 8, 8, 2),
+];
+
+fn bench_serial_code_plane(c: &mut Criterion) {
+    let mut group = c.benchmark_group("packed/serial");
+    for (label, batch, k, n, g, budget, s) in LINEAR_SITES {
+        group.throughput(Throughput::Elements((batch * k * n) as u64));
+        let cfg = TrConfig::new(g, budget).with_data_terms(s);
+        let data = PackedTermMatrix::from_weights(&quantized(batch, k, 5), Encoding::Hese).cap_terms(s);
+        let weights = PackedTermMatrix::from_weights(&quantized(n, k, 6), Encoding::Hese).reveal(&cfg);
+        group.bench_function(BenchmarkId::new("code_plane", label), |b| {
+            b.iter(|| {
+                try_packed_term_matmul_i64_planned_cached(
+                    black_box(&data),
+                    None,
+                    black_box(&weights),
+                    None,
+                    MatmulPlan::SerialCodePlane,
+                )
+                .expect("reduction dims agree")
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_reveal(c: &mut Criterion) {
     let cfg = TrConfig::new(8, 12);
     let mut group = c.benchmark_group("packed/reveal");
@@ -68,6 +106,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_matmul, bench_reveal
+    targets = bench_matmul, bench_serial_code_plane, bench_reveal
 }
 criterion_main!(benches);

@@ -60,6 +60,7 @@ pub mod config;
 pub mod error;
 pub mod error_bound;
 pub mod matmul;
+mod narrow;
 pub mod packed;
 pub mod reveal;
 pub mod seal;

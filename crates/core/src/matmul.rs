@@ -18,6 +18,7 @@ use crate::bitplane::{
     live_plane_sum, try_bitplane_matmul_i64, try_bitplane_matmul_i64_blocked, BitPlaneMatrix,
 };
 use crate::error::TrError;
+use crate::narrow::{self, NarrowCodes};
 use crate::packed::PackedTermMatrix;
 use crate::seal::{fnv1a_word, FNV_OFFSET};
 use crate::tune::{self, TuneTable};
@@ -29,7 +30,9 @@ use tr_obs::{as_u64, Counter};
 /// Signed width of the accumulator every integer kernel in this module
 /// carries (`i64`). The tr-analysis whole-model prover certifies each
 /// (model, rung) pair against this constant; narrowing it is how the
-/// negative tests manufacture overflow reports.
+/// negative tests manufacture overflow reports. The narrow code-plane
+/// kernel's `i32` lanes run only under a per-call bound that keeps every
+/// sum below `2³¹`, where they equal the `i64` sums.
 pub const ACCUMULATOR_BITS: u32 = 64;
 
 /// Accumulator addition with the overflow contract spelled out: debug
@@ -107,6 +110,11 @@ static ROUTE_PARALLEL: Counter = Counter::new("core.matmul.route.parallel");
 static ROUTE_BITPLANE: Counter = Counter::new("core.matmul.route.bitplane");
 /// Matmuls executed over the L2-blocked deep-K bit-plane route.
 static ROUTE_BITPLANE_BLOCKED: Counter = Counter::new("core.matmul.route.bitplane_blocked");
+/// Code-plane matmuls that ran the narrow `i16`/`i32` kernel.
+static CODEPLANE_NARROW: Counter = Counter::new("core.matmul.codeplane.narrow");
+/// Code-plane matmuls whose codes or overflow bound sent them to the
+/// `i64` loop.
+static CODEPLANE_WIDE: Counter = Counter::new("core.matmul.codeplane.wide");
 
 /// Output-row tile of the blocked packed kernel: enough rows to amortize
 /// the per-task overhead of the thread pool without starving it.
@@ -124,9 +132,13 @@ const ROW_TILE: usize = 4;
 /// [`try_packed_term_matmul_i64_planned_cached`] — the dispatch decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatmulPlan {
-    /// Reconstruct code planes, dense matmul, single thread.
+    /// Reconstruct code planes, dense matmul, single thread. The matmul
+    /// runs in `i32` lanes over `i16` codes when the call's codes fit
+    /// and `max|w| · max|x| · K_pad < 2³¹`, and in `i64` otherwise (see
+    /// [`try_packed_term_matmul_i64_planned_cached`]).
     SerialCodePlane,
-    /// Reconstruct code planes, dense matmul, rayon row tiles.
+    /// [`MatmulPlan::SerialCodePlane`]'s kernels over rayon row tiles;
+    /// the code reconstruction stays serial.
     ParallelCodePlane,
     /// Decompose into sign-split exponent bit-planes and run the
     /// popcount kernel (which parallelizes internally by the same
@@ -187,6 +199,13 @@ fn decide_plan(
             };
         }
     }
+    // The code reconstruction is serial on both code-plane routes and
+    // costs about one shift-and-add per term, so fanning out pays only
+    // when the MACs dominate it by `par_prep_factor`. The factor was
+    // measured against the scalar `i64` loop. The narrow `i32`-lane
+    // kernel most calls run is several times faster per MAC, so its
+    // crossover sits higher than this rule puts it, and the rule does
+    // not yet know which kernel a call will take.
     let prep = terms();
     if macs > t.par_min_macs
         && macs >= t.par_prep_factor.saturating_mul(prep)
@@ -252,10 +271,18 @@ pub fn try_packed_term_matmul_i64(
 /// `(Σ_w ±2^(e_w)) · (Σ_x ±2^(e_x))` — the product of the codes the kept
 /// terms reconstruct. So the kernel makes one flat pass over each
 /// operand's exponent/sign planes to rebuild the signed codes (a shift
-/// and add per term), then runs a dense `i64` matmul over the contiguous
-/// code rows. Integer arithmetic is exact, so the result equals
-/// enumerating every term pair, at one multiply per element instead of
-/// `t_w · t_x` shifts.
+/// and add per term), then runs a dense matmul over the contiguous code
+/// rows, at one multiply per element instead of `t_w · t_x` shifts. The
+/// pass writes `i16` rows zero-padded to a multiple of 32 codes and
+/// tracks the largest `|code|`; when every code fits in ±32767 and
+/// `max|w| · max|x| · K_pad < 2³¹`, no partial sum can reach `2³¹`, and
+/// a vectorized kernel (one data row against four weight rows, `i32`
+/// sums, the widest ISA tier the host has) runs
+/// (`core.matmul.codeplane.narrow`). Otherwise the codes are rebuilt as
+/// `i64` and a scalar `i64` loop runs (`core.matmul.codeplane.wide`),
+/// keeping the [`ACCUMULATOR_BITS`] contract, debug overflow panics
+/// included. Integer arithmetic is exact and neither kernel can wrap
+/// where the other does not, so both equal enumerating every term pair.
 ///
 /// On the bit-plane routes a provided decomposition is used as-is and
 /// only the missing side is built — this is how the serve
@@ -324,22 +351,37 @@ pub fn try_packed_term_matmul_i64_planned_cached(
     if m * n == 0 || k == 0 {
         return Ok(out);
     }
+    let parallel = matches!(plan, MatmulPlan::ParallelCodePlane);
     // One flat pass per operand: ±2^exp shift-accumulated into the code
-    // plane each dense row below reads contiguously.
-    let wcodes = w.reconstruct_codes();
-    let xcodes = x.reconstruct_codes();
-    if let MatmulPlan::ParallelCodePlane = plan {
-        out.par_chunks_mut(ROW_TILE * n).enumerate().for_each(|(t, block)| {
-            for (r, orow) in block.chunks_mut(n).enumerate() {
-                code_row(&wcodes, &xcodes, t * ROW_TILE + r, orow, k);
-            }
+    // plane each dense row below reads contiguously, narrow when the
+    // call's codes admit it.
+    if let Some(codes) = NarrowCodes::of(w, x) {
+        CODEPLANE_NARROW.inc();
+        let (tier, s) = (narrow::Tier::detect(), codes.stride);
+        row_tiles(&mut out, n, parallel, |i0, block| {
+            narrow::rows_with(tier, &codes.w[i0 * s..], &codes.x, s, block);
         });
     } else {
-        for (i, orow) in out.chunks_mut(n).enumerate() {
-            code_row(&wcodes, &xcodes, i, orow, k);
-        }
+        CODEPLANE_WIDE.inc();
+        let wcodes = w.reconstruct_codes();
+        let xcodes = x.reconstruct_codes();
+        row_tiles(&mut out, n, parallel, |i0, block| {
+            for (r, orow) in block.chunks_mut(n).enumerate() {
+                code_row(&wcodes, &xcodes, i0 + r, orow, k);
+            }
+        });
     }
     Ok(out)
+}
+
+/// Run `rows(first_row, block)` over the `n`-cell output rows of `out`:
+/// in one call, or in [`ROW_TILE`]-row blocks on the rayon pool.
+fn row_tiles(out: &mut [i64], n: usize, parallel: bool, rows: impl Fn(usize, &mut [i64]) + Sync) {
+    if parallel {
+        out.par_chunks_mut(ROW_TILE * n).enumerate().for_each(|(t, block)| rows(t * ROW_TILE, block));
+    } else {
+        rows(0, out);
+    }
 }
 
 /// Per-shape plan cache for a fixed packed operand — the "x"/weight side
@@ -474,10 +516,10 @@ impl MatmulPlanner {
     }
 }
 
-/// One output row of the dense code-plane matmul: both operands are
-/// walked as contiguous `k`-length rows, so the inner loop vectorizes.
+/// One output row of the wide (`i64`) code-plane matmul: both operands
+/// are walked as contiguous `k`-length rows.
 #[inline]
-fn code_row(wcodes: &[i64], xcodes: &[i64], i: usize, orow: &mut [i64], k: usize) {
+pub(crate) fn code_row(wcodes: &[i64], xcodes: &[i64], i: usize, orow: &mut [i64], k: usize) {
     let wrow = &wcodes[i * k..(i + 1) * k];
     for (j, o) in orow.iter_mut().enumerate() {
         let xrow = &xcodes[j * k..(j + 1) * k];

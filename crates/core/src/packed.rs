@@ -401,23 +401,58 @@ impl PackedTermMatrix {
     /// the word it lives in, never through per-cell
     /// [`PackedTermMatrix::value`] calls (which re-derive element bounds
     /// and re-index the sign bitset per term). This is the pass the
-    /// code-plane matmul routes run, and the same walk
+    /// wide code-plane kernel runs, and the same walk
     /// [`BitPlaneMatrix::from_packed`](crate::BitPlaneMatrix::from_packed)
     /// fans out into bit-planes.
     pub fn reconstruct_codes(&self) -> Vec<i64> {
         let mut out = Vec::with_capacity(self.rows * self.len);
         let mut t = 0usize;
         for w in self.offsets.windows(2) {
-            let end = off_usize(w[1]);
-            let mut acc = 0i64;
-            while t < end {
-                let mag = crate::matmul::shl_exp(1, self.exps[t]);
-                acc = crate::matmul::acc_add(acc, if self.sign(t) { mag.wrapping_neg() } else { mag });
-                t += 1;
-            }
-            out.push(acc);
+            out.push(self.code_until(&mut t, off_usize(w[1])));
         }
         out
+    }
+
+    /// The code of the terms from `*t` to `end`, shift-accumulated, with
+    /// `*t` advanced to `end`: one element of the reconstruct walks.
+    #[inline(always)]
+    fn code_until(&self, t: &mut usize, end: usize) -> i64 {
+        let mut acc = 0i64;
+        while *t < end {
+            let mag = crate::matmul::shl_exp(1, self.exps[*t]);
+            acc = crate::matmul::acc_add(acc, if self.sign(*t) { mag.wrapping_neg() } else { mag });
+            *t += 1;
+        }
+        acc
+    }
+
+    /// [`PackedTermMatrix::reconstruct_codes`] into `i16` rows of `stride`
+    /// codes each, the tail past [`len`](PackedTermMatrix::len)
+    /// zero-padded, with the largest `|code|`: the narrow code-plane
+    /// kernel's operand. The same per-term walk, in one pass; `None` at
+    /// the first code outside ±32767 (whose `i16` would be wrong, or
+    /// `i16::MIN`, whose square overflows a pair sum).
+    ///
+    /// # Panics
+    /// If `stride < len`.
+    pub(crate) fn reconstruct_codes_i16(&self, stride: usize) -> Option<(Vec<i16>, u16)> {
+        assert!(stride >= self.len, "a {stride}-code row cannot hold {} codes", self.len);
+        let mut out = vec![0i16; self.rows * stride];
+        if self.len == 0 {
+            return Some((out, 0));
+        }
+        let mut max_abs = 0u16;
+        let mut t = 0usize;
+        for (row, ends) in out.chunks_exact_mut(stride).zip(self.offsets[1..].chunks_exact(self.len)) {
+            for (o, &end) in row.iter_mut().zip(ends) {
+                let code = i16::try_from(self.code_until(&mut t, off_usize(end)))
+                    .ok()
+                    .filter(|&c| c != i16::MIN)?;
+                max_abs = max_abs.max(code.unsigned_abs());
+                *o = code;
+            }
+        }
+        Some((out, max_abs))
     }
 
     /// Apply Term Revealing: receding water over every `g`-sized group of

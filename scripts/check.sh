@@ -12,11 +12,14 @@ cd "$(dirname "$0")/.."
 cargo build --release --workspace
 cargo test -q --workspace
 # The f32 GEMM tiers (portable, AVX2, AVX-512) race the scalar kernel bit
-# for bit in tr-tensor's tests, and tr-quant's slice quantizer tiers race
-# the scalar `code`; run them on optimized code too, where the optimizer
+# for bit in tr-tensor's tests, tr-quant's slice quantizer tiers race
+# the scalar `code`, and tr-core's narrow code-plane tiers (baseline,
+# AVX2, AVX-512BW) race the i64 loop and the term-pair walk, fallback
+# cases included; run them on optimized code too, where the optimizer
 # unrolls and vectorizes the bodies they check.
 cargo test -q --release -p tr-tensor
 cargo test -q --release -p tr-quant
+cargo test -q --release -p tr-core
 # The end-to-end benchmark is its own Cargo workspace over the crates'
 # public APIs: building and testing it here makes an API change that
 # breaks it fail this gate, not the benchmark run.
