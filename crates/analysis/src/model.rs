@@ -45,7 +45,7 @@ pub struct LayerSpec {
     pub rows: u64,
     /// Reduction length of each dot product — for conv and depthwise
     /// sites this is the im2col patch `C_in·kh·kw`, which is exactly the
-    /// accumulation length of the ScratchArena conv kernel.
+    /// accumulation length of the conv GEMM.
     pub reduction: u64,
 }
 
@@ -298,7 +298,7 @@ pub struct LayerProof {
     /// One term-pair product `w·x`.
     pub pair_range: ValueRange,
     /// The full dot-product accumulator (the tr-core matmul executor /
-    /// ScratchArena conv sum), including one code-band bias addend.
+    /// conv GEMM sum), including one code-band bias addend.
     pub acc_range: ValueRange,
     /// Minimal signed accumulator width holding `acc_range`.
     pub required_bits: u32,

@@ -8,7 +8,7 @@ use tr_core::{try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_quant::{calibrate_max_abs, quantize, QTensor};
 use tr_tensor::matmul::{matmul_into_with, Tier};
-use tr_tensor::{im2col_into, Conv2dGeometry, Rng, Shape, Tensor};
+use tr_tensor::{conv2d_into, im2col_into, Conv2dGeometry, Rng, Shape, Tensor};
 
 const M: usize = 48;
 const K: usize = 256;
@@ -104,6 +104,34 @@ fn bench_conv_f32(c: &mut Criterion) {
     group.finish();
 }
 
+/// The same convs as `matmul/conv_f32` through `conv2d_into`, the
+/// `Conv2d` eval path: the GEMM reads its B rows from a zero-padded copy
+/// of the image, so a row here replaces an `im2col` row plus a
+/// `matmul/conv_f32` row. It runs on the host's detected tier (the
+/// tier-forced conv entry is private to tr-tensor).
+fn bench_conv_f32_direct(c: &mut Criterion) {
+    let mut rng = Rng::seed_from_u64(13);
+    let mut group = c.benchmark_group("matmul/conv_f32_direct");
+    let tier = Tier::detect();
+    for (cin, cout, side) in VGG_CONVS {
+        let g = vgg_geometry(cin, side);
+        let (k, n) = (g.patch_len(), g.n_patches());
+        let w = Tensor::randn(Shape::d2(cout, k), 0.3, &mut rng);
+        let x = post_relu_image(cin, side, &mut rng);
+        let mut out = vec![0.0f32; cout * n];
+        let mut padded = Vec::new();
+        group.throughput(Throughput::Elements((cout * k * n) as u64));
+        group.bench_function(format!("{cout}x{k}x{n}/{}", tier.name()), |bch| {
+            bch.iter(|| {
+                out.fill(0.0);
+                conv2d_into(black_box(w.data()), black_box(&x), &g, &mut out, cout, &mut padded);
+                black_box(&out);
+            })
+        });
+    }
+    group.finish();
+}
+
 /// im2col of each VGG conv input.
 fn bench_im2col(c: &mut Criterion) {
     let mut rng = Rng::seed_from_u64(12);
@@ -134,6 +162,6 @@ fn quick() -> Criterion {
 criterion_group!{
     name = benches;
     config = quick();
-    targets = bench_domains, bench_transb, bench_conv_f32, bench_im2col
+    targets = bench_domains, bench_transb, bench_conv_f32, bench_conv_f32_direct, bench_im2col
 }
 criterion_main!(benches);

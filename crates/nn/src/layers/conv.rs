@@ -1,4 +1,7 @@
-//! 2-D convolutions, lowered to matmul via im2col.
+//! 2-D convolutions, lowered to matmul: through an owned im2col patch
+//! matrix when training (the backward pass reuses it), and through
+//! [`conv2d_into`], which reads the patches from a zero-padded copy of
+//! the image, in eval.
 
 use crate::fake_quant::FakeQuant;
 use crate::layer::{ForwardCtx, Layer, QuantSite};
@@ -8,7 +11,7 @@ use tr_core::{PackedTermMatrix, TrError};
 use tr_encoding::Encoding;
 use tr_tensor::conv::tap_span;
 use tr_tensor::matmul::matmul_into;
-use tr_tensor::{col2im, im2col, im2col_into, Conv2dGeometry, Rng, Shape, Tensor};
+use tr_tensor::{col2im, conv2d_into, im2col, im2col_into, Conv2dGeometry, Rng, Shape, Tensor};
 
 /// Standard convolution: input `(N, C, H, W)` → output `(N, O, H', W')`.
 ///
@@ -123,7 +126,7 @@ impl Layer for Conv2d {
         let (n, oh, ow) = (x.shape().dim(0), g.out_h(), g.out_w());
         let per_in = g.in_channels * g.in_h * g.in_w;
         // The transform runs image by image into one arena buffer, right
-        // before that image's im2col reads it: no batch-sized copy of the
+        // before that image's GEMM reads it: no batch-sized copy of the
         // input is made, and without an activation transform the input
         // is read in place.
         self.fq.observe(x);
@@ -137,14 +140,13 @@ impl Layer for Conv2d {
             }
         }
         let mut image = self.scratch.take_image();
+        let mut padded = self.scratch.take_padded();
         // Borrowed, not cloned: the fields the loops below write are
         // disjoint from the quant site and the weight parameter.
         let w = self.fq.effective_weight(&self.weight.value);
         let mut out = Tensor::zeros(Shape::d4(n, self.out_channels, oh, ow));
         self.cached_cols.clear();
         let per_out = self.out_channels * oh * ow;
-        let (patch, np) = (g.patch_len(), g.n_patches());
-        let mut cols = self.scratch.take_cols();
         for i in 0..n {
             let mut xq = &x.data()[i * per_in..(i + 1) * per_in];
             if !passthrough {
@@ -152,18 +154,18 @@ impl Layer for Conv2d {
                 xq = &image;
             }
             let dst = &mut out.data_mut()[i * per_out..(i + 1) * per_out];
+            // Both paths multiply straight into the output tensor, zeroed
+            // above, and give the same bits.
             if ctx.train {
                 // Training must keep an owned patch matrix per image for
-                // the backward pass, so this path allocates as before.
+                // the backward pass, so this path allocates it.
                 let owned = im2col(xq, &g);
-                dst.copy_from_slice(w.matmul(&owned).data());
+                matmul_into(w.data(), owned.data(), dst, self.out_channels, g.patch_len(), g.n_patches());
                 self.cached_cols.push(owned);
             } else {
-                // Eval reuses one arena-owned patch buffer across the
-                // batch and multiplies straight into the output tensor
-                // (zeroed above): no per-image allocation.
-                im2col_into(xq, &g, &mut cols);
-                matmul_into(w.data(), &cols, dst, self.out_channels, patch, np);
+                // Eval builds no patch matrix: the GEMM reads the patches
+                // from one arena-owned padded copy of the image.
+                conv2d_into(w.data(), xq, &g, dst, self.out_channels, &mut padded);
             }
             for (c, chunk) in dst.chunks_mut(oh * ow).enumerate() {
                 let b = self.bias.value.data()[c];
@@ -175,7 +177,7 @@ impl Layer for Conv2d {
         if ctx.train {
             self.cached_geometry = Some(g);
         }
-        self.scratch.put_cols(cols);
+        self.scratch.put_padded(padded);
         self.scratch.put_image(image);
         Ok(out)
     }
@@ -584,8 +586,8 @@ mod tests {
                 let same = y_eval.data().iter().zip(y_train.data()).all(|(a, b)| a.to_bits() == b.to_bits());
                 assert!(same, "conv {cin}->{cout} k{k} s{stride} p{pad} {h}x{w} pass {pass}");
             }
-            // The patch buffer stuck around for the next batch.
-            assert!(conv.scratch.cols_capacity() > 0);
+            // The padded-image buffer stuck around for the next batch.
+            assert!(conv.scratch.padded_capacity() > 0);
         }
         let mut dw = DepthwiseConv2d::new(3, 3, 1, 1, &mut rng);
         let x = Tensor::randn(Shape::d4(2, 3, 6, 6), 1.0, &mut rng);

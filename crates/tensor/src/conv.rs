@@ -1,11 +1,13 @@
-//! im2col / col2im convolution lowering.
+//! Convolution lowering: im2col / col2im, and the im2col-free GEMM.
 //!
 //! Term Revealing operates on dot products, so the engine lowers every
 //! convolution to a matrix multiply: the input is unrolled into a patch
 //! matrix (`im2col`) and the kernel becomes a `(out_channels, C*kh*kw)`
 //! weight matrix. The same lowering is reused by the quantized and
 //! TR executors, which is what lets one TR kernel serve both `Linear` and
-//! `Conv2d` layers.
+//! `Conv2d` layers. The float eval forward skips the patch matrix:
+//! [`conv2d_into`] computes the same product, bit for bit, reading each
+//! patch row from a zero-padded copy of the image.
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -179,6 +181,34 @@ pub fn im2col_into<T: Copy + Default>(input: &[T], g: &Conv2dGeometry, out: &mut
     }
 }
 
+/// `w (M, patch_len) @ im2col(image)` into `out (M, n_patches)`, with
+/// the bits of [`im2col_into`] followed by
+/// [`matmul_into`](crate::matmul::matmul_into), but without the patch
+/// matrix. `out` must be zeroed by the caller, as for `matmul_into`.
+///
+/// The image is copied once into `padded` (resized to `C·(H+2p)·(W+2p)`,
+/// zero-bordered), and the GEMM reads patch row `(c, kh, kw)` from it at
+/// offset `c·Hp·Wp + kh·Wp + kw`: at stride 1 a register block loads its
+/// B rows in place; other panels are packed from the padded image. Every
+/// B value the GEMM meets is the value the patch matrix would hold, in
+/// the same place, so the sums are the same (see `tr_tensor::matmul`).
+/// `padded` may be dirty and is reused across calls; the other buffers
+/// are per thread.
+///
+/// # Panics
+/// If the geometry is invalid or the shapes disagree with the slice
+/// lengths.
+pub fn conv2d_into(
+    w: &[f32],
+    image: &[f32],
+    g: &Conv2dGeometry,
+    out: &mut [f32],
+    m: usize,
+    padded: &mut Vec<f32>,
+) {
+    crate::matmul::conv2d_into_with(crate::matmul::Tier::detect(), w, image, g, out, m, padded);
+}
+
 /// Scatter a `(patch_len, n_patches)` gradient matrix back onto a CHW
 /// image, accumulating overlapping contributions (the adjoint of
 /// [`im2col`]).
@@ -322,6 +352,77 @@ mod tests {
         assert_eq!(buf, im2col(x1.data(), &g1).data());
         im2col_into(x2.data(), &g2, &mut buf);
         assert_eq!(buf, im2col(x2.data(), &g2).data());
+    }
+
+    /// The bit patterns of a slice, so `-0.0`, `+0.0` and every NaN
+    /// payload compare as distinct values.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_tier_conv_matches_im2col_then_the_scalar_gemm() {
+        use crate::matmul::{conv2d_into_with, matmul_into_with, Tier};
+        // (in, out, h, w, kernel, stride, pad): the six VGG convs (at
+        // W=8 an AVX-512 register half spans two output rows), stride 2,
+        // 1x1 with and without stride, 5x5 at stride 3 and pad 2, and
+        // channel counts and widths that leave ragged row blocks and
+        // column panels, or runs that fit no fixed copy length; widths
+        // 15 and 31 end an output row one lane short of a register half.
+        let cases = [
+            (3, 24, 32, 32, 3, 1, 1),
+            (24, 24, 32, 32, 3, 1, 1),
+            (24, 48, 16, 16, 3, 1, 1),
+            (48, 48, 16, 16, 3, 1, 1),
+            (48, 96, 8, 8, 3, 1, 1),
+            (96, 96, 8, 8, 3, 1, 1),
+            (16, 32, 32, 32, 3, 2, 1),
+            (32, 64, 16, 16, 1, 2, 0),
+            (16, 48, 32, 32, 1, 1, 0),
+            (6, 9, 11, 10, 5, 3, 2),
+            (5, 7, 9, 7, 3, 2, 1),
+            (3, 13, 5, 6, 1, 1, 0),
+            (2, 5, 3, 19, 3, 1, 1),
+            (4, 11, 4, 4, 3, 1, 1),
+            (3, 7, 6, 2, 3, 1, 1),
+            (3, 5, 5, 15, 3, 1, 1),
+            (3, 5, 4, 31, 3, 1, 1),
+        ];
+        let mut rng = Rng::seed_from_u64(25);
+        // A normal draw or, a quarter of the time each, +0.0 or -0.0.
+        let draw = |rng: &mut Rng| match rng.below(4) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.normal(),
+        };
+        // One dirty buffer for every geometry, tier and variant.
+        let mut padded = vec![f32::NAN; 3];
+        for (c, o, h, w, k, stride, pad) in cases {
+            let g = Conv2dGeometry { in_channels: c, in_h: h, in_w: w, k_h: k, k_w: k, stride, pad };
+            let (kk, n) = (g.patch_len(), g.n_patches());
+            let mut weights: Vec<f32> = (0..o * kk).map(|_| draw(&mut rng)).collect();
+            // A zero row meets every pixel, inf and NaN included, only
+            // through zero weights, so it stays +0.0.
+            weights[(o / 2) * kk..(o / 2 + 1) * kk].fill(0.0);
+            let clean: Vec<f32> = (0..c * h * w).map(|_| draw(&mut rng)).collect();
+            let mut dirty = clean.clone();
+            dirty[rng.below(c * h * w)] = f32::INFINITY;
+            dirty[rng.below(c * h * w)] = f32::NAN;
+            for image in [clean, dirty] {
+                let mut cols = Vec::new();
+                im2col_into(&image, &g, &mut cols);
+                let mut expect = vec![0.0; o * n];
+                matmul_into_with(Tier::Scalar, &weights, &cols, &mut expect, o, kk, n);
+                for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
+                    let mut got = vec![0.0; o * n];
+                    conv2d_into_with(tier, &weights, &image, &g, &mut got, o, &mut padded);
+                    assert!(bits(&got) == bits(&expect), "tier {} differs at {g:?}, {o} outputs", tier.name());
+                }
+                let mut got = vec![0.0; o * n];
+                conv2d_into(&weights, &image, &g, &mut got, o, &mut padded);
+                assert!(bits(&got) == bits(&expect), "conv2d_into differs at {g:?}");
+            }
+        }
     }
 
     #[test]

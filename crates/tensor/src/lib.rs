@@ -29,7 +29,7 @@ pub mod shape;
 pub mod stats;
 pub mod tensor;
 
-pub use conv::{col2im, im2col, im2col_into, Conv2dGeometry, ConvGeometryError};
+pub use conv::{col2im, conv2d_into, im2col, im2col_into, Conv2dGeometry, ConvGeometryError};
 pub use rng::Rng;
 pub use shape::Shape;
 pub use stats::{cdf_points, Histogram, Summary};

@@ -20,6 +20,10 @@ cargo test -q --workspace
 cargo test -q --release -p tr-tensor
 cargo test -q --release -p tr-quant
 cargo test -q --release -p tr-core
+# Conv2d's eval forward (`conv2d_into`, patches read from a zero-padded
+# image) must give the bits of its training forward (im2col, then the
+# GEMM) at every zoo conv geometry; check that on optimized code too.
+cargo test -q --release -p tr-nn
 # The end-to-end benchmark is its own Cargo workspace over the crates'
 # public APIs: building and testing it here makes an API change that
 # breaks it fail this gate, not the benchmark run.
