@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use tr_core::{try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_quant::{calibrate_max_abs, quantize, QTensor};
-use tr_tensor::matmul::{matmul_into_with, Tier};
+use tr_tensor::matmul::{matmul_into_with, matmul_transb_into_with, Tier};
 use tr_tensor::{conv2d_into, im2col_into, Conv2dGeometry, Rng, Shape, Tensor};
 
 const M: usize = 48;
@@ -62,6 +62,27 @@ fn bench_transb(c: &mut Criterion) {
     c.bench_function("matmul/transb_48x256x32", |bch| {
         bch.iter(|| black_box(&a).matmul_transb(black_box(&bt)))
     });
+    // The float `Linear` forwards of perfbench's MLP and VGG classifier
+    // at batch 32 (`M×K×N`, activations times weights transposed), on
+    // every tier this host runs.
+    let mut rng = Rng::seed_from_u64(14);
+    let mut group = c.benchmark_group("matmul/transb");
+    for (m, k, n) in [(32usize, 784usize, 512usize), (32, 1536, 192)] {
+        let x = Tensor::randn(Shape::d2(m, k), 1.0, &mut rng);
+        let w = Tensor::randn(Shape::d2(n, k), 0.05, &mut rng);
+        let mut out = vec![0.0f32; m * n];
+        group.throughput(Throughput::Elements((m * k * n) as u64));
+        for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
+            group.bench_function(format!("{m}x{k}x{n}/{}", tier.name()), |bch| {
+                bch.iter(|| {
+                    out.fill(0.0);
+                    matmul_transb_into_with(tier, black_box(x.data()), black_box(w.data()), &mut out, m, k, n);
+                    black_box(&out);
+                })
+            });
+        }
+    }
+    group.finish();
 }
 
 /// VGG's six 3x3 convolutions as (in channels, out channels, side): the

@@ -1,10 +1,12 @@
 //! Term Revealing kernel benchmarks: the receding-water pass, the
-//! term-pair counting behind Figs. 5/15, and the per-group histogram.
-//! Includes the DESIGN.md ablation of group size vs reveal cost.
+//! term-pair counting behind Figs. 5/15, the per-group histogram, and a
+//! cold TR weight prepare. Includes the DESIGN.md ablation of group size
+//! vs reveal cost.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tr_core::{group_pair_histogram, term_pairs_total_packed, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
+use tr_nn::{prepare_weights, Precision};
 use tr_quant::{calibrate_max_abs, quantize, QTensor};
 use tr_tensor::{Rng, Shape, Tensor};
 
@@ -42,6 +44,21 @@ fn bench_pair_counting(c: &mut Criterion) {
     });
 }
 
+/// A cold `prepare_weights` of the MLP's 512x784 `Linear` at two
+/// default-ladder rungs (no bit-planes) and at g8 k4 s1 (planes built).
+fn bench_prepare(c: &mut Criterion) {
+    let w = Tensor::randn(Shape::d2(512, 784), 0.05, &mut Rng::seed_from_u64(3));
+    let mut group = c.benchmark_group("prepare/tr/512x784");
+    group.throughput(Throughput::Elements(w.numel() as u64));
+    for (k, s) in [(24usize, 3usize), (8, 2), (4, 1)] {
+        let precision = Precision::Tr(TrConfig::new(8, k).with_data_terms(s));
+        group.bench_function(format!("g8k{k}s{s}"), |b| {
+            b.iter(|| prepare_weights(black_box(&w), &precision))
+        });
+    }
+    group.finish();
+}
+
 fn quick() -> Criterion {
     // Single-core CI budget: fewer samples, shorter windows.
     Criterion::default()
@@ -53,6 +70,6 @@ fn quick() -> Criterion {
 criterion_group!{
     name = benches;
     config = quick();
-    targets = bench_reveal, bench_pair_counting
+    targets = bench_reveal, bench_pair_counting, bench_prepare
 }
 criterion_main!(benches);

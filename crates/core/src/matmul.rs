@@ -186,11 +186,7 @@ fn decide_plan(
     }
     if as_u64(k) >= t.bitplane_min_k && macs >= t.bitplane_min_macs {
         let (pw, px) = planes();
-        // Σ_i Σ_j p_w(i)·p_x(j) = (Σ p_w)(Σ p_x); average per output cell
-        // against the budget, kept in integers via cross-multiplication.
-        let pair_sum = u128::from(pw) * u128::from(px);
-        let cells = u128::from(as_u64(m)) * u128::from(as_u64(n));
-        if pair_sum <= u128::from(t.bitplane_pair_budget) * cells {
+        if pairs_within_budget(pw, px, m, n, t) {
             let wpr = k.div_ceil(64).next_multiple_of(8);
             return if as_u64(wpr) >= t.blocked_min_words {
                 MatmulPlan::BitPlaneBlocked
@@ -215,6 +211,15 @@ fn decide_plan(
     } else {
         MatmulPlan::SerialCodePlane
     }
+}
+
+/// `decide_plan`'s bit-plane cost test: `Σ_i Σ_j p_w(i)·p_x(j) = (Σ
+/// p_w)(Σ p_x)` live plane pairs, averaged over the `m·n` output cells,
+/// within the table's pair budget. Kept in integers by cross-multiplying.
+fn pairs_within_budget(pw: u64, px: u64, m: usize, n: usize, t: &TuneTable) -> bool {
+    let pair_sum = u128::from(pw) * u128::from(px);
+    let cells = u128::from(as_u64(m)) * u128::from(as_u64(n));
+    pair_sum <= u128::from(t.bitplane_pair_budget) * cells
 }
 
 /// Choose the kernel for `W @ X` from shape *and* live plane count.
@@ -456,14 +461,12 @@ impl MatmulPlanner {
             return plan;
         }
         tune::PLAN_MISSES.inc();
-        // Streamed-side estimates from the peer term bound: live planes
-        // per row ≈ 5·s + 4 (sign-split exponent planes at 8-bit codes,
-        // capped at the 16 possible), terms per value ≈ min(s, 3).
-        let s_eff = if self.peer_term_bound == 0 { 7 } else { self.peer_term_bound };
-        let planes_per_row = as_u64((5 * s_eff + 4).min(16));
-        let est_planes = as_u64(m).saturating_mul(planes_per_row);
+        // Streamed-side estimates from the peer term bound: terms per
+        // value ≈ min(s, 3), and live planes per row as
+        // `streamed_planes_per_row` says.
+        let est_planes = as_u64(m).saturating_mul(self.streamed_planes_per_row());
         let est_terms =
-            as_u64(m).saturating_mul(as_u64(self.k)).saturating_mul(as_u64(s_eff.min(3)));
+            as_u64(m).saturating_mul(as_u64(self.k)).saturating_mul(as_u64(self.s_eff().min(3)));
         let plan = decide_plan(
             m,
             self.rows,
@@ -476,6 +479,41 @@ impl MatmulPlanner {
             memo.1.push((m, plan));
         }
         plan
+    }
+
+    /// Whether [`MatmulPlanner::plan_for`] sends some batch size to
+    /// [`MatmulPlan::BitPlane`] or [`MatmulPlan::BitPlaneBlocked`] under
+    /// the active [`TuneTable`]: the exact answer, with no batch size
+    /// tried. Past the MAC floor the bit-plane test does not depend on
+    /// the batch size `m`: the streamed side's estimated planes
+    /// (`m·ppr`) and the output cells (`m·n`) both scale with it, so
+    /// `m·ppr·Σp_w ≤ budget·m·n` holds for every `m` or for none, and a
+    /// batch large enough clears the floor whenever `n·k > 0`.
+    /// `prepare_weights` builds a site's weight-side bit-planes only
+    /// when this holds.
+    #[must_use]
+    pub fn routes_bitplane(&self) -> bool {
+        let t = tune::active();
+        self.rows > 0
+            && self.k > 0
+            && as_u64(self.k) >= t.bitplane_min_k
+            && pairs_within_budget(self.streamed_planes_per_row(), self.planes, 1, self.rows, &t)
+    }
+
+    /// The streamed operand's term budget, 0 (unbounded) read as the
+    /// 8-bit worst case.
+    fn s_eff(&self) -> usize {
+        if self.peer_term_bound == 0 {
+            7
+        } else {
+            self.peer_term_bound
+        }
+    }
+
+    /// Estimated live planes per streamed row: ≈ 5·s + 4 sign-split
+    /// exponent planes at 8-bit codes, capped at the 16 possible.
+    fn streamed_planes_per_row(&self) -> u64 {
+        as_u64((5 * self.s_eff() + 4).min(16))
     }
 
     /// FNV seal over the frozen operand statistics.
@@ -789,6 +827,39 @@ pub(crate) mod tests {
             "zero pair budget must forbid bit-plane routes, got {}",
             after.name()
         );
+    }
+
+    #[test]
+    fn routes_bitplane_says_whether_some_batch_size_plans_a_bit_plane_route() {
+        let _serial = tune::test_guard();
+        let qw = quantized(64, 1152, 45);
+        let routable = |w: &PackedTermMatrix, s: usize| {
+            let planner = MatmulPlanner::for_weights(w, s);
+            let some = [1usize, 2, 3, 8, 32, 255, 4096, 1 << 20].iter().any(|&m| {
+                matches!(planner.plan_for(m), MatmulPlan::BitPlane | MatmulPlan::BitPlaneBlocked)
+            });
+            assert_eq!(planner.routes_bitplane(), some, "s {s}");
+            some
+        };
+        // A drained rung routes, a loose one does not; K under the
+        // table's floor never does.
+        for (k, s, want) in [(2, 1, true), (16, 3, false)] {
+            let cfg = TrConfig::new(8, k);
+            let w = PackedTermMatrix::from_weights(&qw, cfg.weight_encoding).reveal(&cfg);
+            assert_eq!(routable(&w, s), want, "k {k} s {s}");
+        }
+        let shallow = TrConfig::new(8, 1);
+        let w = PackedTermMatrix::from_weights(&quantized(64, 96, 46), Encoding::Hese).reveal(&shallow);
+        assert!(!routable(&w, 1));
+        assert!(!routable(&PackedTermMatrix::from_codes(&[], 0, 1152, Encoding::Hese), 1));
+        // The answer follows the active table.
+        let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&TrConfig::new(8, 2));
+        let mut strict = TuneTable::default_for(tune::Isa::detect());
+        strict.bitplane_pair_budget = 0;
+        tune::install(strict.seal()).unwrap();
+        let under_strict = routable(&w, 1);
+        tune::reset();
+        assert!(!under_strict, "a zero pair budget routes nothing to bit-planes");
     }
 
     #[test]

@@ -216,9 +216,9 @@ pub struct FakeQuant {
     pub weight_params: Option<QuantParams>,
     /// Packed weight term planes (post-TR) cached for pair counting.
     pub weight_terms: Option<Arc<PackedTermMatrix>>,
-    /// Bit-plane decomposition of `weight_terms`, pre-built for the
-    /// integer popcount forward so rung switches never pay the
-    /// decomposition on the request path.
+    /// Bit-plane decomposition of `weight_terms`, where
+    /// [`prepare_weights`] built one (see
+    /// [`PreparedWeights::weight_planes`]).
     pub weight_planes: Option<Arc<BitPlaneMatrix>>,
     /// Per-shape matmul plan cache over the frozen weight statistics,
     /// shared from [`PreparedWeights`] so route selection happens once
@@ -399,7 +399,8 @@ impl FakeQuant {
 ///
 /// Building one is the expensive step — quantize, then (TR) encode and
 /// reveal the term planes in one row-parallel pass
-/// ([`PackedTermMatrix::try_reveal_codes`]) and build the bit-planes.
+/// ([`PackedTermMatrix::try_reveal_codes`]), scan them for the planner
+/// and, where a bit-plane route is reachable, build the bit-planes.
 /// Installing is a couple of `Arc` clones, which is what lets `tr-serve`
 /// cache one of these per precision rung and flip a model's operating
 /// point at run time without re-encoding anything.
@@ -411,9 +412,13 @@ pub struct PreparedWeights {
     pub weight_params: Option<QuantParams>,
     /// Packed weight term planes (post-TR) for pair counting.
     pub weight_terms: Option<Arc<PackedTermMatrix>>,
-    /// Bit-plane decomposition of `weight_terms`, built for TR rungs
-    /// (where the popcount kernel can win) so the serve cache hands the
-    /// integer forward its weight-side operand for free.
+    /// Bit-plane decomposition of `weight_terms`, built (TR and
+    /// per-value rungs) only where `planner` can route some batch size to
+    /// a bit-plane kernel under the tune table active at prepare time, so
+    /// the serve cache hands that forward its weight-side operand for
+    /// free. `None` elsewhere: no default-ladder rung of the zoo models
+    /// reaches a bit-plane route. Should a table installed later make
+    /// such a site routable, the executor builds the planes per call.
     pub weight_planes: Option<Arc<BitPlaneMatrix>>,
     /// Per-shape matmul plan cache over `weight_terms` — the weight
     /// operand's statistics are scanned once here at prepare time, so
@@ -548,22 +553,28 @@ impl PreparedWeights {
 /// Build the weight-side transform for `precision` on weight `w` (an
 /// `(out, in)` matrix). Pure: same inputs, same transform — which is the
 /// property the serve-layer rung cache relies on.
+///
+/// Bit-planes are built only where a kernel can read them
+/// ([`MatmulPlanner::routes_bitplane`]; see
+/// [`PreparedWeights::weight_planes`]).
 pub fn prepare_weights(w: &Tensor, precision: &Precision) -> PreparedWeights {
-    let mut prepared = match precision {
+    match precision {
         Precision::Float => PreparedWeights::default(),
         Precision::Qt { weight_bits, act_bits } => {
             let params = calibrate_max_abs(w, *weight_bits);
             let q = quantize(w, params);
+            let tm = PackedTermMatrix::from_weights(&q, Encoding::Binary);
+            let data_term_bound = *act_bits as usize - 1;
+            // Dense QT keeps every plane live; the popcount kernel can
+            // never win there, so skip the decomposition.
             PreparedWeights {
                 qweight: Some(Arc::new(q.dequantize())),
                 weight_params: Some(params),
-                weight_terms: Some(Arc::new(PackedTermMatrix::from_weights(&q, Encoding::Binary))),
-                // Dense QT keeps every plane live; the popcount kernel
-                // can never win there, so skip the decomposition.
+                planner: Some(Arc::new(MatmulPlanner::for_weights(&tm, data_term_bound))),
+                weight_terms: Some(Arc::new(tm)),
                 weight_planes: None,
-                planner: None,
                 weight_term_bound: params.max_terms(),
-                data_term_bound: *act_bits as usize - 1,
+                data_term_bound,
                 tr_config: None,
                 checksum: 0,
             }
@@ -573,17 +584,17 @@ pub fn prepare_weights(w: &Tensor, precision: &Precision) -> PreparedWeights {
             let q = quantize(w, params);
             let truncated = truncate_terms(*encoding, &q, *weight_terms);
             let tm = PackedTermMatrix::from_weights(&truncated, *encoding);
-            // Per-value truncation drains planes like TR does, so the
-            // popcount operand is worth caching here too.
-            let planes = BitPlaneMatrix::from_packed(&tm);
+            let data_term_bound = data_terms.unwrap_or(7);
+            let planner = MatmulPlanner::for_weights(&tm, data_term_bound);
+            let (planes, qweight) = planes_beside(&tm, &planner, || truncated.dequantize());
             PreparedWeights {
-                qweight: Some(Arc::new(truncated.dequantize())),
+                qweight: Some(Arc::new(qweight)),
                 weight_params: Some(params),
                 weight_terms: Some(Arc::new(tm)),
-                weight_planes: Some(Arc::new(planes)),
-                planner: None,
+                weight_planes: planes,
+                planner: Some(Arc::new(planner)),
                 weight_term_bound: *weight_terms,
-                data_term_bound: data_terms.unwrap_or(7),
+                data_term_bound,
                 tr_config: None,
                 checksum: 0,
             }
@@ -599,23 +610,17 @@ pub fn prepare_weights(w: &Tensor, precision: &Precision) -> PreparedWeights {
             let (tm, codes) = PackedTermMatrix::try_reveal_codes(codes, rows, len, cfg)
                 .unwrap_or_else(|e| panic!("{e}"));
             let data_term_bound = cfg.data_terms.unwrap_or(7);
-            // The bit-plane build is the longest step left, and nothing
-            // else reads it: the planner scan and the reconstruction run
-            // beside it.
-            let (planes, (planner, data)) = std::thread::scope(|s| {
-                let planes = s.spawn(|| BitPlaneMatrix::from_packed(&tm));
-                let planner = MatmulPlanner::for_weights(&tm, data_term_bound);
-                // Collected in place: the kept codes' buffer becomes the
-                // reconstruction's.
-                let data: Vec<f32> = codes.into_iter().map(|c| params.real(c)).collect();
-                let planes = planes.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-                (planes, (planner, data))
+            let planner = MatmulPlanner::for_weights(&tm, data_term_bound);
+            // Collected in place: the kept codes' buffer becomes the
+            // reconstruction's.
+            let (planes, data) = planes_beside(&tm, &planner, || {
+                codes.into_iter().map(|c| params.real(c)).collect::<Vec<f32>>()
             });
             PreparedWeights {
                 qweight: Some(Arc::new(Tensor::from_vec(data, w.shape().clone()))),
                 weight_params: Some(params),
                 weight_terms: Some(Arc::new(tm)),
-                weight_planes: Some(Arc::new(planes)),
+                weight_planes: planes,
                 planner: Some(Arc::new(planner)),
                 weight_term_bound: cfg.group_budget, // per-group, see bound math
                 data_term_bound,
@@ -623,16 +628,29 @@ pub fn prepare_weights(w: &Tensor, precision: &Precision) -> PreparedWeights {
                 checksum: 0,
             }
         }
-    };
-    // The planner freezes the weight-side statistics once; the peer
-    // bound seeds its estimate of the streamed activation operand.
-    if prepared.planner.is_none() {
-        prepared.planner = prepared
-            .weight_terms
-            .as_ref()
-            .map(|t| Arc::new(MatmulPlanner::for_weights(t, prepared.data_term_bound)));
     }
-    prepared.seal()
+    .seal()
+}
+
+/// `tm`'s bit-plane decomposition where `planner` can route to a
+/// bit-plane kernel (`None` elsewhere), and `beside()`. The build is the
+/// longest step of a prepare that has it, and nothing else reads it, so
+/// it runs on a helper thread while `beside` runs; without it, no thread
+/// is started.
+fn planes_beside<T>(
+    tm: &PackedTermMatrix,
+    planner: &MatmulPlanner,
+    beside: impl FnOnce() -> T,
+) -> (Option<Arc<BitPlaneMatrix>>, T) {
+    if !planner.routes_bitplane() {
+        return (None, beside());
+    }
+    std::thread::scope(|s| {
+        let planes = s.spawn(|| BitPlaneMatrix::from_packed(tm));
+        let other = beside();
+        let planes = planes.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+        (Some(Arc::new(planes)), other)
+    })
 }
 
 #[cfg(test)]

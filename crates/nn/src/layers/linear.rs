@@ -76,11 +76,13 @@ impl Linear {
     /// (`batch` rows of `in` codes) and multiplies them against the
     /// cached weight term planes through the prepared planner, which
     /// dispatches to the popcount kernel when the rung has drained
-    /// enough planes and reuses the prepared weight-side
-    /// [`tr_core::BitPlaneMatrix`]. The exact `i64` dot products are
-    /// rescaled by the two quantizer scales, so the only float rounding
-    /// is one multiply per output — the same arithmetic the paper's tMAC
-    /// array performs.
+    /// enough planes. That route reuses the weight-side
+    /// [`tr_core::BitPlaneMatrix`] where `prepare_weights` cached one
+    /// (only at sites the planner could route there when they were
+    /// prepared), and otherwise builds it per call. The exact `i64` dot
+    /// products are rescaled by the two quantizer scales, so the only
+    /// float rounding is one multiply per output — the same arithmetic
+    /// the paper's tMAC array performs.
     ///
     /// `None` when the site lacks integer state (float mode, calibrating,
     /// no packed weights or planner — `prepare_weights` builds the two
@@ -198,6 +200,7 @@ impl Layer for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use tr_quant::QuantParams;
 
     /// Finite-difference gradient check on a scalar loss `sum(y)`.
@@ -373,9 +376,13 @@ mod tests {
         layer.fq.install_act_cap(&precision);
         layer.fq.act_params = Some(QuantParams { scale: 0.05, bits: 8 });
         layer.fq.exec_integer = true;
-        // The planes of another layer's 16x32 weights.
+        // The planes of another layer's 16x32 weights. At K = 32, below
+        // the tune table's `bitplane_min_k`, `prepare_weights` caches no
+        // planes, so they are built here.
         let other = Tensor::randn(Shape::d2(16, 32), 0.3, &mut rng);
-        layer.fq.weight_planes = crate::fake_quant::prepare_weights(&other, &precision).weight_planes;
+        let other_terms = crate::fake_quant::prepare_weights(&other, &precision).weight_terms;
+        let other_terms = other_terms.expect("a TR rung packs its weight terms");
+        layer.fq.weight_planes = Some(Arc::new(tr_core::BitPlaneMatrix::from_packed(&other_terms)));
         let x = Tensor::randn(Shape::d2(4, 32), 1.0, &mut rng);
         let mut ctx = ForwardCtx::eval(&mut rng);
         let err = layer.try_forward(&x, &mut ctx).unwrap_err();

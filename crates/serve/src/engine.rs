@@ -206,8 +206,10 @@ impl NnEngine {
     /// The flag survives rung switches: `install_precision` swaps the
     /// per-site weight transforms but never touches the execution mode,
     /// so an operator can arm integer execution once and run the whole
-    /// precision ladder on it — including the cached `weight_planes`
-    /// each TR rung's [`PreparedWeights`] carries.
+    /// precision ladder on it. A rung's [`PreparedWeights`] carries
+    /// cached `weight_planes` only at sites whose planner can route to a
+    /// bit-plane kernel (none on the default ladder); every other site
+    /// runs the code-plane kernels, which read no planes.
     pub fn set_integer_exec(&mut self, on: bool) {
         ENGINE_INTEGER_EXEC_TOGGLES.inc();
         tr_nn::exec::set_integer_exec(&mut self.model, on);

@@ -25,10 +25,14 @@
 //! their order, are those of `matmul_into` over the patch matrix, so the
 //! conv gets the same bits.
 //!
-//! [`matmul_transb_into`] and [`Tensor::matmul_transa`] keep row kernels
-//! with a rayon `par_chunks_mut` outer loop over output rows, which keeps
-//! the parallel version bit-identical to the sequential one (each output
-//! row is written by exactly one task).
+//! [`matmul_transb_into`] runs the same three builds over a different
+//! block: one output cell per vector lane. It packs a K-major panel of
+//! `NR` B rows (B row `j` is output column `j`), and each vector holds
+//! the running sums of that many cells of one output row, added in the
+//! scalar row kernel's order. [`Tensor::matmul_transa`] keeps a row
+//! kernel with a rayon `par_chunks_mut` outer loop over output rows,
+//! which keeps the parallel version bit-identical to the sequential one
+//! (each output row is written by exactly one task).
 
 use crate::conv::Conv2dGeometry;
 use crate::shape::Shape;
@@ -36,8 +40,8 @@ use crate::tensor::Tensor;
 use rayon::prelude::*;
 use std::ops::Range;
 
-/// Rows-per-task threshold below which we stay sequential: tiny matmuls
-/// (e.g. LSTM gates on one timestep) are not worth the fork/join overhead.
+/// Size below which [`Tensor::matmul_transa`] stays sequential: tiny
+/// weight gradients are not worth the fork/join overhead.
 const PAR_MIN_FLOPS: usize = 1 << 16;
 
 impl Tensor {
@@ -108,14 +112,16 @@ impl Tensor {
     }
 }
 
-/// The kernels behind [`matmul_into`]: the zero-skipping scalar row
-/// kernel and the register-blocked kernel compiled for three instruction
-/// sets. Every tier computes the same bits (see [`matmul_into`]).
+/// The kernels behind [`matmul_into`] and [`matmul_transb_into`]: a
+/// scalar row kernel and the register-blocked kernel compiled for three
+/// instruction sets. Every tier computes the same bits (see
+/// [`matmul_into`] and [`matmul_transb_into`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// One output row at a time, skipping zero A elements: the reference
-    /// the blocked tiers are tested against, and the kernel for operands
-    /// the blocked tiers cannot reproduce bit for bit.
+    /// One output row at a time (for [`matmul_into`], skipping zero A
+    /// elements): the reference the blocked tiers are tested against,
+    /// and the kernel for operands the blocked tiers cannot reproduce bit
+    /// for bit.
     Scalar,
     /// The blocked kernel at the target's baseline instruction set.
     Portable,
@@ -146,7 +152,10 @@ impl Tier {
             #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            // The AVX-512 tier's `matmul_transb` pack runs AVX2 code.
+            Tier::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f") && std::arch::is_x86_feature_detected!("avx2")
+            }
             #[cfg(not(target_arch = "x86_64"))]
             Tier::Avx2 | Tier::Avx512 => false,
         }
@@ -346,8 +355,8 @@ impl Block for Portable {
     /// accumulator row in vector registers.
     #[inline(never)]
     unsafe fn block<R: RowStarts>(a: &[f32], b: BPanel<'_, R>, out: &mut [f32], ldo: usize) {
-        const MR: usize = Portable::MR;
-        const L: usize = Portable::LANES;
+        const MR: usize = <Portable as Block>::MR;
+        const L: usize = <Portable as Block>::LANES;
         let k = a.len() / MR;
         let mut acc = [[0.0f32; 2 * L]; MR];
         for (r, row) in acc.iter_mut().enumerate() {
@@ -373,6 +382,101 @@ impl Block for Portable {
     }
 }
 
+/// A tier's block for [`matmul_transb_into`]: `rows` output rows (`MR`,
+/// or one for the rows left over) of `NR` cells, one cell per vector
+/// lane, against a K-major panel of `NR` B rows (row `kk` at `kk * NR`).
+trait Dots {
+    /// Rows per full block.
+    const MR: usize;
+    /// Cells per block row: the B rows in a panel.
+    const NR: usize;
+
+    /// `out[r * ldo + c] += dot(a row r, panel column c)` for `rows`
+    /// rows of `a` (each `k = a.len() / rows` long), each cell's sum
+    /// formed as [`dots_scalar`] forms it: per 4-chunk
+    /// `acc += ((a0·b0 + a1·b1) + a2·b2) + a3·b3` from `acc = +0.0`, then
+    /// one `acc += a·b` per remainder term, then `out += acc`; every
+    /// product is rounded before its add.
+    ///
+    /// # Safety
+    /// The host must support the tier's target feature.
+    unsafe fn dots(rows: usize, a: &[f32], panel: &[f32], out: &mut [f32], ldo: usize);
+
+    /// [`pack_kmajor`] into a panel `NR` wide: the copy every call makes
+    /// of all of B, so the x86 tiers transpose 8×8 blocks in registers.
+    ///
+    /// # Safety
+    /// The host must support the tier's target feature.
+    #[inline(always)]
+    unsafe fn pack(packed: &mut [f32], rows: &[f32], k: usize) {
+        pack_kmajor(packed, rows, k, Self::NR);
+    }
+}
+
+impl Dots for Portable {
+    const MR: usize = 2;
+    const NR: usize = 16;
+
+    /// In safe code, over fixed-size lane arrays the optimizer keeps in
+    /// vector registers.
+    #[inline(never)]
+    unsafe fn dots(rows: usize, a: &[f32], panel: &[f32], out: &mut [f32], ldo: usize) {
+        match rows {
+            2 => portable_dots::<2>(a, panel, out, ldo),
+            1 => portable_dots::<1>(a, panel, out, ldo),
+            _ => unreachable!("a dots block is MR rows or one"),
+        }
+    }
+}
+
+/// [`Portable`]'s [`Dots`] body over `R` rows.
+#[inline(always)]
+fn portable_dots<const R: usize>(a: &[f32], panel: &[f32], out: &mut [f32], ldo: usize) {
+    const NR: usize = <Portable as Dots>::NR;
+    let k = a.len() / R;
+    let brow = |kk: usize| -> &[f32; NR] { panel[kk * NR..][..NR].try_into().expect("a panel row holds NR cells") };
+    let mut acc = [[0.0f32; NR]; R];
+    let mut kk = 0;
+    while kk + 4 <= k {
+        let mut sum = [[0.0f32; NR]; R];
+        for (r, row) in sum.iter_mut().enumerate() {
+            let (av, b) = (a[r * k + kk], brow(kk));
+            for l in 0..NR {
+                row[l] = av * b[l];
+            }
+        }
+        for q in 1..4 {
+            let b = brow(kk + q);
+            for (r, row) in sum.iter_mut().enumerate() {
+                let av = a[r * k + kk + q];
+                for l in 0..NR {
+                    row[l] += av * b[l];
+                }
+            }
+        }
+        for (acc, sum) in acc.iter_mut().zip(&sum) {
+            for l in 0..NR {
+                acc[l] += sum[l];
+            }
+        }
+        kk += 4;
+    }
+    for kk in kk..k {
+        let b = brow(kk);
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let av = a[r * k + kk];
+            for l in 0..NR {
+                acc[l] += av * b[l];
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        for (o, &v) in out[r * ldo..r * ldo + NR].iter_mut().zip(acc) {
+            *o += v;
+        }
+    }
+}
+
 /// Generates one x86-64 tier: a block of `$mr` rows of two
 /// `$lanes`-wide registers in `$feature` intrinsics, and the
 /// [`blocked`] and [`conv_blocked`] drivers compiled for that feature
@@ -382,8 +486,9 @@ impl Block for Portable {
 /// is rounded to f32 before its add, as in the scalar kernel.
 #[cfg(target_arch = "x86_64")]
 macro_rules! x86_tier {
-    ($(#[$doc:meta])* $tier:ident, $matmul:ident, $conv:ident, $feature:literal, $mr:expr, $lanes:expr,
-     $load:ident, $store:ident, $set1:ident, $mul:ident, $add:ident) => {
+    ($(#[$doc:meta])* $tier:ident, $matmul:ident, $conv:ident, $transb:ident, $feature:literal, $mr:expr,
+     $lanes:expr, $dots_mr:expr, $dots_vecs:expr, $load:ident, $store:ident, $set1:ident, $mul:ident,
+     $add:ident) => {
         $(#[$doc])*
         struct $tier;
 
@@ -432,6 +537,108 @@ macro_rules! x86_tier {
             }
         }
 
+        impl Dots for $tier {
+            const MR: usize = $dots_mr;
+            const NR: usize = $dots_vecs * $lanes;
+
+            #[target_feature(enable = $feature)]
+            #[inline]
+            unsafe fn dots(rows: usize, a: &[f32], panel: &[f32], out: &mut [f32], ldo: usize) {
+                // SAFETY (both calls): the caller guarantees the feature.
+                match rows {
+                    $dots_mr => unsafe { $tier::dot_rows::<$dots_mr>(a, panel, out, ldo) },
+                    1 => unsafe { $tier::dot_rows::<1>(a, panel, out, ldo) },
+                    _ => unreachable!("a dots block is MR rows or one"),
+                }
+            }
+
+            #[target_feature(enable = $feature)]
+            #[inline]
+            unsafe fn pack(packed: &mut [f32], rows: &[f32], k: usize) {
+                // SAFETY: the caller guarantees the feature; both x86
+                // tiers are available only on hosts with AVX2
+                // (`Tier::available`).
+                unsafe { pack_kmajor_avx2(packed, rows, k, <Self as Dots>::NR) }
+            }
+        }
+
+        impl $tier {
+            /// [`Dots::dots`] over `R` rows: `R` rows of `$dots_vecs`
+            /// accumulators and as many 4-chunk sums, each step a
+            /// multiply, then an add (never fused).
+            ///
+            /// # Safety
+            /// The host must support the target feature.
+            #[target_feature(enable = $feature)]
+            #[inline]
+            unsafe fn dot_rows<const R: usize>(a: &[f32], panel: &[f32], out: &mut [f32], ldo: usize) {
+                use std::arch::x86_64::*;
+                const V: usize = $dots_vecs;
+                const L: usize = $lanes;
+                const NR: usize = V * L;
+                let k = a.len() / R;
+                assert!(a.len() == R * k, "dots A is R x K");
+                assert!(panel.len() >= k * NR, "the panel holds K rows of NR");
+                assert!(ldo >= NR && out.len() >= (R - 1) * ldo + NR, "dots output holds R rows of NR");
+                let (ap, bp, op) = (a.as_ptr(), panel.as_ptr(), out.as_mut_ptr());
+                // SAFETY: the asserts above bound every offset: `r*k + kk
+                // < R*k = a.len()`, `kk*NR + v*L + L <= k*NR <=
+                // panel.len()` and `r*ldo + NR <= out.len()`; the loads
+                // and stores are unaligned, and the caller guarantees the
+                // feature.
+                unsafe {
+                    let mut acc = [[$set1(0.0); V]; R];
+                    let mut kk = 0;
+                    while kk + 4 <= k {
+                        let mut sum = [[$set1(0.0); V]; R];
+                        for q in 0..4 {
+                            let mut b = [$set1(0.0); V];
+                            for (v, bv) in b.iter_mut().enumerate() {
+                                *bv = $load(bp.add((kk + q) * NR + v * L));
+                            }
+                            for (r, row) in sum.iter_mut().enumerate() {
+                                let av = $set1(*ap.add(r * k + kk + q));
+                                for (s, &bv) in row.iter_mut().zip(&b) {
+                                    let p = $mul(av, bv);
+                                    *s = if q == 0 { p } else { $add(*s, p) };
+                                }
+                            }
+                        }
+                        for (acc, sum) in acc.iter_mut().zip(&sum) {
+                            for (a, &s) in acc.iter_mut().zip(sum) {
+                                *a = $add(*a, s);
+                            }
+                        }
+                        kk += 4;
+                    }
+                    for kk in kk..k {
+                        for (r, acc) in acc.iter_mut().enumerate() {
+                            let av = $set1(*ap.add(r * k + kk));
+                            for (v, a) in acc.iter_mut().enumerate() {
+                                *a = $add(*a, $mul(av, $load(bp.add(kk * NR + v * L))));
+                            }
+                        }
+                    }
+                    for (r, acc) in acc.iter().enumerate() {
+                        for (v, &a) in acc.iter().enumerate() {
+                            let o = op.add(r * ldo + v * L);
+                            $store(o, $add($load(o), a));
+                        }
+                    }
+                }
+            }
+        }
+
+        /// [`transb_blocked`] with this tier's block.
+        ///
+        /// # Safety
+        /// The host must support the target feature.
+        #[target_feature(enable = $feature)]
+        unsafe fn $transb(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+            // SAFETY: this function's own target feature is the block's.
+            unsafe { transb_blocked::<$tier>(a, b, out, m, k, n) }
+        }
+
         /// [`blocked`] with this tier's block.
         ///
         /// # Safety
@@ -465,13 +672,17 @@ macro_rules! x86_tier {
 x86_tier!(
     /// The AVX2 tier's block: 6 rows of two 8-lane registers. Twelve
     /// accumulators, two B loads and one broadcast fill fifteen of the
-    /// sixteen `ymm` registers.
+    /// sixteen `ymm` registers. Its dots block is 3 rows of 16 cells:
+    /// six accumulators, six chunk sums, two B loads and a broadcast.
     Avx2,
     blocked_avx2,
     conv_avx2,
+    transb_avx2,
     "avx2",
     6,
     8,
+    3,
+    2,
     _mm256_loadu_ps,
     _mm256_storeu_ps,
     _mm256_set1_ps,
@@ -481,13 +692,18 @@ x86_tier!(
 #[cfg(target_arch = "x86_64")]
 x86_tier!(
     /// The AVX-512 tier's block: 6 rows of two 16-lane registers, the same
-    /// register plan as AVX2 at twice the width.
+    /// register plan as AVX2 at twice the width. Its dots block is 8 rows
+    /// of 16 cells: eight accumulators, eight chunk sums, a B load and a
+    /// broadcast, 18 of the 32 `zmm` registers.
     Avx512,
     blocked_avx512,
     conv_avx512,
+    transb_avx512,
     "avx512f",
     6,
     16,
+    8,
+    1,
     _mm512_loadu_ps,
     _mm512_storeu_ps,
     _mm512_set1_ps,
@@ -767,16 +983,61 @@ fn copy_runs<const L: usize>(
 }
 
 /// `a (M,K) @ b^T (N,K)` into `out (M,N)`. `out` must be zeroed by the caller.
+///
+/// Cell `(i, j)` is the dot of A row `i` and B row `j`, summed as the
+/// scalar row kernel does: from `acc = +0.0`, per 4-chunk
+/// `acc += ((a0·b0 + a1·b1) + a2·b2) + a3·b3`, then one `acc += a·b` per
+/// remainder term, then `out += acc`, every product rounded before its
+/// add. The blocked tiers run each cell in its own vector lane through
+/// those same operations, so a lane gets the scalar bits. Only a NaN
+/// operand can tell the kernels apart: every NaN the arithmetic makes
+/// from non-NaN operands (`inf - inf`, `0 · inf`) is the one default
+/// NaN, but when a NaN of another payload meets it, which of the two a
+/// sum keeps depends on operand order, which the compiler may commute.
+/// So a call with a NaN in A or `out`, and a panel with a NaN in its B
+/// rows, run on the scalar kernel, and every call returns the scalar
+/// kernel's bits on every tier.
+///
+/// The tier is the widest one [`Tier::detect`] finds; the call runs on
+/// the calling thread, and its panel buffer is reused per thread.
 pub fn matmul_transb_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    matmul_transb_into_with(Tier::detect(), a, b, out, m, k, n);
+}
+
+/// [`matmul_transb_into`] with the tier forced: the seam benches and the
+/// bit-equality tests use to race the tiers on identical operands.
+///
+/// # Panics
+/// If the shapes disagree with the slice lengths, or this host cannot
+/// execute `tier`.
+pub fn matmul_transb_into_with(tier: Tier, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), n * k);
     assert_eq!(out.len(), m * n);
-    let row_kernel = |i: usize, orow: &mut [f32]| {
+    assert!(tier.available(), "matmul tier {} is not supported on this host", tier.name());
+    match tier {
+        Tier::Scalar => dots_scalar(a, b, out, k, n, 0..n),
+        // SAFETY: the portable block needs no target feature.
+        Tier::Portable => unsafe { transb_blocked::<Portable>(a, b, out, m, k, n) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `tier.available()` asserted above that this host has AVX2.
+        Tier::Avx2 => unsafe { transb_avx2(a, b, out, m, k, n) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `tier.available()` asserted above that this host has AVX512F.
+        Tier::Avx512 => unsafe { transb_avx512(a, b, out, m, k, n) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Tier::Avx2 | Tier::Avx512 => unreachable!("unavailable tiers were rejected above"),
+    }
+}
+
+/// The scalar row kernel of [`matmul_transb_into`] over output columns
+/// `cols`: one dot product per cell, A row against B row.
+fn dots_scalar(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, cols: Range<usize>) {
+    for (i, orow) in out.chunks_exact_mut(n.max(1)).enumerate() {
         let arow = &a[i * k..(i + 1) * k];
-        for (j, o) in orow.iter_mut().enumerate() {
+        for j in cols.clone() {
             let brow = &b[j * k..(j + 1) * k];
             let mut acc = 0.0f32;
-            // Dot product with 4-wide manual unrolling via chunks_exact.
             let mut ac = arow.chunks_exact(4);
             let mut bc = brow.chunks_exact(4);
             for (ca, cb) in (&mut ac).zip(&mut bc) {
@@ -785,14 +1046,163 @@ pub fn matmul_transb_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
             for (&x, &y) in ac.remainder().iter().zip(bc.remainder()) {
                 acc += x * y;
             }
-            *o += acc;
+            orow[j] += acc;
         }
-    };
-    if m * k * n >= PAR_MIN_FLOPS {
-        out.par_chunks_mut(n).enumerate().for_each(|(i, orow)| row_kernel(i, orow));
-    } else {
-        for (i, orow) in out.chunks_mut(n).enumerate() {
-            row_kernel(i, orow);
+    }
+}
+
+/// Whether any value is NaN: a branch-free fold, so it vectorizes.
+#[inline(always)]
+fn any_nan(v: &[f32]) -> bool {
+    v.iter().fold(false, |nan, x| nan | x.is_nan())
+}
+
+/// [`matmul_transb_into`]'s driver. B rows are walked in `NR`-row panels;
+/// each is packed K-major (`packed[kk * NR + c] = b[j + c][kk]`, zero
+/// lanes past the last B row), then the block computes the panel's cells
+/// `MR` output rows at a time and the rows left over one at a time, so
+/// each packed B row is loaded once per `MR` rows. A partial panel runs
+/// on a copy in `tile`. Inlined into each tier, so it compiles at that
+/// tier's instruction set.
+///
+/// # Safety
+/// The host must support `T`'s target feature.
+#[inline(always)]
+unsafe fn transb_blocked<T: Dots>(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    if any_nan(a) || any_nan(out) {
+        dots_scalar(a, b, out, k, n, 0..n);
+        return;
+    }
+    // Taken out of the thread-local and put back, as in `blocked`.
+    let mut bufs = PACK_BUFFERS.take();
+    bufs.packed.clear();
+    bufs.packed.resize(k * T::NR, 0.0);
+    bufs.tile.resize(T::MR * T::NR, 0.0);
+    for j in (0..n).step_by(T::NR) {
+        let cols = j..n.min(j + T::NR);
+        let width = cols.len();
+        // SAFETY: the caller guarantees the feature.
+        unsafe { T::pack(&mut bufs.packed, &b[j * k..cols.end * k], k) };
+        if any_nan(&bufs.packed) {
+            dots_scalar(a, b, out, k, n, cols);
+            continue;
+        }
+        let mut i = 0;
+        while i < m {
+            let rows = if m - i >= T::MR { T::MR } else { 1 };
+            let a_rows = &a[i * k..(i + rows) * k];
+            let out = &mut out[i * n + j..];
+            // SAFETY (both calls): the caller guarantees the feature.
+            if width == T::NR {
+                unsafe { T::dots(rows, a_rows, &bufs.packed, out, n) };
+            } else {
+                let tile = &mut bufs.tile[..rows * T::NR];
+                for (dst, src) in tile.chunks_exact_mut(T::NR).zip(out.chunks(n)) {
+                    dst[..width].copy_from_slice(&src[..width]);
+                }
+                unsafe { T::dots(rows, a_rows, &bufs.packed, tile, T::NR) };
+                for (src, dst) in tile.chunks_exact(T::NR).zip(out.chunks_mut(n)) {
+                    dst[..width].copy_from_slice(&src[..width]);
+                }
+            }
+            i += rows;
+        }
+    }
+    PACK_BUFFERS.set(bufs);
+}
+
+/// Packs `rows` (`width ≤ nr` rows of `k`) K-major into `packed` (`k ×
+/// nr`): `packed[kk * nr + c] = rows[c * k + kk]`, and zero in lanes
+/// `width..nr`.
+#[inline(always)]
+fn pack_kmajor(packed: &mut [f32], rows: &[f32], k: usize, nr: usize) {
+    if k == 0 {
+        return;
+    }
+    for (c, row) in rows.chunks_exact(k).enumerate() {
+        for (dst, &v) in packed.chunks_exact_mut(nr).zip(row) {
+            dst[c] = v;
+        }
+    }
+    let width = rows.len() / k;
+    if width < nr {
+        for dst in packed.chunks_exact_mut(nr) {
+            dst[width..].fill(0.0);
+        }
+    }
+}
+
+
+/// [`pack_kmajor`] for the x86 tiers: each `8 × 8` block of whole
+/// groups of eight B rows is transposed in `ymm` registers (eight loads,
+/// 24 shuffles, eight stores per 64 values); the K remainder of those
+/// rows, and the rows past the last group, are copied one value at a
+/// time.
+///
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn pack_kmajor_avx2(packed: &mut [f32], rows: &[f32], k: usize, nr: usize) {
+    use std::arch::x86_64::*;
+    if k == 0 {
+        return;
+    }
+    let width = rows.len() / k;
+    let (k8, w8) = (k - k % 8, width - width % 8);
+    assert!(width <= nr && packed.len() >= k * nr, "the panel holds K rows of NR");
+    let (src, dst) = (rows.as_ptr(), packed.as_mut_ptr());
+    for c0 in (0..w8).step_by(8) {
+        for kk in (0..k8).step_by(8) {
+            // SAFETY: rows `c0..c0 + 8 <= width` of `rows` hold `k` values
+            // each and `kk + 8 <= k8 <= k`, so every load reads `rows`;
+            // row `kk + i` of the panel holds `nr >= c0 + 8` values, so
+            // every store lands in `packed` (asserted above). Loads and
+            // stores are unaligned.
+            unsafe {
+                let r: [__m256; 8] = std::array::from_fn(|i| _mm256_loadu_ps(src.add((c0 + i) * k + kk)));
+                let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+                let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+                let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+                let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+                let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+                let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+                let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+                let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+                let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+                let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+                let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+                let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+                let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+                let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+                let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+                let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+                let cols = [
+                    _mm256_permute2f128_ps::<0x20>(u0, u4),
+                    _mm256_permute2f128_ps::<0x20>(u1, u5),
+                    _mm256_permute2f128_ps::<0x20>(u2, u6),
+                    _mm256_permute2f128_ps::<0x20>(u3, u7),
+                    _mm256_permute2f128_ps::<0x31>(u0, u4),
+                    _mm256_permute2f128_ps::<0x31>(u1, u5),
+                    _mm256_permute2f128_ps::<0x31>(u2, u6),
+                    _mm256_permute2f128_ps::<0x31>(u3, u7),
+                ];
+                for (i, &col) in cols.iter().enumerate() {
+                    _mm256_storeu_ps(dst.add((kk + i) * nr + c0), col);
+                }
+            }
+        }
+    }
+    for (c, row) in rows.chunks_exact(k).enumerate() {
+        let done = if c < w8 { k8 } else { 0 };
+        for (kk, &v) in row.iter().enumerate().skip(done) {
+            packed[kk * nr + c] = v;
+        }
+    }
+    if width < nr {
+        for dst in packed.chunks_exact_mut(nr) {
+            dst[width..].fill(0.0);
         }
     }
 }

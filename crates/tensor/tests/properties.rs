@@ -1,7 +1,7 @@
 //! Property-based tests of the tensor substrate's algebraic invariants.
 
 use proptest::prelude::*;
-use tr_tensor::matmul::{matmul_into_with, matmul_reference, Tier};
+use tr_tensor::matmul::{matmul_into_with, matmul_reference, matmul_transb_into_with, Tier};
 use tr_tensor::{col2im, im2col, im2col_into, Conv2dGeometry, Rng, Shape, Tensor};
 
 /// Reduction lengths for the tier race: empty and single-term sums, a
@@ -88,6 +88,40 @@ fn every_tier_matches_the_scalar_kernel_at_block_edges() {
     }
 }
 
+/// The `matmul_transb` tier race at its block edges: M around the 1-,
+/// 2-, 3- and 8-row dots blocks, N around the 8-row transposes and the
+/// 16-row panels, K around the 8-value transposes, the 4-value chunks
+/// and the MLP's 784. Every third shape holds ±inf in A and B, and every
+/// fifth a NaN in B.
+#[test]
+fn every_transb_tier_matches_the_scalar_kernel_at_block_edges() {
+    let mut rng = Rng::seed_from_u64(2026);
+    let mut case = 0usize;
+    for m in 1..=9usize {
+        for n in [1usize, 7, 8, 9, 15, 16, 17, 24, 33] {
+            for k in [1usize, 4, 7, 8, 9, 16, 27, 784] {
+                case += 1;
+                let mut a: Vec<f32> = (0..m * k).map(|_| value_or_zero(&mut rng, 0.3)).collect();
+                let mut b: Vec<f32> = (0..n * k).map(|_| value_or_zero(&mut rng, 0.2)).collect();
+                if case.is_multiple_of(3) {
+                    a[rng.below(m * k)] = f32::INFINITY;
+                    b[rng.below(n * k)] = f32::NEG_INFINITY;
+                }
+                if case.is_multiple_of(5) {
+                    b[rng.below(n * k)] = f32::NAN;
+                }
+                let mut expect = vec![0.0; m * n];
+                matmul_transb_into_with(Tier::Scalar, &a, &b, &mut expect, m, k, n);
+                for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
+                    let mut got = vec![0.0; m * n];
+                    matmul_transb_into_with(tier, &a, &b, &mut got, m, k, n);
+                    assert!(bits(&got) == bits(&expect), "tier {} differs at {m}x{k}x{n}", tier.name());
+                }
+            }
+        }
+    }
+}
+
 fn tensor_strategy(max_side: usize) -> impl Strategy<Value = (usize, usize, u64)> {
     (1..=max_side, 1..=max_side, any::<u64>())
 }
@@ -137,6 +171,46 @@ proptest! {
         for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
             let mut got = out0.clone();
             matmul_into_with(tier, &a, &b, &mut got, m, k, n);
+            prop_assert!(bits(&got) == bits(&expect), "tier {} differs at {m}x{k}x{n}", tier.name());
+        }
+    }
+
+    #[test]
+    fn every_transb_tier_matches_the_scalar_kernel_bitwise(
+        m in 0usize..=13,
+        n in 0usize..=70,
+        ki in 0usize..RACE_K.len(),
+        specials in 0usize..3,
+        nonzero_start in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // M sweeps ragged edges around the 1-, 2-, 3- and 8-row dots
+        // blocks and N around the 16-cell panels; A and B hold signed
+        // zeros; `specials` adds ±inf (1) or NaN and ±inf (2) to A or B;
+        // `out` starts zeroed or at non-zero values and signed zeros.
+        let k = RACE_K[ki];
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut a: Vec<f32> = (0..m * k).map(|_| value_or_zero(&mut rng, 0.3)).collect();
+        let mut b: Vec<f32> = (0..n * k).map(|_| value_or_zero(&mut rng, 0.2)).collect();
+        let picks: &[f32] = match specials {
+            0 => &[],
+            1 => &[f32::INFINITY, f32::NEG_INFINITY],
+            _ => &[f32::NAN, f32::INFINITY, f32::NEG_INFINITY],
+        };
+        for &special in picks {
+            let side = if rng.uniform() < 0.5 { &mut a } else { &mut b };
+            if !side.is_empty() {
+                let at = rng.below(side.len());
+                side[at] = special;
+            }
+        }
+        let out0: Vec<f32> =
+            if nonzero_start { (0..m * n).map(|_| value_or_zero(&mut rng, 0.3)).collect() } else { vec![0.0; m * n] };
+        let mut expect = out0.clone();
+        matmul_transb_into_with(Tier::Scalar, &a, &b, &mut expect, m, k, n);
+        for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
+            let mut got = out0.clone();
+            matmul_transb_into_with(tier, &a, &b, &mut got, m, k, n);
             prop_assert!(bits(&got) == bits(&expect), "tier {} differs at {m}x{k}x{n}", tier.name());
         }
     }

@@ -11,8 +11,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
 cargo test -q --workspace
-# The f32 GEMM tiers (portable, AVX2, AVX-512) race the scalar kernel bit
-# for bit in tr-tensor's tests, tr-quant's slice quantizer tiers race
+# The f32 GEMM tiers (portable, AVX2, AVX-512) of `matmul_into` and of
+# the lane-parallel `matmul_transb` race their scalar kernels bit for bit
+# in tr-tensor's tests, tr-quant's slice quantizer tiers race
 # the scalar `code`, and tr-core's narrow code-plane tiers (baseline,
 # AVX2, AVX-512BW) race the i64 loop and the term-pair walk, fallback
 # cases included; run them on optimized code too, where the optimizer

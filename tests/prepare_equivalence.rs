@@ -3,19 +3,22 @@
 //! `PackedTermMatrix::try_reveal_codes` builds the revealed term planes and
 //! the kept codes in one table-driven, row-parallel pass. The oracle is the
 //! two-step chain it stands in for — `from_weights` → `reveal` →
-//! `reconstruct_codes`, then `BitPlaneMatrix::from_packed` and
-//! `MatmulPlanner::for_weights` — and every comparison here is exact:
-//! planes, f32 bit patterns, seals and `core.reveal.*` counter deltas.
+//! `reconstruct_codes`, then `MatmulPlanner::for_weights` and, where the
+//! planner can route to a bit-plane kernel, `BitPlaneMatrix::from_packed`
+//! — and every comparison here is exact: planes, f32 bit patterns, seals
+//! and `core.reveal.*` counter deltas. The last test pins that rule: how
+//! many decompositions a prepare and an integer forward build.
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tr_bench::zoo::test_zoo;
-use tr_core::matmul::MatmulPlanner;
+use tr_core::matmul::{MatmulPlan, MatmulPlanner};
 use tr_core::{BitPlaneMatrix, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
+use tr_nn::layers::Linear;
 use tr_nn::lstm::LstmLm;
 use tr_nn::models::{mlp::build_mlp, CnnKind};
-use tr_nn::{prepare_weights, Layer, Precision, PreparedWeights, QuantSite};
+use tr_nn::{prepare_weights, ForwardCtx, Layer, Precision, PreparedWeights, QuantSite};
 use tr_obs::recorder;
 use tr_quant::{calibrate_max_abs, quantize, QTensor, QuantParams};
 use tr_serve::LadderConfig;
@@ -95,14 +98,16 @@ fn oracle_prepare(w: &Tensor, cfg: &TrConfig) -> PreparedWeights {
     let tm = PackedTermMatrix::from_weights(&q, cfg.weight_encoding).reveal(cfg);
     let codes = tm.reconstruct_codes();
     let data: Vec<f32> = codes.iter().map(|&c| c as f32 * params.scale).collect();
-    let planes = BitPlaneMatrix::from_packed(&tm);
     let data_term_bound = cfg.data_terms.unwrap_or(7);
     let planner = MatmulPlanner::for_weights(&tm, data_term_bound);
+    let planes = planner
+        .routes_bitplane()
+        .then(|| Arc::new(BitPlaneMatrix::from_packed(&tm)));
     PreparedWeights {
         qweight: Some(Arc::new(Tensor::from_vec(data, w.shape().clone()))),
         weight_params: Some(params),
         weight_terms: Some(Arc::new(tm)),
-        weight_planes: Some(Arc::new(planes)),
+        weight_planes: planes,
         planner: Some(Arc::new(planner)),
         weight_term_bound: cfg.group_budget,
         data_term_bound,
@@ -113,7 +118,8 @@ fn oracle_prepare(w: &Tensor, cfg: &TrConfig) -> PreparedWeights {
 }
 
 /// `prepare_weights` and the oracle agree field by field and seal alike.
-fn assert_prepared_matches(w: &Tensor, cfg: &TrConfig, what: &str) {
+/// Returns whether they hold bit-planes.
+fn assert_prepared_matches(w: &Tensor, cfg: &TrConfig, what: &str) -> bool {
     let want = oracle_prepare(w, cfg);
     let got = prepare_weights(w, &Precision::Tr(*cfg));
     let bits = |p: &PreparedWeights| -> Vec<u32> {
@@ -131,6 +137,7 @@ fn assert_prepared_matches(w: &Tensor, cfg: &TrConfig, what: &str) {
     assert_eq!(got.checksum, want.checksum, "{what}: PreparedWeights seal");
     got.verify_integrity()
         .unwrap_or_else(|e| panic!("{what}: {e}"));
+    got.weight_planes.is_some()
 }
 
 /// Shapes: aligned and ragged rows, a single row, both empty forms, and
@@ -184,6 +191,8 @@ fn one_pass_reveal_matches_the_chain_for_every_encoding_and_shape() {
 #[test]
 fn prepared_weights_seal_identically_to_the_chain() {
     let _serial = serial();
+    // The configs whose prepares held bit-planes somewhere.
+    let mut with_planes = Vec::new();
     for enc in Encoding::ALL {
         for (i, &(rows, len)) in SHAPES.iter().enumerate() {
             if rows * len == 0 {
@@ -198,10 +207,16 @@ fn prepared_weights_seal_identically_to_the_chain() {
                 let cfg = TrConfig::new(g, k)
                     .with_data_terms(s)
                     .with_weight_encoding(enc);
-                assert_prepared_matches(&w, &cfg, &format!("{enc} {rows}x{len} g{g} k{k} s{s}"));
+                if assert_prepared_matches(&w, &cfg, &format!("{enc} {rows}x{len} g{g} k{k} s{s}")) {
+                    with_planes.push((g, k, s));
+                }
             }
         }
     }
+    // Both branches stay covered: g8 k4 s1 builds planes on the large
+    // shapes, and the ladder's top rung builds none.
+    assert!(with_planes.contains(&(8, 4, 1)), "g8 k4 s1 built no planes");
+    assert!(!with_planes.contains(&(8, 24, 3)), "g8 k24 s3 built planes");
 }
 
 #[test]
@@ -292,6 +307,74 @@ fn every_zoo_model_and_ladder_rung_seals_identically() {
             }
         }
     }
+}
+
+/// Bit-plane decompositions built so far (`BitPlaneMatrix::from_packed`
+/// calls; the recorder must be on).
+fn decompositions() -> u64 {
+    recorder().snapshot().counter("core.bitplane.builds")
+}
+
+/// The plane rule: `prepare_weights` decomposes a site's weights into
+/// bit-planes exactly where its planner can route some batch size to a
+/// bit-plane kernel. On the MLP and VGG weights that is no site at any
+/// default-ladder rung, and at g8 k4 s1 the sites the planner names. A
+/// `Linear` prepared there reuses its planes: each integer forward
+/// decomposes only its activations.
+#[test]
+fn weight_planes_are_built_exactly_where_a_bit_plane_route_can_run() {
+    let _serial = serial();
+    let was = tr_obs::enabled();
+    tr_obs::set_enabled(true);
+    let mut rng = Rng::seed_from_u64(26);
+    let mut sites = Vec::new();
+    build_mlp(10, &mut rng).visit_quant_sites(&mut record_sites(&mut sites));
+    CnnKind::Vgg
+        .build(10, &mut rng)
+        .visit_quant_sites(&mut record_sites(&mut sites));
+    let prepare = |w: &Tensor, precision: &Precision| {
+        let before = decompositions();
+        let p = prepare_weights(w, precision);
+        (decompositions() - before, p)
+    };
+    for rung in &LadderConfig::default_tr_ladder().rungs {
+        for (site, w) in &sites {
+            let (built, p) = prepare(w, &rung.precision);
+            let what = format!("{site} {}", rung.precision.label());
+            assert!(p.weight_planes.is_none(), "{what}: planes cached");
+            assert_eq!(built, 0, "{what}: decompositions");
+        }
+    }
+    let k4 = Precision::Tr(TrConfig::new(8, 4).with_data_terms(1));
+    let mut routable = 0;
+    for (site, w) in &sites {
+        let (built, p) = prepare(w, &k4);
+        let planner = p.planner.as_deref().expect("a TR rung has a planner");
+        let want = planner.routes_bitplane();
+        assert_eq!(p.weight_planes.is_some(), want, "{site}: planes cached");
+        assert_eq!(built, u64::from(want), "{site}: decompositions");
+        routable += usize::from(want);
+    }
+    assert!(routable > 0, "no site is routable at g8 k4 s1");
+
+    let mut layer = Linear::new(784, 512, &mut rng);
+    layer.fq.install_weights(&layer.weight().value.clone(), &k4);
+    layer.fq.install_act_cap(&k4);
+    layer.fq.act_params = Some(QuantParams { scale: 1.0 / 127.0, bits: 8 });
+    layer.fq.exec_integer = true;
+    let planner = layer.fq.planner.clone().expect("a TR rung has a planner");
+    assert!(
+        matches!(planner.plan_for(8), MatmulPlan::BitPlane | MatmulPlan::BitPlaneBlocked),
+        "batch 8 no longer takes a bit-plane route"
+    );
+    assert!(layer.fq.weight_planes.is_some());
+    let x = Tensor::randn(Shape::d2(8, 784), 0.5, &mut rng).map(f32::abs);
+    let before = decompositions();
+    for _ in 0..3 {
+        layer.forward(&x, &mut ForwardCtx::eval(&mut rng));
+    }
+    assert_eq!(decompositions() - before, 3, "one activation-side decomposition per forward");
+    tr_obs::set_enabled(was);
 }
 
 proptest! {
