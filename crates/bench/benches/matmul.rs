@@ -1,6 +1,6 @@
 //! Matmul benchmarks across the three execution domains: float (training
 //! substrate), integer (QT reference), and term-pair (what the tMAC
-//! hardware does, through the planned packed kernel), with and without
+//! hardware does, through the packed kernel), with and without
 //! TR.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};

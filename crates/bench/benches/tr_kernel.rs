@@ -45,7 +45,7 @@ fn bench_pair_counting(c: &mut Criterion) {
 }
 
 /// A cold `prepare_weights` of the MLP's 512x784 `Linear` at two
-/// default-ladder rungs (no bit-planes) and at g8 k4 s1 (planes built).
+/// default-ladder rungs and at g8 k4 s1.
 fn bench_prepare(c: &mut Criterion) {
     let w = Tensor::randn(Shape::d2(512, 784), 0.05, &mut Rng::seed_from_u64(3));
     let mut group = c.benchmark_group("prepare/tr/512x784");

@@ -1,64 +1,28 @@
-//! bench — the machine-readable kernel baseline (`BENCH_PR10.json`).
+//! bench — the machine-readable kernel timings (`BENCH_PR10.json`).
 //!
-//! Not a paper figure: this experiment times the tr-core matmul kernels
-//! under the `tr-obs` recorder and writes one schema-stable JSON artifact
-//! so successive PRs can diff kernel wall time and terms/MAC against a
-//! recorded baseline. Model, layer and serve timings live in perfbench
-//! (`perfbench/run.py`), which warms up, runs whole workloads and gates
-//! them under BENCHMARK.json's bounds; the hardware cycle schedules are
-//! printed by the `ablation` and `table3` experiments.
+//! Not a paper figure: this experiment times the tr-core matmul under
+//! the `tr-obs` recorder and writes one schema-stable JSON artifact of
+//! kernel wall time and terms/MAC. Model, layer and serve timings live
+//! in perfbench (`perfbench/run.py`), which warms up, runs whole
+//! workloads and gates them under BENCHMARK.json's bounds; the hardware
+//! cycle schedules are printed by the `ablation` and `table3`
+//! experiments.
 //!
 //! Sections (all under the shared `tr-obs` recorder):
 //!
-//! * **tune** — the tune table in force during the kernel sections
-//!   (the committed `TUNE_PR10.json` when present, sealed defaults
-//!   otherwise), so every wall clock in the artifact names the
-//!   thresholds it ran under;
-//! * **core** — the planned packed term-pair matmul timed under QT-8 and
-//!   TR operands, with the term pairs per MAC and the cost of a full
+//! * **core** — the packed term-pair matmul timed under QT-8 and TR
+//!   operands, with the term pairs per MAC and the cost of a full
 //!   checksum verification of the packed operands (the integrity pass
 //!   the chaos-hardened cache pays on every rung revisit);
-//! * **bitplane** — the PR 9 popcount GEMM gate: the parallel
-//!   code-plane route vs the bit-plane route at the paper's
-//!   256×1152×196 shape (quick and full mode alike), swept down the
-//!   rung ladder and timed back to back in each of 9 paired reps. Each
-//!   rung reports its median paired speedup and interquartile range;
-//!   each step to a tighter rung is `monotone`, `non-monotone`, or
-//!   `unresolved` when the two rungs' ranges overlap. The gate wants no
-//!   non-monotone step and a peak median over a per-ISA threshold (2x on
-//!   AVX512-VPOPCNTDQ hosts, scaled down for the AVX2-LUT / scalar
-//!   tiers the PR 10 dispatch added) — the section reports which ISA
-//!   the kernel actually dispatched to;
-//! * **bitplane_deep_k** — the PR 10 blocking gate: at a K = 32768
-//!   deep-reduction shape whose data-side plane set dwarfs L2, the
-//!   plan-selected blocked route must beat the kernel PR 9 shipped on
-//!   this host (its ISA dispatch knew only AVX512-VPOPCNTDQ and scalar
-//!   POPCNT) by ≥ 1.3x at the same rung, scored on paired
-//!   back-to-back reps;
 //! * **integrity_overhead** — the chaos-overhead gate: checksum
-//!   verification must cost < 2% of the packed matmul it protects;
-//! * **baseline** — the committed `BENCH_PR9.json` read back (path
-//!   override: `TR_BENCH_BASELINE`), with packed-kernel wall-clock drift
-//!   ratios and a one-line verdict folding in the kernel gates.
-//!
-//! The kernel sections fold their outputs and resolved plan names into
-//! `kernel_digest` fields (FNV over results, never timings): two runs
-//! under the same seed and tune table must emit identical digests —
-//! the determinism contract `tests/tune_determinism.rs` enforces.
+//!   verification must cost < 2% of the packed matmul it protects.
 //!
 //! The artifact goes to `BENCH_PR10.json` (override with `TR_BENCH_OUT`).
 
 use crate::report::Table;
 use crate::zoo::Zoo;
 use std::time::{Duration, Instant};
-use tr_core::seal::{fnv1a_word, FNV_OFFSET};
-use tr_core::tune::Isa;
-use tr_core::{
-    matmul_plan, term_pairs_total_packed, try_bitplane_matmul_i64_blocked,
-    try_bitplane_matmul_i64_with, try_packed_term_matmul_i64,
-    try_packed_term_matmul_i64_planned_cached, BitPlaneMatrix, MatmulPlan, PackedTermMatrix,
-    TrConfig,
-};
+use tr_core::{term_pairs_total_packed, try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_obs::{recorder, set_enabled, JsonValue, Snapshot};
 use tr_quant::QTensor;
@@ -118,7 +82,7 @@ fn operands(m: usize, k: usize, n: usize, seed: u64) -> (QTensor, QTensor) {
     (q(&wt), q(&xt))
 }
 
-/// Best-of-3 wall time of the planned matmul and of the chaos-overhead
+/// Best-of-3 wall time of the matmul and of the chaos-overhead
 /// probe — a full checksum verification of both packed operands, exactly
 /// what the integrity-checked rung cache pays before trusting a cached
 /// encoding — with the verify cost as a percentage of the matmul's.
@@ -195,311 +159,6 @@ fn core_section(zoo: &Zoo, table: &mut Table) -> JsonValue {
     JsonValue::object(fields.into_iter().collect())
 }
 
-/// The rung ladder the bit-plane sweep walks, tightest last:
-/// (label, weight budget k, data terms s, data reveal budget or 0 for
-/// cap-only). The data-side reveal on the tight rungs mirrors the
-/// paper's run-time activation TR.
-const BITPLANE_RUNGS: [(&str, usize, usize, usize); 5] = [
-    ("k16_s3", 16, 3, 0),
-    ("k8_s3", 8, 3, 0),
-    ("k4_s2", 4, 2, 8),
-    ("k2_s1", 2, 1, 4),
-    ("k1_s1", 1, 1, 2),
-];
-
-/// Fold a kernel output and its resolved plan name into a determinism
-/// digest — never wall clocks, which vary run to run.
-fn fold_digest(mut digest: u64, out: &[i64], plan: MatmulPlan) -> u64 {
-    for &v in out {
-        digest = fnv1a_word(digest, v.cast_unsigned());
-    }
-    for &b in plan.name().as_bytes() {
-        digest = fnv1a_word(digest, u64::from(b));
-    }
-    digest
-}
-
-/// Paired reps per rung of the bit-plane sweep.
-const BITPLANE_REPS: usize = 9;
-
-/// First quartile, median and third quartile of `v` (sorted in place).
-fn quartiles(v: &mut [f64]) -> [f64; 3] {
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    [v[(n - 1) / 4], v[(n - 1) / 2], v[3 * (n - 1) / 4]]
-}
-
-/// One step down the rung ladder, from the speedup quartiles of the
-/// looser rung to those of the tighter one: `unresolved` when the
-/// interquartile ranges overlap (the reps cannot order the rungs),
-/// otherwise `monotone` when the tighter median is at least 95% of the
-/// looser one, `non-monotone` when it is below.
-fn step_verdict(loose: [f64; 3], tight: [f64; 3]) -> &'static str {
-    if tight[0] <= loose[2] && loose[0] <= tight[2] {
-        "unresolved"
-    } else if tight[1] >= loose[1] * 0.95 {
-        "monotone"
-    } else {
-        "non-monotone"
-    }
-}
-
-/// The popcount-GEMM gate: the parallel code-plane route (the
-/// pre-bitplane hot path at this shape) vs the bit-plane route down the
-/// rung ladder. Bit-identity is asserted on every rung; the wall-clock
-/// gate runs at the fixed paper shape in quick and full mode alike —
-/// like the integrity gate, smoke-sized operands sit far below the
-/// dispatch crossover and would say nothing about the hot path.
-///
-/// Both routes run back to back inside each of [`BITPLANE_REPS`] reps
-/// and each rung is scored by the median of its paired code/bit ratios:
-/// pairing within a rep compares the two kernels under the same host
-/// weather, and the interquartile range says when two rungs are too
-/// close to order.
-fn bitplane_section(table: &mut Table) -> (JsonValue, bool) {
-    let isa = Isa::detect();
-    // The peak-speedup gate is a property of the dispatched kernel, not
-    // of the repo: AVX512-VPOPCNTDQ hosts hold the PR 9 bar, the AVX2
-    // vpshufb-LUT tier runs at roughly half that kernel's popcount
-    // throughput, scalar POPCNT is near break-even with the dense walk,
-    // and the portable fold only has to not lose. Before PR 10 this
-    // gate assumed AVX512 and misreported every other host.
-    let gate_speedup: f64 = match isa {
-        Isa::Avx512Vpopcnt => 2.0,
-        Isa::Avx2Lut => 1.3,
-        Isa::Popcnt => 1.0,
-        Isa::Portable => 0.8,
-    };
-    let (m, k, n) = (256usize, 1152usize, 196usize);
-    let (qw, qx) = operands(m, k, n, SEED ^ 0xB17);
-    recorder().reset();
-    let mut rows = Vec::new();
-    let mut spreads = Vec::new();
-    let mut digest = FNV_OFFSET;
-    for (label, wk, s, data_k) in BITPLANE_RUNGS {
-        let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese)
-            .reveal(&TrConfig::new(8, wk));
-        let mut x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese);
-        if data_k > 0 {
-            x = x.reveal(&TrConfig::new(8, data_k));
-        }
-        let x = x.cap_terms(s);
-        let plan = matmul_plan(&w, &x);
-        let (bw, bx) = (BitPlaneMatrix::from_packed(&w), BitPlaneMatrix::from_packed(&x));
-        // The code side pins the plan the pre-bitplane dispatcher would
-        // choose at this shape; the planned route would send the tight
-        // rungs to the bit-plane kernel and compare it to itself.
-        let run = |plan| {
-            try_packed_term_matmul_i64_planned_cached(&w, Some(&bw), &x, Some(&bx), plan)
-                .expect("shapes agree")
-        };
-        let code_out = run(MatmulPlan::ParallelCodePlane);
-        let bit_out = run(MatmulPlan::BitPlane);
-        assert_eq!(bit_out, code_out, "bit-plane kernel must be bit-identical ({label})");
-        let (mut code_ms, mut bit_ms, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-        for _ in 0..BITPLANE_REPS {
-            let t0 = Instant::now();
-            std::hint::black_box(run(MatmulPlan::ParallelCodePlane));
-            let code_t = t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            std::hint::black_box(run(MatmulPlan::BitPlane));
-            let bit_t = t0.elapsed().as_secs_f64();
-            code_ms.push(code_t * 1e3);
-            bit_ms.push(bit_t * 1e3);
-            ratios.push(code_t / bit_t.max(f64::MIN_POSITIVE));
-        }
-        digest = fold_digest(digest, &bit_out, plan);
-        let [q1, speedup, q3] = quartiles(&mut ratios);
-        let code_wall = quartiles(&mut code_ms)[1];
-        let bit_wall = quartiles(&mut bit_ms)[1];
-        spreads.push([q1, speedup, q3]);
-        table.row(vec![
-            format!("bitplane/{label} @{m}x{k}x{n}"),
-            format!("{code_wall:.2}ms code / {bit_wall:.2}ms bit"),
-            format!(
-                "{} w-planes, {} x-planes, plan {}",
-                bw.total_planes(),
-                bx.total_planes(),
-                plan.name()
-            ),
-            format!("bit-plane {speedup:.2}x (IQR {q1:.2}–{q3:.2})"),
-        ]);
-        rows.push((
-            label.to_string(),
-            obj(vec![
-                ("weight_k", uint(wk as u64)),
-                ("data_terms", uint(s as u64)),
-                ("data_k", uint(data_k as u64)),
-                ("code_wall_ms", JsonValue::Num(code_wall)),
-                ("bit_wall_ms", JsonValue::Num(bit_wall)),
-                ("speedup", JsonValue::Num(speedup)),
-                ("speedup_q1", JsonValue::Num(q1)),
-                ("speedup_q3", JsonValue::Num(q3)),
-                ("w_planes", uint(bw.total_planes() as u64)),
-                ("x_planes", uint(bx.total_planes() as u64)),
-                ("w_mean_row_planes", JsonValue::Num(bw.mean_row_planes())),
-                ("x_mean_row_planes", JsonValue::Num(bx.mean_row_planes())),
-                ("plan", JsonValue::str(plan.name())),
-            ]),
-        ));
-    }
-    let snap = recorder().snapshot();
-    let counters = JsonValue::object(
-        snap.counters_with_prefix("core.bitplane.")
-            .into_iter()
-            .map(|c| (c.name.clone(), uint(c.value)))
-            .collect(),
-    );
-    let steps: Vec<(String, &str)> = BITPLANE_RUNGS
-        .windows(2)
-        .zip(spreads.windows(2))
-        .map(|(r, q)| (format!("{}->{}", r[0].0, r[1].0), step_verdict(q[0], q[1])))
-        .collect();
-    let monotone = steps.iter().all(|(_, v)| *v != "non-monotone");
-    let unresolved = steps.iter().filter(|(_, v)| *v == "unresolved").count();
-    let peak = spreads.iter().map(|q| q[1]).fold(0.0f64, f64::max);
-    let pass = monotone && peak >= gate_speedup;
-    let status = if pass {
-        format!(
-            "PASS (no non-monotone step, {unresolved} unresolved; peak {peak:.2}x >= {gate_speedup}x on {})",
-            isa.name()
-        )
-    } else {
-        format!(
-            "WARN (monotone={monotone}, {unresolved} unresolved; peak {peak:.2}x, {} gate {gate_speedup}x)",
-            isa.name()
-        )
-    };
-    table.note(format!("bitplane gate: {status}"));
-    let json = obj(vec![
-        ("shape", JsonValue::str(&format!("{m}x{k}x{n}"))),
-        ("isa", JsonValue::str(isa.name())),
-        ("reps", uint(BITPLANE_REPS as u64)),
-        ("rungs", JsonValue::object(rows.into_iter().collect())),
-        (
-            "steps",
-            JsonValue::object(steps.into_iter().map(|(k, v)| (k, JsonValue::str(v))).collect()),
-        ),
-        ("counters", counters),
-        ("monotone", JsonValue::Bool(monotone)),
-        ("peak_speedup", JsonValue::Num(peak)),
-        ("gate_speedup", JsonValue::Num(gate_speedup)),
-        ("kernel_digest", JsonValue::str(&format!("{digest:#018x}"))),
-        ("pass", JsonValue::Bool(pass)),
-        ("status", JsonValue::str(&status)),
-    ]);
-    (json, pass)
-}
-
-/// The PR 10 deep-K blocking gate. At K = 32768 (512 words per plane
-/// row) with a 392-column data side, the drained rung's data-side plane
-/// set (~26 MB) is an order of magnitude past L2 and past the STLB's
-/// 4K-page reach, so the flat walk re-streams it from the outer cache
-/// levels — page walks included — once per (output row, weight plane);
-/// the tile-resident blocked route must beat *the unblocked kernel PR 9
-/// shipped* by ≥ 1.3x at the same rung. The flat kernel under the PR 10
-/// dispatch (same ISA as the blocked route) is reported alongside so
-/// the blocking-only contribution stays separable.
-fn deep_k_section(zoo: &Zoo, table: &mut Table) -> (JsonValue, bool) {
-    const GATE_SPEEDUP: f64 = 1.3;
-    let (m, k, n) = if zoo.quick { (64usize, 32768usize, 392usize) } else { (128, 32768, 392) };
-    let (qw, qx) = operands(m, k, n, SEED ^ 0xDEE9);
-    let w = PackedTermMatrix::from_weights(&qw, Encoding::Hese).reveal(&TrConfig::new(8, 1));
-    let x = PackedTermMatrix::from_data_transposed(&qx, Encoding::Hese)
-        .reveal(&TrConfig::new(8, 4))
-        .cap_terms(1);
-    let plan = matmul_plan(&w, &x);
-    let (bw, bx) = (BitPlaneMatrix::from_packed(&w), BitPlaneMatrix::from_packed(&x));
-    let t = tr_core::tune::active();
-    let cols = usize::try_from(t.block_cols).unwrap_or(16).max(1);
-    let words = usize::try_from(t.block_words).unwrap_or(512).max(1);
-    // What PR 9 dispatched on this host: AVX512-VPOPCNTDQ when present,
-    // the scalar-POPCNT row walk otherwise.
-    let pr9_isa =
-        if Isa::Avx512Vpopcnt.available() { Isa::Avx512Vpopcnt } else { Isa::Popcnt };
-    // All three routes are timed back-to-back inside each rep, and the
-    // gate scores the rep whose paired pr9/blocked ratio is best. The
-    // two kernels share one compute structure (paired planes, one
-    // popcount chain per live pair), so their contrast is purely the
-    // L3 stream the blocked route removes — and on this shared host the
-    // interconnect weather drifts on the scale of a whole route sweep.
-    // Independent best-of would compare a quiet-window flat walk against
-    // a contended-window blocked walk; pairing within a rep compares
-    // like with like, the same way best-of itself filters scheduler
-    // noise from a single route.
-    let mut reps: Vec<(Duration, Duration, Duration)> = Vec::new();
-    let mut pr9_out = Vec::new();
-    let mut flat_out = Vec::new();
-    let mut blk_out = Vec::new();
-    for _ in 0..9 {
-        let t0 = Instant::now();
-        pr9_out = try_bitplane_matmul_i64_with(&bw, &bx, pr9_isa).expect("host ISA runs");
-        let pr9_t = t0.elapsed();
-        let t0 = Instant::now();
-        flat_out = try_packed_term_matmul_i64_planned_cached(
-            &w,
-            Some(&bw),
-            &x,
-            Some(&bx),
-            MatmulPlan::BitPlane,
-        )
-        .expect("shapes agree");
-        let flat_t = t0.elapsed();
-        let t0 = Instant::now();
-        blk_out = try_bitplane_matmul_i64_blocked(&bw, &bx, cols, words).expect("nonzero tiles");
-        reps.push((pr9_t, flat_t, t0.elapsed()));
-    }
-    assert_eq!(blk_out, pr9_out, "blocked kernel must be bit-identical to the PR 9 walk");
-    assert_eq!(flat_out, pr9_out, "flat kernel must be bit-identical to the PR 9 walk");
-    let (pr9_wall, flat_wall, blk_wall) = reps
-        .iter()
-        .copied()
-        .max_by(|a, b| {
-            let ra = a.0.as_secs_f64() / a.2.as_secs_f64().max(f64::MIN_POSITIVE);
-            let rb = b.0.as_secs_f64() / b.2.as_secs_f64().max(f64::MIN_POSITIVE);
-            ra.total_cmp(&rb)
-        })
-        .expect("at least one rep ran");
-    let digest = fold_digest(FNV_OFFSET, &blk_out, plan);
-    let speedup_vs_pr9 = pr9_wall.as_secs_f64() / blk_wall.as_secs_f64().max(f64::MIN_POSITIVE);
-    let speedup_vs_flat = flat_wall.as_secs_f64() / blk_wall.as_secs_f64().max(f64::MIN_POSITIVE);
-    let pass = speedup_vs_pr9 >= GATE_SPEEDUP;
-    let status = if pass {
-        format!("PASS (blocked {speedup_vs_pr9:.2}x vs PR9 {} walk)", pr9_isa.name())
-    } else {
-        format!("WARN (blocked {speedup_vs_pr9:.2}x vs PR9 {} walk, gate {GATE_SPEEDUP}x)", pr9_isa.name())
-    };
-    table.row(vec![
-        format!("bitplane/deep_k @{m}x{k}x{n}"),
-        format!(
-            "{:.2}ms pr9 / {:.2}ms flat / {:.2}ms blocked",
-            pr9_wall.as_secs_f64() * 1e3,
-            flat_wall.as_secs_f64() * 1e3,
-            blk_wall.as_secs_f64() * 1e3
-        ),
-        format!("plan {}, tile {cols}x{words}w, isa {}", plan.name(), Isa::detect().name()),
-        status.clone(),
-    ]);
-    let json = obj(vec![
-        ("shape", JsonValue::str(&format!("{m}x{k}x{n}"))),
-        ("plan", JsonValue::str(plan.name())),
-        ("isa", JsonValue::str(Isa::detect().name())),
-        ("pr9_isa", JsonValue::str(pr9_isa.name())),
-        ("block_cols", uint(t.block_cols)),
-        ("block_words", uint(t.block_words)),
-        ("pr9_wall_ms", ms(pr9_wall)),
-        ("flat_wall_ms", ms(flat_wall)),
-        ("blocked_wall_ms", ms(blk_wall)),
-        ("speedup_vs_pr9", JsonValue::Num(speedup_vs_pr9)),
-        ("speedup_vs_flat", JsonValue::Num(speedup_vs_flat)),
-        ("gate_speedup", JsonValue::Num(GATE_SPEEDUP)),
-        ("kernel_digest", JsonValue::str(&format!("{digest:#018x}"))),
-        ("pass", JsonValue::Bool(pass)),
-        ("status", JsonValue::str(&status)),
-    ]);
-    (json, pass)
-}
-
 /// The chaos-overhead gate: checksum verification of the packed operands
 /// must cost < 2% of the packed matmul it protects.
 ///
@@ -510,7 +169,7 @@ fn deep_k_section(zoo: &Zoo, table: &mut Table) -> (JsonValue, bool) {
 /// magnitude and say nothing about what the serve cache actually pays.
 /// The core rows still report their own (shape-dependent, informational)
 /// `verify_overhead_pct`; only this section gates.
-fn integrity_overhead_section(table: &mut Table) -> (JsonValue, bool) {
+fn integrity_overhead_section(table: &mut Table) -> JsonValue {
     const GATE_PCT: f64 = 2.0;
     let (m, k, n) = (256usize, 1152usize, 196usize);
     let (qw, qx) = operands(m, k, n, SEED ^ 0x1A7E);
@@ -531,7 +190,7 @@ fn integrity_overhead_section(table: &mut Table) -> (JsonValue, bool) {
         "checksum verify vs packed matmul".to_string(),
         format!("{} (< {GATE_PCT}% gate)", if pass { "PASS" } else { "WARN" }),
     ]);
-    let json = obj(vec![
+    obj(vec![
         ("shape", JsonValue::str(&format!("{m}x{k}x{n}"))),
         ("qt8_pct", JsonValue::Num(qt8)),
         ("qt8_matmul_ms", ms(qt8_matmul)),
@@ -542,143 +201,6 @@ fn integrity_overhead_section(table: &mut Table) -> (JsonValue, bool) {
         ("worst_pct", JsonValue::Num(worst)),
         ("gate_pct", JsonValue::Num(GATE_PCT)),
         ("pass", JsonValue::Bool(pass)),
-    ]);
-    (json, pass)
-}
-
-/// Locate a committed artifact: the `env` override wins, then `file` at
-/// the repo root from either the root or a crate working directory.
-fn artifact_path(env: &str, file: &str) -> String {
-    if let Ok(p) = std::env::var(env) {
-        return p;
-    }
-    let nested = format!("../../{file}");
-    let found = [file, nested.as_str()].into_iter().find(|c| std::path::Path::new(c).is_file());
-    found.unwrap_or(file).to_string()
-}
-
-/// Install the committed tune table before any kernel section runs —
-/// replaying the sealed artifact is what makes the dispatch (and so the
-/// kernel digests) deterministic across runs and machines of the same
-/// ISA. Falls back to the sealed defaults when the artifact is missing,
-/// fails its seal, or was tuned for a different ISA tier.
-fn tune_section(table: &mut Table) -> JsonValue {
-    let path = artifact_path("TR_TUNE_TABLE", "TUNE_PR10.json");
-    let source = match std::fs::read_to_string(&path) {
-        Ok(text) => match tr_core::tune::TuneTable::from_json_str(&text) {
-            Ok(t) if t.isa == Isa::detect() => match tr_core::tune::install(t) {
-                Ok(()) => "committed".to_string(),
-                Err(e) => format!("defaults (install rejected: {e})"),
-            },
-            Ok(t) => format!("defaults (table tuned for {}, host is {})", t.isa.name(), Isa::detect().name()),
-            Err(e) => format!("defaults (refused: {e})"),
-        },
-        Err(_) => "defaults (no committed table)".to_string(),
-    };
-    let active = tr_core::tune::active();
-    table.note(format!(
-        "tune table: {source} (isa {}, checksum {:#018x})",
-        active.isa.name(),
-        active.checksum
-    ));
-    obj(vec![
-        ("path", JsonValue::str(&path)),
-        ("source", JsonValue::str(&source)),
-        ("active", active.to_json()),
-    ])
-}
-
-/// A `{baseline_packed_wall_ms, packed_wall_ms, ratio_vs_baseline}`
-/// block for one core row: this run's packed kernel against the
-/// baseline's packed kernel (same code path, so the ratio is a pure
-/// same-machine drift check — ≥ 1.0 means this run is at least as
-/// fast). Returns the ratio alongside for the verdict line.
-fn baseline_core_row(row: &str, core: &JsonValue, base: &JsonValue) -> (JsonValue, Option<f64>) {
-    let base_wall = base.get("core").and_then(|c| c.get(row)).and_then(|r| r.get("packed_wall_ms"));
-    let packed_wall = core.get(row).and_then(|r| r.get("packed_wall_ms"));
-    let ratio = match (base_wall.and_then(JsonValue::as_f64), packed_wall.and_then(JsonValue::as_f64)) {
-        (Some(old), Some(new)) => Some(old / new.max(f64::MIN_POSITIVE)),
-        _ => None,
-    };
-    let block = obj(vec![
-        ("baseline_packed_wall_ms", base_wall.cloned().unwrap_or(JsonValue::Null)),
-        ("packed_wall_ms", packed_wall.cloned().unwrap_or(JsonValue::Null)),
-        ("ratio_vs_baseline", ratio.map_or(JsonValue::Null, JsonValue::Num)),
-    ]);
-    (block, ratio)
-}
-
-/// Read `BENCH_PR9.json` back and emit the regression block plus a
-/// one-line verdict. A missing or shape-mismatched baseline degrades to
-/// `found: false` rather than failing the run (fresh checkouts, CI
-/// machines without the artifact).
-///
-/// Besides the packed-kernel drift ratios, the verdict folds in the
-/// in-run gates: the checksum-verify budget and the kernel gates
-/// (bit-plane peak and steps, deep-K blocking).
-fn baseline_section(
-    zoo: &Zoo,
-    core: &JsonValue,
-    integrity_pass: bool,
-    kernel_pass: bool,
-    table: &mut Table,
-) -> JsonValue {
-    let path = artifact_path("TR_BENCH_BASELINE", "BENCH_PR9.json");
-    let integrity_note = if integrity_pass { "verify <2%" } else { "verify over 2% budget" };
-    let bitplane_note =
-        if kernel_pass { "kernel gates ok" } else { "kernel gate failed" };
-    let parsed = std::fs::read_to_string(&path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| JsonValue::parse(&text));
-    let base = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            let verdict =
-                format!("SKIPPED — no PR9 baseline ({e}); in-run: {integrity_note}, {bitplane_note}");
-            table.note(format!("verdict: {verdict}"));
-            return obj(vec![
-                ("path", JsonValue::str(&path)),
-                ("found", JsonValue::Bool(false)),
-                ("verdict", JsonValue::str(&verdict)),
-            ]);
-        }
-    };
-    // Wall clocks only compare within the same problem size; a quick run
-    // against a full baseline (or vice versa) is reported but flagged.
-    let comparable = base.get("quick").map(|q| q == &JsonValue::Bool(zoo.quick)).unwrap_or(false);
-    let (qt8_block, qt8) = baseline_core_row("qt8", core, &base);
-    let (tr_block, tr) = baseline_core_row("tr_g8_k12_s3", core, &base);
-    let worst = match (qt8, tr) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        _ => None,
-    };
-    // Same kernel on both sides, so the bands are drift tolerances, not
-    // speedup targets: a shared CI box can easily wobble ±25%.
-    let status = match worst {
-        _ if !comparable => "INCOMPARABLE (quick-mode mismatch vs baseline)".to_string(),
-        Some(w) if w >= 0.75 && integrity_pass && kernel_pass => "PASS".to_string(),
-        Some(w) if w >= 0.75 && integrity_pass => {
-            format!("WARN ({bitplane_note}; core drift ok at {w:.2}x)")
-        }
-        Some(w) if w >= 0.5 => {
-            format!("WARN (drift band 0.75x, {integrity_note}; worst core {w:.2}x)")
-        }
-        Some(w) => format!("REGRESSION (core packed {w:.2}x vs PR9 packed)"),
-        None => "SKIPPED (baseline rows missing)".to_string(),
-    };
-    let verdict = format!(
-        "{status} — packed core qt8 {}x / tr {}x vs PR9, {integrity_note}, {bitplane_note}",
-        qt8.map_or_else(|| "?".to_string(), |v| format!("{v:.2}")),
-        tr.map_or_else(|| "?".to_string(), |v| format!("{v:.2}")),
-    );
-    table.note(format!("verdict: {verdict}"));
-    obj(vec![
-        ("path", JsonValue::str(&path)),
-        ("found", JsonValue::Bool(true)),
-        ("comparable", JsonValue::Bool(comparable)),
-        ("core", obj(vec![("qt8", qt8_block), ("tr_g8_k12_s3", tr_block)])),
-        ("integrity_pass", JsonValue::Bool(integrity_pass)),
-        ("verdict", JsonValue::str(&verdict)),
     ])
 }
 
@@ -689,28 +211,19 @@ pub fn run(zoo: &Zoo) -> Vec<Table> {
 
     let mut table = Table::new(
         "bench",
-        "BENCH baseline: kernel wall time, terms/MAC, kernel gates",
+        "BENCH: kernel wall time, terms/MAC, integrity gate",
         &["section", "wall", "work", "outcome"],
     );
-    let tune = tune_section(&mut table);
     let core = core_section(zoo, &mut table);
-    let (bitplane, bitplane_pass) = bitplane_section(&mut table);
-    let (deep_k, deep_k_pass) = deep_k_section(zoo, &mut table);
     set_enabled(false);
-    let (integrity, integrity_pass) = integrity_overhead_section(&mut table);
-    let baseline =
-        baseline_section(zoo, &core, integrity_pass, bitplane_pass && deep_k_pass, &mut table);
+    let integrity = integrity_overhead_section(&mut table);
 
     let json = JsonValue::object(vec![
         ("schema".to_string(), JsonValue::str(SCHEMA)),
         ("pr".to_string(), JsonValue::UInt(10)),
         ("quick".to_string(), JsonValue::Bool(zoo.quick)),
-        ("tune".to_string(), tune),
         ("core".to_string(), core),
-        ("bitplane".to_string(), bitplane),
-        ("bitplane_deep_k".to_string(), deep_k),
         ("integrity_overhead".to_string(), integrity),
-        ("baseline".to_string(), baseline),
     ]);
     let path = std::env::var("TR_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR10.json".to_string());
     match std::fs::write(&path, json.to_pretty_string() + "\n") {

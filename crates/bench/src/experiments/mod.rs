@@ -23,17 +23,16 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 pub mod table4;
-pub mod tune;
 pub mod widths;
 
 use crate::report::Table;
 use crate::zoo::Zoo;
 
 /// Every experiment id in paper order.
-pub const ALL: [&str; 24] = [
+pub const ALL: [&str; 23] = [
     "fig3", "fig5", "fig7", "fig8", "fig15", "fig16", "fig17", "fig18", "fig19", "table1",
     "table2", "table3", "table4", "ablation", "bounds", "extensions", "faults", "serve",
-    "chaos", "soak", "verify-widths", "prove", "tune", "bench",
+    "chaos", "soak", "verify-widths", "prove", "bench",
 ];
 
 /// Run one experiment by id.
@@ -64,7 +63,6 @@ pub fn run(id: &str, zoo: &Zoo) -> Vec<Table> {
         "soak" => soak::run(zoo),
         "verify-widths" => widths::run(),
         "prove" => prove::run(zoo),
-        "tune" => tune::run(zoo),
         "bench" => bench::run(zoo),
         other => panic!("unknown experiment id: {other} (known: {ALL:?})"),
     }

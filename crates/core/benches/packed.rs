@@ -2,16 +2,13 @@
 //! hidden layer (batch × 256 → 128) and an im2col'd conv tile (C·k²
 //! reduction over a feature-map of patches). Covers the term matmul and
 //! the histogram reveal, so a regression in either is visible without
-//! running the full `repro bench` experiment. `packed/serial` forces the
-//! serial code-plane route at the integer `Linear` shapes of the
-//! perfbench workloads, batch-major data against TR weights, as
-//! `Linear`'s integer forward passes them.
+//! running the full `repro bench` experiment. `packed/serial` runs the
+//! matmul at the integer `Linear` shapes of the perfbench workloads,
+//! batch-major data against TR weights, as `Linear`'s integer forward
+//! passes them.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use tr_core::{
-    try_packed_term_matmul_i64, try_packed_term_matmul_i64_planned_cached, MatmulPlan,
-    PackedTermMatrix, TrConfig,
-};
+use tr_core::{try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_quant::{calibrate_max_abs, quantize, QTensor};
 use tr_tensor::{Rng, Shape, Tensor};
@@ -68,14 +65,8 @@ fn bench_serial_code_plane(c: &mut Criterion) {
         let weights = PackedTermMatrix::from_weights(&quantized(n, k, 6), Encoding::Hese).reveal(&cfg);
         group.bench_function(BenchmarkId::new("code_plane", label), |b| {
             b.iter(|| {
-                try_packed_term_matmul_i64_planned_cached(
-                    black_box(&data),
-                    None,
-                    black_box(&weights),
-                    None,
-                    MatmulPlan::SerialCodePlane,
-                )
-                .expect("reduction dims agree")
+                try_packed_term_matmul_i64(black_box(&data), black_box(&weights))
+                    .expect("reduction dims agree")
             })
         });
     }

@@ -24,11 +24,18 @@
 //! * [`termpairs`] — the term-pair-multiplication cost proxy (§III-B,
 //!   Figs. 5/15);
 //! * [`matmul`] — the exact term-pair matmul (what the tMAC hardware
-//!   computes): one executor running the [`MatmulPlan`] a cost model
-//!   picks, plus [`try_packed_term_matmul_i64`] to plan and run at once;
-//! * [`bitplane`] — the bit-plane layout behind the popcount routes and
-//!   its forced-kernel harnesses for ISA and tile races;
+//!   computes), [`try_packed_term_matmul_i64`];
 //! * [`error_bound`] — the §III-F truncation-error bounds.
+//!
+//! **Which kernel runs.** Every integer matmul rebuilds both operands'
+//! codes and runs one of two kernels: the narrow kernel (`i16` codes,
+//! `i32` sums, the widest of baseline/AVX2/AVX-512BW the host has) when
+//! every code fits ±32767 and `max|w| · max|x| · K_pad < 2³¹`, and a
+//! scalar `i64` loop otherwise. Both are exact, so the choice never
+//! changes a bit. TR's work reduction — at most `k × s` term pairs per
+//! group — is what the paper's tMAC turns into fewer cycles; tr-hw's
+//! cycle model accounts for it. On a CPU the dense code kernel does the
+//! same work at every rung, so the reduction is modelled, not realised.
 //!
 //! ```
 //! use tr_core::{try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
@@ -55,7 +62,6 @@
 //! assert_eq!(out[0], want);
 //! ```
 
-pub mod bitplane;
 pub mod config;
 pub mod error;
 pub mod error_bound;
@@ -65,14 +71,12 @@ pub mod packed;
 pub mod reveal;
 pub mod seal;
 pub mod termpairs;
-pub mod tune;
 
-pub use bitplane::{try_bitplane_matmul_i64_blocked, try_bitplane_matmul_i64_with, BitPlaneMatrix};
 pub use config::TrConfig;
 pub use error::TrError;
 pub use error_bound::{dot_product_error_bound, value_sigma, waterline_sigma_bound};
 pub use matmul::{
-    matmul_plan, try_packed_term_matmul_i64, try_packed_term_matmul_i64_planned_cached, MatmulPlan,
+    try_packed_term_matmul_i64, try_packed_term_matmul_i64_planned_cached, MatmulPlan,
     MatmulPlanner, ACCUMULATOR_BITS,
 };
 pub use packed::PackedTermMatrix;

@@ -1,8 +1,8 @@
 //! The narrow code-plane kernel: `i16` codes, `i32` sums.
 //!
 //! After TR every value keeps a few small terms, which is why the tMAC
-//! runs a narrow datapath (§V). The code-plane routes of
-//! [`crate::matmul`] do the same whenever one call's operands allow it:
+//! runs a narrow datapath (§V). [`crate::matmul`]'s one integer matmul
+//! does the same whenever one call's operands allow it:
 //! [`NarrowCodes::of`] rebuilds both operands in one pass each into
 //! `i16` rows zero-padded to a multiple of [`PAD`] codes, and admits the
 //! call only when every code fits in ±32767 and
@@ -31,7 +31,7 @@ const PAD: usize = 32;
 /// Weight rows one data row meets per pass of the kernel.
 const ROWS: usize = 4;
 
-/// Both operands of one code-plane call as zero-padded `i16` rows.
+/// Both operands of one matmul call as zero-padded `i16` rows.
 #[derive(Debug)]
 pub(crate) struct NarrowCodes {
     /// Row stride of both operands: `K` rounded up to [`PAD`].
@@ -200,7 +200,7 @@ mod tests {
     use super::*;
     use crate::config::TrConfig;
     use crate::matmul::tests::pair_walk_matmul;
-    use crate::matmul::{code_row, try_packed_term_matmul_i64_planned_cached, MatmulPlan};
+    use crate::matmul::{code_row, try_packed_term_matmul_i64};
     use tr_encoding::Encoding;
     use tr_tensor::Rng;
 
@@ -229,13 +229,12 @@ mod tests {
         out
     }
 
-    fn forced(w: &PackedTermMatrix, x: &PackedTermMatrix, plan: MatmulPlan) -> Vec<i64> {
-        try_packed_term_matmul_i64_planned_cached(w, None, x, None, plan)
-            .expect("reduction dims agree")
+    fn matmul(w: &PackedTermMatrix, x: &PackedTermMatrix) -> Vec<i64> {
+        try_packed_term_matmul_i64(w, x).expect("reduction dims agree")
     }
 
-    /// Runs `f` with the recorder on and returns how many code-plane
-    /// calls took the narrow and the wide kernel meanwhile. Other tests
+    /// Runs `f` with the recorder on and returns how many matmul calls
+    /// took the narrow and the wide kernel meanwhile. Other tests
     /// may add calls of their own, so callers assert lower bounds only.
     fn kernel_calls(f: impl FnOnce()) -> (u64, u64) {
         static RECORDER: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -254,15 +253,13 @@ mod tests {
         (after.0 - before.0, after.1 - before.1)
     }
 
-    /// Every available tier, both code-plane routes, the `i64` loop and
-    /// the pair walk agree on `w @ xᵀ`; returns whether the pair was
-    /// admitted to the narrow kernel.
+    /// Every available tier, the matmul, the `i64` loop and the pair
+    /// walk agree on `w @ xᵀ`; returns whether the pair was admitted to
+    /// the narrow kernel.
     fn race(w: &PackedTermMatrix, x: &PackedTermMatrix, label: &str) -> bool {
         let want = pair_walk_matmul(w, x);
         assert_eq!(wide(w, x), want, "{label}: i64 loop");
-        for plan in [MatmulPlan::SerialCodePlane, MatmulPlan::ParallelCodePlane] {
-            assert_eq!(forced(w, x, plan), want, "{label}: {}", plan.name());
-        }
+        assert_eq!(matmul(w, x), want, "{label}: matmul");
         let Some(nc) = NarrowCodes::of(w, x) else { return false };
         if w.rows() * x.rows() > 0 {
             for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
@@ -309,7 +306,7 @@ mod tests {
             let w = PackedTermMatrix::from_codes(&vec![sign * 32767; 2 * k], 2, k, Encoding::Hese);
             let x = PackedTermMatrix::from_codes(&vec![2047; 5 * k], 5, k, Encoding::Binary);
             let (narrow, _) = kernel_calls(|| assert!(race(&w, &x, &format!("±32767 k{k}"))));
-            assert!(narrow >= 2, "both code-plane routes must run narrow");
+            assert!(narrow >= 1, "the matmul must run narrow");
         }
         let mixed = codes(3, 31, 32767, 7, 9);
         let w = PackedTermMatrix::from_codes(&mixed, 3, 31, Encoding::Hese);
@@ -327,7 +324,7 @@ mod tests {
             let w = PackedTermMatrix::from_codes(&wc, 2, 40, Encoding::Hese);
             let x = PackedTermMatrix::from_codes(&codes(3, 40, 127, 5, 12), 3, 40, Encoding::Hese);
             let (_, wide) = kernel_calls(|| assert!(!race(&w, &x, &format!("code {big}"))));
-            assert!(wide >= 2, "code {big}: both code-plane routes must run wide");
+            assert!(wide >= 1, "code {big}: the matmul must run wide");
             // The same code on the streamed side.
             assert!(!race(&x, &w, &format!("code {big}, x side")));
         }
@@ -342,8 +339,8 @@ mod tests {
         assert!(!fits_i32_lanes(8192, 8192, 32));
         assert!(fits_i32_lanes(8192, 8191, 32));
         let (_, wide) = kernel_calls(|| assert!(!race(&w, &x, "2^31")));
-        assert!(wide >= 2, "both code-plane routes must run wide");
-        assert_eq!(forced(&w, &x, MatmulPlan::SerialCodePlane), vec![1i64 << 31; 3]);
+        assert!(wide >= 1, "the matmul must run wide");
+        assert_eq!(matmul(&w, &x), vec![1i64 << 31; 3]);
         // K = 31 pads to the same 32 codes, so the bound still refuses.
         let w31 = PackedTermMatrix::from_codes(&[8192; 31], 1, 31, Encoding::Binary);
         let x31 = PackedTermMatrix::from_codes(&[8192; 31], 1, 31, Encoding::Binary);

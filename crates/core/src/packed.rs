@@ -401,9 +401,7 @@ impl PackedTermMatrix {
     /// the word it lives in, never through per-cell
     /// [`PackedTermMatrix::value`] calls (which re-derive element bounds
     /// and re-index the sign bitset per term). This is the pass the
-    /// wide code-plane kernel runs, and the same walk
-    /// [`BitPlaneMatrix::from_packed`](crate::BitPlaneMatrix::from_packed)
-    /// fans out into bit-planes.
+    /// wide code-plane kernel runs.
     pub fn reconstruct_codes(&self) -> Vec<i64> {
         let mut out = Vec::with_capacity(self.rows * self.len);
         let mut t = 0usize;

@@ -110,7 +110,7 @@ pub fn enable_pair_counting(model: &mut dyn Layer, on: bool) {
 
 /// Toggle bit-true integer execution at every site: layers with an
 /// integer kernel (currently `Linear`) run their forward over the packed
-/// term planes / bit-planes instead of the float-simulated
+/// term planes instead of the float-simulated
 /// reconstruction. Sites without the needed state (float precision, not
 /// yet calibrated) fall back to the float path silently, and precision
 /// switches via [`apply_precision_prepared`] leave the flag untouched —

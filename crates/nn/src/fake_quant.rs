@@ -37,9 +37,10 @@
 //! and `scale == 0` run the per-element path. The tests race both
 //! against `code` and `truncate_with` at every rounding threshold.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 use tr_core::seal::{fnv1a_word, mix, FNV_OFFSET};
-use tr_core::{term_pairs_total_packed, BitPlaneMatrix, MatmulPlanner, PackedTermMatrix, TrConfig};
+use tr_core::{term_pairs_total_packed, MatmulPlanner, PackedTermMatrix, TrConfig};
 use tr_encoding::{Encoding, TermTable};
 use tr_quant::truncate::truncate_with;
 use tr_quant::{calibrate_max_abs, quantize, truncate_terms, QuantParams};
@@ -214,15 +215,14 @@ pub struct FakeQuant {
     pub qweight: Option<Arc<Tensor>>,
     /// The weight quantizer used to build `qweight`.
     pub weight_params: Option<QuantParams>,
-    /// Packed weight term planes (post-TR) cached for pair counting.
+    /// Packed weight term planes (post-TR): the integer forward's weight
+    /// operand, also read for pair counting.
     pub weight_terms: Option<Arc<PackedTermMatrix>>,
-    /// Bit-plane decomposition of `weight_terms`, where
-    /// [`prepare_weights`] built one (see
-    /// [`PreparedWeights::weight_planes`]).
-    pub weight_planes: Option<Arc<BitPlaneMatrix>>,
-    /// Per-shape matmul plan cache over the frozen weight statistics,
-    /// shared from [`PreparedWeights`] so route selection happens once
-    /// per (rung, batch shape), not per forward.
+    /// Always `None`. Kept only because the end-to-end benchmark reads
+    /// it; ROADMAP item 1(b) deletes it.
+    pub weight_planes: Option<Arc<Infallible>>,
+    /// `Some` exactly where `weight_terms` is. Kept only because the
+    /// end-to-end benchmark reads it; ROADMAP item 1(b) deletes it.
     pub planner: Option<Arc<MatmulPlanner>>,
     /// Per-value weight term bound (for the QT bound accounting).
     pub weight_term_bound: usize,
@@ -231,7 +231,7 @@ pub struct FakeQuant {
     /// TR config in effect, if mode is TR (for group bounds).
     pub tr_config: Option<TrConfig>,
     /// When true, layers with an integer kernel (currently `Linear`)
-    /// execute bit-true over packed terms / bit-planes instead of the
+    /// execute bit-true over the packed terms instead of the
     /// float-simulated reconstruction. Orthogonal to the installed
     /// precision: rung switches via `install_prepared` leave it alone.
     pub exec_integer: bool,
@@ -353,9 +353,8 @@ impl FakeQuant {
     pub fn install_prepared(&mut self, p: &PreparedWeights) {
         self.qweight = p.qweight.clone();
         self.weight_params = p.weight_params;
+        self.planner = p.weight_terms.as_ref().map(|_| Arc::new(MatmulPlanner));
         self.weight_terms = p.weight_terms.clone();
-        self.weight_planes = p.weight_planes.clone();
-        self.planner = p.planner.clone();
         self.weight_term_bound = p.weight_term_bound;
         self.data_term_bound = p.data_term_bound;
         self.tr_config = p.tr_config;
@@ -399,32 +398,19 @@ impl FakeQuant {
 ///
 /// Building one is the expensive step — quantize, then (TR) encode and
 /// reveal the term planes in one row-parallel pass
-/// ([`PackedTermMatrix::try_reveal_codes`]), scan them for the planner
-/// and, where a bit-plane route is reachable, build the bit-planes.
-/// Installing is a couple of `Arc` clones, which is what lets `tr-serve`
-/// cache one of these per precision rung and flip a model's operating
-/// point at run time without re-encoding anything.
+/// ([`PackedTermMatrix::try_reveal_codes`]). Installing is a couple of
+/// `Arc` clones, which is what lets `tr-serve` cache one of these per
+/// precision rung and flip a model's operating point at run time without
+/// re-encoding anything.
 #[derive(Debug, Clone, Default)]
 pub struct PreparedWeights {
     /// Dequantized reconstruction inference should use (`None` = float).
     pub qweight: Option<Arc<Tensor>>,
     /// The weight quantizer behind `qweight`.
     pub weight_params: Option<QuantParams>,
-    /// Packed weight term planes (post-TR) for pair counting.
+    /// Packed weight term planes (post-TR): the integer forward's weight
+    /// operand, also read for pair counting.
     pub weight_terms: Option<Arc<PackedTermMatrix>>,
-    /// Bit-plane decomposition of `weight_terms`, built (TR and
-    /// per-value rungs) only where `planner` can route some batch size to
-    /// a bit-plane kernel under the tune table active at prepare time, so
-    /// the serve cache hands that forward its weight-side operand for
-    /// free. `None` elsewhere: no default-ladder rung of the zoo models
-    /// reaches a bit-plane route. Should a table installed later make
-    /// such a site routable, the executor builds the planes per call.
-    pub weight_planes: Option<Arc<BitPlaneMatrix>>,
-    /// Per-shape matmul plan cache over `weight_terms` — the weight
-    /// operand's statistics are scanned once here at prepare time, so
-    /// the integer forward resolves its route with a memo lookup
-    /// instead of two `O(total terms)` scans per batch.
-    pub planner: Option<Arc<MatmulPlanner>>,
     /// Per-value weight term bound (for the QT bound accounting).
     pub weight_term_bound: usize,
     /// Per-value data term bound.
@@ -469,12 +455,6 @@ impl PreparedWeights {
         if let Some(t) = &self.weight_terms {
             eat_word(t.checksum());
         }
-        if let Some(p) = &self.weight_planes {
-            eat_word(p.checksum());
-        }
-        if let Some(p) = &self.planner {
-            eat_word(p.checksum());
-        }
         eat_word(self.weight_term_bound as u64);
         eat_word(self.data_term_bound as u64);
         if let Some(cfg) = &self.tr_config {
@@ -506,9 +486,6 @@ impl PreparedWeights {
     pub fn verify_integrity(&self) -> Result<(), tr_core::TrError> {
         if let Some(t) = &self.weight_terms {
             t.verify_integrity()?;
-        }
-        if let Some(p) = &self.weight_planes {
-            p.verify_integrity()?;
         }
         let actual = self.content_checksum();
         if actual == self.checksum {
@@ -553,10 +530,6 @@ impl PreparedWeights {
 /// Build the weight-side transform for `precision` on weight `w` (an
 /// `(out, in)` matrix). Pure: same inputs, same transform — which is the
 /// property the serve-layer rung cache relies on.
-///
-/// Bit-planes are built only where a kernel can read them
-/// ([`MatmulPlanner::routes_bitplane`]; see
-/// [`PreparedWeights::weight_planes`]).
 pub fn prepare_weights(w: &Tensor, precision: &Precision) -> PreparedWeights {
     match precision {
         Precision::Float => PreparedWeights::default(),
@@ -564,17 +537,12 @@ pub fn prepare_weights(w: &Tensor, precision: &Precision) -> PreparedWeights {
             let params = calibrate_max_abs(w, *weight_bits);
             let q = quantize(w, params);
             let tm = PackedTermMatrix::from_weights(&q, Encoding::Binary);
-            let data_term_bound = *act_bits as usize - 1;
-            // Dense QT keeps every plane live; the popcount kernel can
-            // never win there, so skip the decomposition.
             PreparedWeights {
                 qweight: Some(Arc::new(q.dequantize())),
                 weight_params: Some(params),
-                planner: Some(Arc::new(MatmulPlanner::for_weights(&tm, data_term_bound))),
                 weight_terms: Some(Arc::new(tm)),
-                weight_planes: None,
                 weight_term_bound: params.max_terms(),
-                data_term_bound,
+                data_term_bound: *act_bits as usize - 1,
                 tr_config: None,
                 checksum: 0,
             }
@@ -584,17 +552,12 @@ pub fn prepare_weights(w: &Tensor, precision: &Precision) -> PreparedWeights {
             let q = quantize(w, params);
             let truncated = truncate_terms(*encoding, &q, *weight_terms);
             let tm = PackedTermMatrix::from_weights(&truncated, *encoding);
-            let data_term_bound = data_terms.unwrap_or(7);
-            let planner = MatmulPlanner::for_weights(&tm, data_term_bound);
-            let (planes, qweight) = planes_beside(&tm, &planner, || truncated.dequantize());
             PreparedWeights {
-                qweight: Some(Arc::new(qweight)),
+                qweight: Some(Arc::new(truncated.dequantize())),
                 weight_params: Some(params),
                 weight_terms: Some(Arc::new(tm)),
-                weight_planes: planes,
-                planner: Some(Arc::new(planner)),
                 weight_term_bound: *weight_terms,
-                data_term_bound,
+                data_term_bound: data_terms.unwrap_or(7),
                 tr_config: None,
                 checksum: 0,
             }
@@ -609,48 +572,21 @@ pub fn prepare_weights(w: &Tensor, precision: &Precision) -> PreparedWeights {
             params.code_into(w.data(), &mut codes);
             let (tm, codes) = PackedTermMatrix::try_reveal_codes(codes, rows, len, cfg)
                 .unwrap_or_else(|e| panic!("{e}"));
-            let data_term_bound = cfg.data_terms.unwrap_or(7);
-            let planner = MatmulPlanner::for_weights(&tm, data_term_bound);
             // Collected in place: the kept codes' buffer becomes the
             // reconstruction's.
-            let (planes, data) = planes_beside(&tm, &planner, || {
-                codes.into_iter().map(|c| params.real(c)).collect::<Vec<f32>>()
-            });
+            let data: Vec<f32> = codes.into_iter().map(|c| params.real(c)).collect();
             PreparedWeights {
                 qweight: Some(Arc::new(Tensor::from_vec(data, w.shape().clone()))),
                 weight_params: Some(params),
                 weight_terms: Some(Arc::new(tm)),
-                weight_planes: planes,
-                planner: Some(Arc::new(planner)),
                 weight_term_bound: cfg.group_budget, // per-group, see bound math
-                data_term_bound,
+                data_term_bound: cfg.data_terms.unwrap_or(7),
                 tr_config: Some(*cfg),
                 checksum: 0,
             }
         }
     }
     .seal()
-}
-
-/// `tm`'s bit-plane decomposition where `planner` can route to a
-/// bit-plane kernel (`None` elsewhere), and `beside()`. The build is the
-/// longest step of a prepare that has it, and nothing else reads it, so
-/// it runs on a helper thread while `beside` runs; without it, no thread
-/// is started.
-fn planes_beside<T>(
-    tm: &PackedTermMatrix,
-    planner: &MatmulPlanner,
-    beside: impl FnOnce() -> T,
-) -> (Option<Arc<BitPlaneMatrix>>, T) {
-    if !planner.routes_bitplane() {
-        return (None, beside());
-    }
-    std::thread::scope(|s| {
-        let planes = s.spawn(|| BitPlaneMatrix::from_packed(tm));
-        let other = beside();
-        let planes = planes.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        (Some(Arc::new(planes)), other)
-    })
 }
 
 #[cfg(test)]
@@ -757,7 +693,6 @@ mod tests {
             cached.install_prepared(&prepared);
             assert_eq!(direct.qweight, cached.qweight, "{}", precision.label());
             assert_eq!(direct.weight_terms, cached.weight_terms, "{}", precision.label());
-            assert_eq!(direct.weight_planes, cached.weight_planes, "{}", precision.label());
             assert_eq!(direct.weight_params, cached.weight_params);
             assert_eq!(direct.weight_term_bound, cached.weight_term_bound);
             assert_eq!(direct.data_term_bound, cached.data_term_bound);

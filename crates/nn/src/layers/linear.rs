@@ -70,25 +70,20 @@ impl Linear {
         self.fq.count_matmul(&dm, batch as u64);
     }
 
-    /// Bit-true integer forward over the packed/bit-plane kernels.
+    /// Bit-true integer forward over the packed term kernel.
     ///
     /// Packs the capped input codes `transform_input_codes` produced
     /// (`batch` rows of `in` codes) and multiplies them against the
-    /// cached weight term planes through the prepared planner, which
-    /// dispatches to the popcount kernel when the rung has drained
-    /// enough planes. That route reuses the weight-side
-    /// [`tr_core::BitPlaneMatrix`] where `prepare_weights` cached one
-    /// (only at sites the planner could route there when they were
-    /// prepared), and otherwise builds it per call. The exact `i64` dot
+    /// cached weight term planes with
+    /// [`tr_core::try_packed_term_matmul_i64`]. The exact `i64` dot
     /// products are rescaled by the two quantizer scales, so the only
     /// float rounding is one multiply per output — the same arithmetic
     /// the paper's tMAC array performs.
     ///
     /// `None` when the site lacks integer state (float mode, calibrating,
-    /// no packed weights or planner — `prepare_weights` builds the two
-    /// together): the caller takes the float-simulated path. With the
-    /// state present, a kernel error (a stale bit-plane decomposition of
-    /// the wrong shape, say) is counted and returned, never replaced by
+    /// no packed weights): the caller takes the float-simulated path.
+    /// With the state present, a kernel error (weight terms of the wrong
+    /// reduction width, say) is counted and returned, never replaced by
     /// float output.
     fn integer_forward(&self, codes: &[i32], batch: usize) -> Option<Result<Tensor, TrError>> {
         if !self.fq.exec_integer || self.fq.calibrating {
@@ -97,18 +92,9 @@ impl Linear {
         let act = self.fq.act_params?;
         let wp = self.fq.weight_params?;
         let wt = self.fq.weight_terms.as_deref()?;
-        let planner = self.fq.planner.as_deref()?;
         let enc = self.fq.act_cap.map_or(Encoding::Hese, |(e, _)| e);
         let data = PackedTermMatrix::from_codes(codes, batch, self.in_features, enc);
-        // Route selection: the prepared planner memoizes the plan per
-        // batch size (one lookup).
-        let y = tr_core::try_packed_term_matmul_i64_planned_cached(
-            &data,
-            None,
-            wt,
-            self.fq.weight_planes.as_deref(),
-            planner.plan_for(batch),
-        );
+        let y = tr_core::try_packed_term_matmul_i64(&data, wt);
         let scale = act.scale.max(f32::MIN_POSITIVE) * wp.scale;
         Some(y.inspect_err(|_| INTEGER_REFUSALS.inc()).map(|y| {
             let out: Vec<f32> = y.iter().map(|&v| v as f32 * scale).collect();
@@ -200,7 +186,6 @@ impl Layer for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use tr_quant::QuantParams;
 
     /// Finite-difference gradient check on a scalar loss `sum(y)`.
@@ -363,7 +348,7 @@ mod tests {
     }
 
     /// With integer state installed, a kernel error is the layer's
-    /// answer: a stale bit-plane decomposition of the wrong shape makes
+    /// answer: weight terms of the wrong reduction width make
     /// `try_forward` return the kernel's `ShapeMismatch`, not the float
     /// simulation's output.
     #[test]
@@ -376,17 +361,14 @@ mod tests {
         layer.fq.install_act_cap(&precision);
         layer.fq.act_params = Some(QuantParams { scale: 0.05, bits: 8 });
         layer.fq.exec_integer = true;
-        // The planes of another layer's 16x32 weights. At K = 32, below
-        // the tune table's `bitplane_min_k`, `prepare_weights` caches no
-        // planes, so they are built here.
-        let other = Tensor::randn(Shape::d2(16, 32), 0.3, &mut rng);
-        let other_terms = crate::fake_quant::prepare_weights(&other, &precision).weight_terms;
-        let other_terms = other_terms.expect("a TR rung packs its weight terms");
-        layer.fq.weight_planes = Some(Arc::new(tr_core::BitPlaneMatrix::from_packed(&other_terms)));
+        // The weight terms of another layer's 8x31 weights: one input
+        // feature short of the 32 the activations carry.
+        let other = Tensor::randn(Shape::d2(8, 31), 0.3, &mut rng);
+        layer.fq.weight_terms = crate::fake_quant::prepare_weights(&other, &precision).weight_terms;
         let x = Tensor::randn(Shape::d2(4, 32), 1.0, &mut rng);
         let mut ctx = ForwardCtx::eval(&mut rng);
         let err = layer.try_forward(&x, &mut ctx).unwrap_err();
-        assert!(matches!(&err, TrError::ShapeMismatch(m) if m.contains("planes")), "{err}");
+        assert!(matches!(&err, TrError::ShapeMismatch(m) if m.contains("32 vs 31")), "{err}");
         // Without integer execution the float simulation serves.
         layer.fq.exec_integer = false;
         assert!(layer.try_forward(&x, &mut ctx).is_ok());

@@ -233,7 +233,7 @@ impl Snapshot {
 
     /// All counters whose name starts with `prefix`, in registry (name)
     /// order. Useful for pulling a whole subsystem's counters (e.g.
-    /// `core.bitplane.`) into a report without naming each one.
+    /// `core.reveal.`) into a report without naming each one.
     #[must_use]
     pub fn counters_with_prefix(&self, prefix: &str) -> Vec<&CounterSnapshot> {
         self.counters.iter().filter(|c| c.name.starts_with(prefix)).collect()
@@ -329,16 +329,16 @@ mod tests {
     fn prefix_filter_selects_a_subsystem() {
         let snap = Snapshot {
             counters: vec![
-                CounterSnapshot { name: "core.bitplane.builds".into(), value: 2 },
-                CounterSnapshot { name: "core.bitplane.pairs".into(), value: 9 },
+                CounterSnapshot { name: "core.reveal.groups".into(), value: 2 },
+                CounterSnapshot { name: "core.reveal.terms_kept".into(), value: 9 },
                 CounterSnapshot { name: "core.matmul.calls".into(), value: 1 },
             ],
             histograms: Vec::new(),
             spans: Vec::new(),
         };
-        let hits = snap.counters_with_prefix("core.bitplane.");
+        let hits = snap.counters_with_prefix("core.reveal.");
         assert_eq!(hits.len(), 2);
-        assert!(hits.iter().all(|c| c.name.starts_with("core.bitplane.")));
+        assert!(hits.iter().all(|c| c.name.starts_with("core.reveal.")));
         assert!(snap.counters_with_prefix("nope.").is_empty());
     }
 }

@@ -202,14 +202,11 @@ impl NnEngine {
     }
 
     /// Switch the wrapped model between float-simulated and bit-true
-    /// integer execution (the packed-term / bit-plane popcount kernels).
-    /// The flag survives rung switches: `install_precision` swaps the
-    /// per-site weight transforms but never touches the execution mode,
-    /// so an operator can arm integer execution once and run the whole
-    /// precision ladder on it. A rung's [`PreparedWeights`] carries
-    /// cached `weight_planes` only at sites whose planner can route to a
-    /// bit-plane kernel (none on the default ladder); every other site
-    /// runs the code-plane kernels, which read no planes.
+    /// integer execution (the packed-term matmul). The flag survives
+    /// rung switches: `install_precision` swaps the per-site weight
+    /// transforms but never touches the execution mode, so an operator
+    /// can arm integer execution once and run the whole precision ladder
+    /// on it.
     pub fn set_integer_exec(&mut self, on: bool) {
         ENGINE_INTEGER_EXEC_TOGGLES.inc();
         tr_nn::exec::set_integer_exec(&mut self.model, on);
@@ -480,10 +477,10 @@ mod tests {
 
     #[test]
     fn integer_exec_rides_the_prepared_plan_cache() {
-        // The rung cache's PreparedWeights carry a MatmulPlanner, so the
-        // integer path resolves its route from the memo: repeated
-        // batches of one shape tick `core.tune.plan_hits` and a
-        // `core.matmul.route.*` counter, without per-forward plan scans.
+        // The rung cache's PreparedWeights carry the packed weight terms,
+        // so every integer forward is one packed matmul over them: each
+        // batch ticks `core.matmul.calls` and one of the kernel counters
+        // `core.matmul.codeplane.{narrow,wide}`.
         tr_obs::set_enabled(true);
         let mut rng = Rng::seed_from_u64(3);
         let mut model = Sequential::new().push(Linear::new(4, 3, &mut rng));
@@ -497,26 +494,21 @@ mod tests {
         e.set_precision(&Precision::Tr(TrConfig::new(2, 3).with_data_terms(2)), 1.0);
         let x = [0.3f32, -0.2, 0.9, 0.1];
         let snap = |name: &str| tr_obs::recorder().snapshot().counter(name);
-        let routes = [
-            "core.matmul.route.serial",
-            "core.matmul.route.parallel",
-            "core.matmul.route.bitplane",
-            "core.matmul.route.bitplane_blocked",
-        ];
-        let routes_before: u64 = routes.iter().map(|r| snap(r)).sum();
-        let hits_before = snap("core.tune.plan_hits");
+        let kernels = ["core.matmul.codeplane.narrow", "core.matmul.codeplane.wide"];
+        let kernels_before: u64 = kernels.iter().map(|k| snap(k)).sum();
+        let calls_before = snap("core.matmul.calls");
         e.infer(&[&x]);
         for _ in 0..3 {
             e.infer(&[&x]);
         }
-        let routes_after: u64 = routes.iter().map(|r| snap(r)).sum();
+        let kernels_after: u64 = kernels.iter().map(|k| snap(k)).sum();
         assert!(
-            routes_after >= routes_before + 4,
-            "route counters did not tick: {routes_before} -> {routes_after}"
+            kernels_after >= kernels_before + 4,
+            "kernel counters did not tick: {kernels_before} -> {kernels_after}"
         );
         assert!(
-            snap("core.tune.plan_hits") >= hits_before + 3,
-            "repeated same-shape batches must hit the plan memo"
+            snap("core.matmul.calls") >= calls_before + 4,
+            "every integer forward must run the packed matmul"
         );
     }
 

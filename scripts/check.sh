@@ -8,6 +8,10 @@
 # this; run it before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# The repro artifacts land here, so a run leaves the committed files as
+# they are.
+out=target/artifacts
+mkdir -p "$out"
 
 cargo build --release --workspace
 cargo test -q --workspace
@@ -46,9 +50,10 @@ cargo run -q --release -p tr-bench --bin repro -- verify-widths
 # three zoo models must be provably overflow-free, twice over and
 # bit-identical, with the sealed table archived for tr-serve to
 # enforce (DESIGN.md SS13). `prove` panics on any unproven rung, so an
-# empty artifact means the gate never passed.
-cargo run -q --release -p tr-bench --bin repro -- --quick prove
-test -s CERTS_PR7.json
+# empty artifact means the gate never passed; the regenerated table must
+# equal the committed one byte for byte.
+TR_CERTS_OUT="$out/CERTS_PR7.json" cargo run -q --release -p tr-bench --bin repro -- --quick prove
+cmp "$out/CERTS_PR7.json" CERTS_PR7.json
 # Serving resilience: tr-serve's whole suite in release mode (the
 # dev-profile run is part of `cargo test` above), so the multi-threaded
 # panic/deadline soak and the timing-based batch-formation tests also run
@@ -69,22 +74,11 @@ cargo run -q --release -p tr-bench --bin repro -- --quick chaos
 # the generation audit, and a bit-identical plan digest across two
 # seeded executions (DESIGN.md SS14). Any violated gate panics, so an
 # empty artifact means the soak never passed.
-cargo run -q --release -p tr-bench --bin repro -- --quick soak
-test -s SOAK_PR8.json
-# Kernel autotune: the seeded micro-autotuner measures the dispatch
-# crossovers on this host and seals them into TUNE_PR10.json
-# (DESIGN.md SS16). The bench run below replays that table, so the
-# kernel sections are benched under the exact dispatch policy the
-# artifact names.
-cargo run -q --release -p tr-bench --bin repro -- --quick tune
-test -s TUNE_PR10.json
-# Kernel baseline: the bench experiment must produce its schema-stable
-# JSON artifact (DESIGN.md SS10): the packed core rows, the bit-plane
-# popcount-GEMM sweep scored on paired reps with per-ISA gates, the
-# deep-K blocking gate (DESIGN.md SS15-16), the checksum-verify
-# overhead gate, and the core drift verdict against the committed
-# BENCH_PR9.json baseline (DESIGN.md SS11). Served tail latency is
-# gated by perfbench's mlp_serve workload, not here. CI archives both
-# artifacts.
-cargo run -q --release -p tr-bench --bin repro -- --quick bench
-test -s BENCH_PR10.json
+TR_SOAK_OUT="$out/SOAK_PR8.json" cargo run -q --release -p tr-bench --bin repro -- --quick soak
+test -s "$out/SOAK_PR8.json"
+# Kernel timings: the bench experiment must produce its schema-stable
+# JSON artifact (DESIGN.md SS10): the packed core rows and the
+# checksum-verify overhead row. Served tail latency is gated by
+# perfbench's mlp_serve workload, not here. CI archives the artifacts.
+TR_BENCH_OUT="$out/BENCH_PR10.json" cargo run -q --release -p tr-bench --bin repro -- --quick bench
+test -s "$out/BENCH_PR10.json"

@@ -7,13 +7,10 @@
 //! compares exact integer or f32 bit patterns, never tolerances.
 
 use proptest::prelude::*;
-use tr_core::matmul::MatmulPlanner;
 use tr_core::reveal::reveal_row;
-use tr_core::tune::Isa;
 use tr_core::{
-    group_pair_histogram, matmul_plan, term_pairs_total_packed, try_bitplane_matmul_i64_blocked,
-    try_bitplane_matmul_i64_with, try_packed_term_matmul_i64_planned_cached, BitPlaneMatrix,
-    MatmulPlan, PackedTermMatrix, TrConfig,
+    group_pair_histogram, term_pairs_total_packed, try_packed_term_matmul_i64, PackedTermMatrix,
+    TrConfig,
 };
 use tr_encoding::{Encoding, TermExpr};
 use tr_nn::exec::{
@@ -30,25 +27,6 @@ fn quantized(rows: usize, cols: usize, seed: u64) -> QTensor {
     let mut rng = Rng::seed_from_u64(seed);
     let t = Tensor::randn(Shape::d2(rows, cols), 0.25, &mut rng);
     quantize(&t, calibrate_max_abs(&t, 8))
-}
-
-const PLANS: [MatmulPlan; 4] = [
-    MatmulPlan::SerialCodePlane,
-    MatmulPlan::ParallelCodePlane,
-    MatmulPlan::BitPlane,
-    MatmulPlan::BitPlaneBlocked,
-];
-
-/// The matmul executor with `plan` forced and, on the bit-plane routes,
-/// any prebuilt decompositions used as-is.
-fn execute(
-    w: &PackedTermMatrix,
-    wp: Option<&BitPlaneMatrix>,
-    x: &PackedTermMatrix,
-    xp: Option<&BitPlaneMatrix>,
-    plan: MatmulPlan,
-) -> Vec<i64> {
-    try_packed_term_matmul_i64_planned_cached(w, wp, x, xp, plan).expect("shapes agree")
 }
 
 fn encoding() -> impl Strategy<Value = Encoding> {
@@ -206,12 +184,10 @@ proptest! {
         let x = Oracle::data_transposed(&qx, enc).cap_terms(cap);
         let pw = PackedTermMatrix::from_weights(&qw, enc).reveal(&cfg);
         let px = PackedTermMatrix::from_data_transposed(&qx, enc).cap_terms(cap);
-        // Every cell is one dot product, so each route's output equals
+        // Every cell is one dot product, so the matmul's output equals
         // the oracle's per-cell pair walk.
-        let want = pair_walk_matmul(&w, &x);
-        for plan in PLANS {
-            prop_assert_eq!(execute(&pw, None, &px, None, plan), want.clone(), "{}", plan.name());
-        }
+        let got = try_packed_term_matmul_i64(&pw, &px).expect("shapes agree");
+        prop_assert_eq!(got, pair_walk_matmul(&w, &x));
     }
 
     #[test]
@@ -244,155 +220,6 @@ proptest! {
             prop_assert_eq!(got.max, want.max());
             prop_assert_eq!(got.p99, want.quantile(0.99));
             prop_assert_eq!(term_pairs_total_packed(&pw, &px), total);
-        }
-    }
-
-    #[test]
-    fn bit_planes_round_trip_and_match_the_pair_walk(
-        (m, k, seed) in (1usize..5, 1usize..96, any::<u64>()),
-        enc in encoding(),
-        cfg in tr_config(),
-    ) {
-        // Build → reconstruct must reproduce the packed codes exactly;
-        // the popcount kernel over those planes must match the oracle's
-        // pair walk bit for bit.
-        let q = quantized(m, k, seed);
-        let packed = PackedTermMatrix::from_weights(&q, enc).reveal(&cfg);
-        let planes = BitPlaneMatrix::from_packed(&packed);
-        prop_assert_eq!(
-            planes.reconstruct_codes(),
-            packed.reconstruct_codes()
-        );
-        let qo = quantized(k, 3, seed.wrapping_add(9));
-        let other = PackedTermMatrix::from_data_transposed(&qo, enc);
-        let op = BitPlaneMatrix::from_packed(&other);
-        prop_assert_eq!(
-            execute(&packed, Some(&planes), &other, Some(&op), MatmulPlan::BitPlane),
-            pair_walk_matmul(&Oracle::weights(&q, enc).reveal(&cfg), &Oracle::data_transposed(&qo, enc))
-        );
-    }
-
-    #[test]
-    fn bitplane_matmul_matches_packed_matmul_bitwise(
-        (m, k, n, seed) in (1usize..6, 1usize..96, 1usize..6, any::<u64>()),
-        enc in encoding(),
-        cfg in tr_config(),
-        cap in 1usize..5,
-    ) {
-        // Same product through three routes: the code-plane walk, the
-        // bit-plane route forced, and the plan the dispatcher picks, both
-        // fed prebuilt planes (as serve's rung cache does). All bit-equal.
-        let qw = quantized(m, k, seed);
-        let qx = quantized(k, n, seed.wrapping_add(1));
-        let w = PackedTermMatrix::from_weights(&qw, enc).reveal(&cfg);
-        let x = PackedTermMatrix::from_data_transposed(&qx, enc).cap_terms(cap);
-        let want = execute(&w, None, &x, None, MatmulPlan::SerialCodePlane);
-        let (bw, bx) = (BitPlaneMatrix::from_packed(&w), BitPlaneMatrix::from_packed(&x));
-        prop_assert_eq!(execute(&w, Some(&bw), &x, Some(&bx), MatmulPlan::BitPlane), want.clone());
-        let dispatched = execute(&w, Some(&bw), &x, Some(&bx), matmul_plan(&w, &x));
-        prop_assert_eq!(dispatched, want);
-    }
-
-    #[test]
-    fn bit_planes_survive_pruned_and_single_plane_rows(
-        vals in proptest::collection::vec(-256i32..=256, 1..48),
-        enc in encoding(),
-    ) {
-        // Degenerate shapes: rows holding zeros only (no planes at all)
-        // and rows capped to one term (a single plane each) must still
-        // round-trip and dot correctly against themselves (a 1x1 output).
-        let mut zeroed = vals.clone();
-        for v in zeroed.iter_mut().skip(1) { *v = 0; }
-        for codes in [vals.as_slice(), zeroed.as_slice(), &[0, 0, 0][..]] {
-            let packed = PackedTermMatrix::from_vector(codes, enc);
-            let oracle = Oracle::from_codes(codes, 1, codes.len(), enc);
-            let one = packed.clone().cap_terms(1);
-            for (p, o) in [(&packed, oracle.clone()), (&one, oracle.cap_terms(1))] {
-                let planes = BitPlaneMatrix::from_packed(p);
-                prop_assert_eq!(planes.reconstruct_codes(), p.reconstruct_codes());
-                prop_assert_eq!(
-                    execute(p, Some(&planes), p, Some(&planes), MatmulPlan::BitPlane),
-                    pair_walk_matmul(&o, &o)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_kernel_is_bit_identical_for_any_tiling(
-        (m, k, n, seed) in (1usize..6, 1usize..640, 1usize..6, any::<u64>()),
-        enc in encoding(),
-        cfg in tr_config(),
-        cap in 1usize..5,
-        cols in 1usize..7,
-        words in 1usize..40,
-    ) {
-        // The panel-blocked deep-K kernel re-associates the wrapping-i64
-        // accumulation but may never change a single bit, for ANY tile
-        // geometry — including panel widths that leave ragged K tails
-        // (k up to 640 spans 1..10 words per plane row, while `words`
-        // stays below, at, and above that).
-        let qw = quantized(m, k, seed);
-        let qx = quantized(k, n, seed.wrapping_add(1));
-        let w = PackedTermMatrix::from_weights(&qw, enc).reveal(&cfg);
-        let x = PackedTermMatrix::from_data_transposed(&qx, enc).cap_terms(cap);
-        let want = execute(&w, None, &x, None, MatmulPlan::SerialCodePlane);
-        let (bw, bx) = (BitPlaneMatrix::from_packed(&w), BitPlaneMatrix::from_packed(&x));
-        let blocked = try_bitplane_matmul_i64_blocked(&bw, &bx, cols, words)
-            .expect("nonzero tiles");
-        prop_assert_eq!(blocked, want);
-    }
-
-    #[test]
-    fn every_available_isa_row_kernel_matches_the_pair_walk(
-        (m, k, seed) in (1usize..5, 1usize..256, any::<u64>()),
-        enc in encoding(),
-        cfg in tr_config(),
-        cap in 1usize..5,
-    ) {
-        // Forced-ISA parity: on this host every available tier (the AVX2
-        // vpshufb-LUT included, where present) must reproduce the packed
-        // pair walk exactly. Unavailable tiers are skipped — the
-        // host-gating the ISSUE calls for.
-        let qw = quantized(m, k, seed);
-        let qx = quantized(k, 3, seed.wrapping_add(2));
-        let w = PackedTermMatrix::from_weights(&qw, enc).reveal(&cfg);
-        let x = PackedTermMatrix::from_data_transposed(&qx, enc).cap_terms(cap);
-        let want = execute(&w, None, &x, None, MatmulPlan::SerialCodePlane);
-        let (bw, bx) = (BitPlaneMatrix::from_packed(&w), BitPlaneMatrix::from_packed(&x));
-        for isa in Isa::ALL {
-            if !isa.available() {
-                continue;
-            }
-            let got = try_bitplane_matmul_i64_with(&bw, &bx, isa)
-                .expect("available ISA runs");
-            prop_assert_eq!(got, want.clone(), "isa {}", isa.name());
-        }
-    }
-
-    #[test]
-    fn planner_resolved_routes_are_bit_identical(
-        (m, k, n, seed) in (1usize..8, 1usize..200, 1usize..8, any::<u64>()),
-        enc in encoding(),
-        cfg in tr_config(),
-        cap in 1usize..5,
-    ) {
-        // Whatever plan the per-shape cache resolves — including across
-        // repeated lookups hitting the memo — executing it must equal
-        // the pair walk bit for bit. This is the serve hot path:
-        // activations stream as the first operand, the planner's frozen
-        // weight statistics sit on the second.
-        let qw = quantized(k, n, seed);
-        let qx = quantized(m, k, seed.wrapping_add(3));
-        let weights = PackedTermMatrix::from_data_transposed(&qw, enc).reveal(&cfg);
-        let acts = PackedTermMatrix::from_weights(&qx, enc).cap_terms(cap);
-        let want = execute(&acts, None, &weights, None, MatmulPlan::SerialCodePlane);
-        let planner = MatmulPlanner::for_weights(&weights, cap);
-        planner.verify_integrity().expect("fresh planner verifies");
-        for _ in 0..2 {
-            let plan = planner.plan_for(m);
-            let got = execute(&acts, None, &weights, None, plan);
-            prop_assert_eq!(got, want.clone(), "plan {}", plan.name());
         }
     }
 

@@ -3,23 +3,22 @@
 //! `PackedTermMatrix::try_reveal_codes` builds the revealed term planes and
 //! the kept codes in one table-driven, row-parallel pass. The oracle is the
 //! two-step chain it stands in for — `from_weights` → `reveal` →
-//! `reconstruct_codes`, then `MatmulPlanner::for_weights` and, where the
-//! planner can route to a bit-plane kernel, `BitPlaneMatrix::from_packed`
-//! — and every comparison here is exact: planes, f32 bit patterns, seals
-//! and `core.reveal.*` counter deltas. The last test pins that rule: how
-//! many decompositions a prepare and an integer forward build.
+//! `reconstruct_codes` — and every comparison here is exact: planes, f32
+//! bit patterns, seals and `core.reveal.*` counter deltas. The zoo test
+//! also runs the prepared weights: an integer `Linear` forward must be
+//! the term-pair walk over its operands, rescaled.
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tr_bench::zoo::test_zoo;
-use tr_core::matmul::{MatmulPlan, MatmulPlanner};
-use tr_core::{BitPlaneMatrix, PackedTermMatrix, TrConfig};
+use tr_core::{try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_nn::layers::Linear;
 use tr_nn::lstm::LstmLm;
 use tr_nn::models::{mlp::build_mlp, CnnKind};
 use tr_nn::{prepare_weights, ForwardCtx, Layer, Precision, PreparedWeights, QuantSite};
 use tr_obs::recorder;
+use tr_quant::truncate::truncate_value;
 use tr_quant::{calibrate_max_abs, quantize, QTensor, QuantParams};
 use tr_serve::LadderConfig;
 use tr_tensor::{Rng, Shape, Tensor};
@@ -54,7 +53,7 @@ fn chain(codes: &[i32], rows: usize, len: usize, cfg: &TrConfig) -> (PackedTermM
     (tm, kept)
 }
 
-/// Planes, seal, kept codes, and everything built from the planes.
+/// Planes, seal and kept codes.
 fn assert_one_pass_matches(codes: &[i32], rows: usize, len: usize, cfg: &TrConfig) {
     let what = format!(
         "{rows}x{len} {} g{} k{} s{:?}",
@@ -69,25 +68,6 @@ fn assert_one_pass_matches(codes: &[i32], rows: usize, len: usize, cfg: &TrConfi
         .unwrap_or_else(|e| panic!("{what}: {e}"));
     let got_kept: Vec<i64> = got_kept.into_iter().map(i64::from).collect();
     assert_eq!(got_kept, want_kept, "{what}: kept codes");
-    let (bp_got, bp_want) = (
-        BitPlaneMatrix::from_packed(&got),
-        BitPlaneMatrix::from_packed(&want),
-    );
-    assert_eq!(
-        bp_got.checksum(),
-        bp_want.checksum(),
-        "{what}: bit-plane seal"
-    );
-    let bound = cfg.data_terms.unwrap_or(7);
-    let (pl_got, pl_want) = (
-        MatmulPlanner::for_weights(&got, bound),
-        MatmulPlanner::for_weights(&want, bound),
-    );
-    assert_eq!(
-        pl_got.checksum(),
-        pl_want.checksum(),
-        "{what}: planner seal"
-    );
 }
 
 /// The `Precision::Tr` arm of `prepare_weights` as it was built from the
@@ -98,19 +78,12 @@ fn oracle_prepare(w: &Tensor, cfg: &TrConfig) -> PreparedWeights {
     let tm = PackedTermMatrix::from_weights(&q, cfg.weight_encoding).reveal(cfg);
     let codes = tm.reconstruct_codes();
     let data: Vec<f32> = codes.iter().map(|&c| c as f32 * params.scale).collect();
-    let data_term_bound = cfg.data_terms.unwrap_or(7);
-    let planner = MatmulPlanner::for_weights(&tm, data_term_bound);
-    let planes = planner
-        .routes_bitplane()
-        .then(|| Arc::new(BitPlaneMatrix::from_packed(&tm)));
     PreparedWeights {
         qweight: Some(Arc::new(Tensor::from_vec(data, w.shape().clone()))),
         weight_params: Some(params),
         weight_terms: Some(Arc::new(tm)),
-        weight_planes: planes,
-        planner: Some(Arc::new(planner)),
         weight_term_bound: cfg.group_budget,
-        data_term_bound,
+        data_term_bound: cfg.data_terms.unwrap_or(7),
         tr_config: Some(*cfg),
         checksum: 0,
     }
@@ -118,8 +91,7 @@ fn oracle_prepare(w: &Tensor, cfg: &TrConfig) -> PreparedWeights {
 }
 
 /// `prepare_weights` and the oracle agree field by field and seal alike.
-/// Returns whether they hold bit-planes.
-fn assert_prepared_matches(w: &Tensor, cfg: &TrConfig, what: &str) -> bool {
+fn assert_prepared_matches(w: &Tensor, cfg: &TrConfig, what: &str) {
     let want = oracle_prepare(w, cfg);
     let got = prepare_weights(w, &Precision::Tr(*cfg));
     let bits = |p: &PreparedWeights| -> Vec<u32> {
@@ -130,14 +102,9 @@ fn assert_prepared_matches(w: &Tensor, cfg: &TrConfig, what: &str) -> bool {
     };
     assert_eq!(bits(&got), bits(&want), "{what}: qweight bits");
     assert_eq!(got.weight_terms, want.weight_terms, "{what}: weight planes");
-    let seal = |p: &PreparedWeights| p.weight_planes.as_ref().map(|b| b.checksum());
-    assert_eq!(seal(&got), seal(&want), "{what}: bit-plane seal");
-    let seal = |p: &PreparedWeights| p.planner.as_ref().map(|b| b.checksum());
-    assert_eq!(seal(&got), seal(&want), "{what}: planner seal");
     assert_eq!(got.checksum, want.checksum, "{what}: PreparedWeights seal");
     got.verify_integrity()
         .unwrap_or_else(|e| panic!("{what}: {e}"));
-    got.weight_planes.is_some()
 }
 
 /// Shapes: aligned and ragged rows, a single row, both empty forms, and
@@ -191,8 +158,6 @@ fn one_pass_reveal_matches_the_chain_for_every_encoding_and_shape() {
 #[test]
 fn prepared_weights_seal_identically_to_the_chain() {
     let _serial = serial();
-    // The configs whose prepares held bit-planes somewhere.
-    let mut with_planes = Vec::new();
     for enc in Encoding::ALL {
         for (i, &(rows, len)) in SHAPES.iter().enumerate() {
             if rows * len == 0 {
@@ -207,16 +172,10 @@ fn prepared_weights_seal_identically_to_the_chain() {
                 let cfg = TrConfig::new(g, k)
                     .with_data_terms(s)
                     .with_weight_encoding(enc);
-                if assert_prepared_matches(&w, &cfg, &format!("{enc} {rows}x{len} g{g} k{k} s{s}")) {
-                    with_planes.push((g, k, s));
-                }
+                assert_prepared_matches(&w, &cfg, &format!("{enc} {rows}x{len} g{g} k{k} s{s}"));
             }
         }
     }
-    // Both branches stay covered: g8 k4 s1 builds planes on the large
-    // shapes, and the ladder's top rung builds none.
-    assert!(with_planes.contains(&(8, 4, 1)), "g8 k4 s1 built no planes");
-    assert!(!with_planes.contains(&(8, 24, 3)), "g8 k24 s3 built planes");
 }
 
 #[test]
@@ -307,74 +266,69 @@ fn every_zoo_model_and_ladder_rung_seals_identically() {
             }
         }
     }
-}
-
-/// Bit-plane decompositions built so far (`BitPlaneMatrix::from_packed`
-/// calls; the recorder must be on).
-fn decompositions() -> u64 {
-    recorder().snapshot().counter("core.bitplane.builds")
-}
-
-/// The plane rule: `prepare_weights` decomposes a site's weights into
-/// bit-planes exactly where its planner can route some batch size to a
-/// bit-plane kernel. On the MLP and VGG weights that is no site at any
-/// default-ladder rung, and at g8 k4 s1 the sites the planner names. A
-/// `Linear` prepared there reuses its planes: each integer forward
-/// decomposes only its activations.
-#[test]
-fn weight_planes_are_built_exactly_where_a_bit_plane_route_can_run() {
-    let _serial = serial();
-    let was = tr_obs::enabled();
-    tr_obs::set_enabled(true);
-    let mut rng = Rng::seed_from_u64(26);
-    let mut sites = Vec::new();
-    build_mlp(10, &mut rng).visit_quant_sites(&mut record_sites(&mut sites));
-    CnnKind::Vgg
-        .build(10, &mut rng)
-        .visit_quant_sites(&mut record_sites(&mut sites));
-    let prepare = |w: &Tensor, precision: &Precision| {
-        let before = decompositions();
-        let p = prepare_weights(w, precision);
-        (decompositions() - before, p)
-    };
-    for rung in &LadderConfig::default_tr_ladder().rungs {
-        for (site, w) in &sites {
-            let (built, p) = prepare(w, &rung.precision);
-            let what = format!("{site} {}", rung.precision.label());
-            assert!(p.weight_planes.is_none(), "{what}: planes cached");
-            assert_eq!(built, 0, "{what}: decompositions");
+    // The trained MLP's and the VGG's `Linear`s run integer at g8 k4 s1,
+    // where their weights keep the fewest terms.
+    let vgg = CnnKind::Vgg.name();
+    for (model, sites) in models.iter().filter(|(m, _)| m == "mlp (trained)" || m == vgg) {
+        for (site, w) in sites.iter().filter(|(s, _)| s.ends_with("linear")) {
+            assert_integer_linear_is_the_pair_walk(w, &format!("{model} {site}"));
         }
     }
-    let k4 = Precision::Tr(TrConfig::new(8, 4).with_data_terms(1));
-    let mut routable = 0;
-    for (site, w) in &sites {
-        let (built, p) = prepare(w, &k4);
-        let planner = p.planner.as_deref().expect("a TR rung has a planner");
-        let want = planner.routes_bitplane();
-        assert_eq!(p.weight_planes.is_some(), want, "{site}: planes cached");
-        assert_eq!(built, u64::from(want), "{site}: decompositions");
-        routable += usize::from(want);
-    }
-    assert!(routable > 0, "no site is routable at g8 k4 s1");
+    // A drained operand at K = 16384, the deep-reduction case.
+    let w = PackedTermMatrix::from_codes(&codes(16, 16384, 40, false), 16, 16384, Encoding::Hese)
+        .reveal(&TrConfig::new(8, 1));
+    let x = PackedTermMatrix::from_codes(&codes(16, 16384, 41, false), 16, 16384, Encoding::Hese)
+        .reveal(&TrConfig::new(8, 4))
+        .cap_terms(1);
+    assert_eq!(try_packed_term_matmul_i64(&w, &x).unwrap(), pair_walk(&w, &x), "K 16384");
+}
 
-    let mut layer = Linear::new(784, 512, &mut rng);
-    layer.fq.install_weights(&layer.weight().value.clone(), &k4);
-    layer.fq.install_act_cap(&k4);
-    layer.fq.act_params = Some(QuantParams { scale: 1.0 / 127.0, bits: 8 });
-    layer.fq.exec_integer = true;
-    let planner = layer.fq.planner.clone().expect("a TR rung has a planner");
-    assert!(
-        matches!(planner.plan_for(8), MatmulPlan::BitPlane | MatmulPlan::BitPlaneBlocked),
-        "batch 8 no longer takes a bit-plane route"
-    );
-    assert!(layer.fq.weight_planes.is_some());
-    let x = Tensor::randn(Shape::d2(8, 784), 0.5, &mut rng).map(f32::abs);
-    let before = decompositions();
-    for _ in 0..3 {
-        layer.forward(&x, &mut ForwardCtx::eval(&mut rng));
+/// `W (M,K) @ X (K,N)`, with `x` given as its `N` rows, one term pair at
+/// a time (§III-B).
+fn pair_walk(w: &PackedTermMatrix, x: &PackedTermMatrix) -> Vec<i64> {
+    let mut out = Vec::with_capacity(w.rows() * x.rows());
+    for i in 0..w.rows() {
+        for j in 0..x.rows() {
+            let mut acc = 0i64;
+            for c in 0..w.len() {
+                for wt in w.element_terms(i, c) {
+                    for xt in x.element_terms(j, c) {
+                        acc += wt.mul(xt).value();
+                    }
+                }
+            }
+            out.push(acc);
+        }
     }
-    assert_eq!(decompositions() - before, 3, "one activation-side decomposition per forward");
-    tr_obs::set_enabled(was);
+    out
+}
+
+/// A `Linear` whose quant site is prepared from `w` (`(out, in)`) at g8
+/// k4 s1 and run integer at batch 1, 8 and 32 returns the pair walk over
+/// its capped activation codes and its weight terms, rescaled.
+fn assert_integer_linear_is_the_pair_walk(w: &Tensor, what: &str) {
+    let (outs, ins) = w.shape().as_matrix();
+    let mut rng = Rng::seed_from_u64(27);
+    let mut layer = Linear::new(ins, outs, &mut rng);
+    let k4 = Precision::Tr(TrConfig::new(8, 4).with_data_terms(1));
+    layer.fq.install_weights(w, &k4);
+    layer.fq.install_act_cap(&k4);
+    let act = QuantParams { scale: 1.0 / 127.0, bits: 8 };
+    layer.fq.act_params = Some(act);
+    layer.fq.exec_integer = true;
+    let (enc, s) = layer.fq.act_cap.expect("the rung caps activations");
+    let wt = layer.fq.weight_terms.clone().expect("a TR rung packs its weight terms");
+    let scale = act.scale * layer.fq.weight_params.expect("a TR rung quantizes").scale;
+    for batch in [1, 8, 32] {
+        let x = Tensor::randn(Shape::d2(batch, ins), 0.5, &mut rng).map(f32::abs);
+        let y = layer.forward(&x, &mut ForwardCtx::eval(&mut rng));
+        let codes: Vec<i32> =
+            x.data().iter().map(|&v| truncate_value(enc, act.code(v), s)).collect();
+        let data = PackedTermMatrix::from_codes(&codes, batch, ins, enc);
+        // Zero bias: the forward adds 0.0 to each rescaled sum.
+        let want: Vec<f32> = pair_walk(&data, &wt).iter().map(|&v| v as f32 * scale).collect();
+        assert_eq!(y.data(), want.as_slice(), "{what} batch {batch}");
+    }
 }
 
 proptest! {
