@@ -260,7 +260,7 @@ mod tests {
     fn spec() -> ModelSpec {
         let mut rng = Rng::seed_from_u64(3);
         let mut m = tr_nn::models::mlp::build_mlp(10, &mut rng);
-        ModelSpec::from_layer("mlp", &mut m).unwrap()
+        ModelSpec::from_sites("mlp", &mut m).unwrap()
     }
 
     fn tr(g: usize, k: usize, s: usize) -> Precision {

@@ -29,8 +29,7 @@ use crate::range::ValueRange;
 use tr_core::seal::{fnv1a_bytes, fnv1a_word, FNV_OFFSET};
 use tr_core::{TrConfig, TrError, ACCUMULATOR_BITS};
 use tr_encoding::Encoding;
-use tr_nn::lstm::LstmLm;
-use tr_nn::{quant_site_shapes, quant_site_shapes_lstm, Layer, Precision, SiteShape};
+use tr_nn::{quant_site_shapes, Precision, QuantSites, SiteShape};
 
 /// Quantizer bit width of every weight/activation stream the fake-quant
 /// engine feeds the integer kernels (QT weight rungs override it).
@@ -81,20 +80,17 @@ impl ModelSpec {
         Ok(ModelSpec { name: name.to_string(), layers })
     }
 
-    /// Extract the spec of any [`Layer`] model (MLP, the CNNs).
+    /// Extract the spec of any model whose quantization sites can be
+    /// walked: a [`tr_nn::Layer`] model (MLP, the CNNs) or the LSTM
+    /// language model.
     ///
     /// # Errors
     /// [`TrError::InvalidConfig`] when the model exposes no valid sites.
-    pub fn from_layer(name: &str, model: &mut dyn Layer) -> Result<ModelSpec, TrError> {
+    pub fn from_sites(
+        name: &str,
+        model: &mut (impl QuantSites + ?Sized),
+    ) -> Result<ModelSpec, TrError> {
         Self::new(name, quant_site_shapes(model).into_iter().map(Into::into).collect())
-    }
-
-    /// Extract the spec of the LSTM language model.
-    ///
-    /// # Errors
-    /// [`TrError::InvalidConfig`] when the model exposes no valid sites.
-    pub fn from_lstm(name: &str, lm: &mut LstmLm) -> Result<ModelSpec, TrError> {
-        Self::new(name, quant_site_shapes_lstm(lm).into_iter().map(Into::into).collect())
     }
 
     /// Content fingerprint: FNV-1a over the model name and every site's
@@ -227,7 +223,7 @@ fn policy_for(precision: &Precision) -> Result<Option<SitePolicy>, TrError> {
         })),
         Precision::PerValue { encoding, weight_terms, data_terms } => Ok(Some(SitePolicy {
             weight: operand_envelope(*encoding, QUANT_BITS, Some(*weight_terms)),
-            // `install_act_cap` always caps activations with HESE here.
+            // `FakeQuant::install` always caps activations with HESE here.
             data: operand_envelope(Encoding::Hese, QUANT_BITS, *data_terms),
             weight_encoding: *encoding,
             weight_bits: QUANT_BITS,
@@ -595,12 +591,13 @@ pub fn prune_unsound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tr_nn::lstm::LstmLm;
     use tr_tensor::Rng;
 
     fn mlp_spec() -> ModelSpec {
         let mut rng = Rng::seed_from_u64(0);
         let mut m = tr_nn::models::mlp::build_mlp(10, &mut rng);
-        ModelSpec::from_layer("mlp", &mut m).unwrap()
+        ModelSpec::from_sites("mlp", &mut m).unwrap()
     }
 
     #[test]
@@ -650,7 +647,7 @@ mod tests {
     fn lstm_spec_covers_the_three_matmuls() {
         let mut rng = Rng::seed_from_u64(1);
         let mut lm = LstmLm::new(40, 32, 0.0, &mut rng);
-        let spec = ModelSpec::from_lstm("lstm-lm", &mut lm).unwrap();
+        let spec = ModelSpec::from_sites("lstm-lm", &mut lm).unwrap();
         let names: Vec<&str> = spec.layers.iter().map(|l| l.name.as_str()).collect();
         assert_eq!(names, ["lstm.w_ih", "lstm.w_hh", "lstm.w_out"]);
         assert!(spec.layers.iter().all(|l| l.reduction >= 32));

@@ -1,6 +1,6 @@
 //! Faults — graceful degradation of TR inference under injected hardware
 //! faults. Not a paper figure: this sweeps the `tr-hw` fault model
-//! (term bit flips, DRAM word errors, stuck tMAC cells, stream faults)
+//! (term bit flips and drops, DRAM word errors, stuck tMAC cells)
 //! over fault rate × TR configuration and reports the accuracy curve
 //! together with the injected / detected / silent corruption accounting.
 //!

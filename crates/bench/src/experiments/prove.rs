@@ -34,9 +34,9 @@ fn specs() -> Vec<ModelSpec> {
     let mut cnn = build_mobilenet(10, &mut rng);
     let mut lstm = LstmLm::new(40, 64, 0.0, &mut rng);
     vec![
-        ModelSpec::from_layer("mlp", &mut mlp).expect("mlp spec"),
-        ModelSpec::from_layer("mobilenet-v2", &mut cnn).expect("cnn spec"),
-        ModelSpec::from_lstm("lstm-lm", &mut lstm).expect("lstm spec"),
+        ModelSpec::from_sites("mlp", &mut mlp).expect("mlp spec"),
+        ModelSpec::from_sites("mobilenet-v2", &mut cnn).expect("cnn spec"),
+        ModelSpec::from_sites("lstm-lm", &mut lstm).expect("lstm spec"),
     ]
 }
 

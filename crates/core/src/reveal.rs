@@ -111,47 +111,7 @@ pub fn reveal_group(group: &[TermExpr], budget: usize) -> RevealOutcome {
 
 /// Fallible [`reveal_group`]: rejects a zero budget instead of panicking.
 pub fn try_reveal_group(group: &[TermExpr], budget: usize) -> Result<RevealOutcome, TrError> {
-    if budget == 0 {
-        return Err(TrError::InvalidConfig("group budget must be positive".into()));
-    }
-    let total: usize = group.iter().map(TermExpr::len).sum();
-    if total <= budget {
-        // Fast path: nothing to prune (the common case the paper relies on).
-        let out = RevealOutcome {
-            revealed: group.to_vec(),
-            kept_terms: total,
-            pruned_terms: 0,
-            waterline_exp: None,
-        };
-        observe_outcome(&out);
-        return Ok(out);
-    }
-
-    let max_exp = group.iter().filter_map(TermExpr::max_exp).max().unwrap_or(0);
-    let mut kept: Vec<Vec<Term>> = vec![Vec::new(); group.len()];
-    let mut kept_count = 0usize;
-    let mut waterline = None;
-    'scan: for e in (0..=max_exp).rev() {
-        for (i, expr) in group.iter().enumerate() {
-            // Each value has at most one term per exponent.
-            if let Some(&t) = expr.iter().find(|t| t.exp == e) {
-                kept[i].push(t);
-                kept_count += 1;
-                if kept_count == budget {
-                    waterline = Some(e);
-                    break 'scan;
-                }
-            }
-        }
-    }
-    let out = RevealOutcome {
-        revealed: kept.into_iter().map(TermExpr::from_terms).collect(),
-        kept_terms: kept_count,
-        pruned_terms: total - kept_count,
-        waterline_exp: waterline,
-    };
-    observe_outcome(&out);
-    Ok(out)
+    try_reveal_group_with_tiebreak(group, budget, TieBreak::RowMajor)
 }
 
 /// How the last waterline row is split when the budget runs out mid-row.
@@ -185,14 +145,12 @@ pub fn try_reveal_group_with_tiebreak(
     budget: usize,
     tiebreak: TieBreak,
 ) -> Result<RevealOutcome, TrError> {
-    if tiebreak == TieBreak::RowMajor {
-        return try_reveal_group(group, budget);
-    }
     if budget == 0 {
         return Err(TrError::InvalidConfig("group budget must be positive".into()));
     }
     let total: usize = group.iter().map(TermExpr::len).sum();
     if total <= budget {
+        // Fast path: nothing to prune (the common case the paper relies on).
         let out = RevealOutcome {
             revealed: group.to_vec(),
             kept_terms: total,
@@ -202,28 +160,26 @@ pub fn try_reveal_group_with_tiebreak(
         observe_outcome(&out);
         return Ok(out);
     }
+
     let max_exp = group.iter().filter_map(TermExpr::max_exp).max().unwrap_or(0);
     let mut kept: Vec<Vec<Term>> = vec![Vec::new(); group.len()];
     let mut kept_count = 0usize;
     let mut waterline = None;
+    // One waterline row: the values holding a term at the row's exponent
+    // (each value has at most one), with that term.
+    let mut row: Vec<(usize, Term)> = Vec::with_capacity(group.len());
     'scan: for e in (0..=max_exp).rev() {
-        // Collect this row's candidates, then take them poorest-first.
-        let mut row: Vec<usize> = (0..group.len())
-            .filter(|&i| group[i].iter().any(|t| t.exp == e))
-            .collect();
-        // Poorest-first, with the value index as an explicit secondary
-        // key: `sort_by_key` alone is *unstable*, so equal kept-counts
-        // would otherwise land in an order the standard library is free
-        // to change between versions — and the revealed group (hence the
-        // computed values downstream) must be a deterministic function of
-        // the input, not of a sort implementation detail.
-        row.sort_by_key(|&i| (kept[i].len(), i));
-        for i in row {
-            let t = group[i]
-                .iter()
-                .find(|t| t.exp == e)
-                .copied()
-                .expect("row indices are pre-filtered to hold a term at exponent e");
+        row.clear();
+        row.extend(group.iter().enumerate().filter_map(|(i, expr)| {
+            expr.iter().find(|t| t.exp == e).map(|&t| (i, t))
+        }));
+        if tiebreak == TieBreak::Spread {
+            // Poorest-first. The value index breaks ties, so the keys are
+            // distinct and the revealed group is a function of the input
+            // alone, not of how the sort orders equal keys.
+            row.sort_by_key(|&(i, _)| (kept[i].len(), i));
+        }
+        for &(i, t) in &row {
             kept[i].push(t);
             kept_count += 1;
             if kept_count == budget {

@@ -52,20 +52,6 @@ impl BinaryStreamConverter {
         (0..STREAM_BITS).map(|i| (u >> i) & 1 == 1).collect()
     }
 
-    /// [`BinaryStreamConverter::convert`] under a fault campaign: each
-    /// output bit of lane `lane` may flip per the injector's deterministic
-    /// stream-fault model. At rate 0 this is bit-identical to `convert`.
-    pub fn convert_with_faults(
-        &self,
-        cv: &CoefficientVector,
-        inj: &mut crate::fault::FaultInjector,
-        lane: u64,
-    ) -> Vec<bool> {
-        let mut stream = self.convert(cv);
-        inj.corrupt_stream_bits(&mut stream, lane);
-        stream
-    }
-
     /// Decode a stream back to a signed value (test/verification helper).
     pub fn decode(stream: &[bool]) -> i64 {
         assert_eq!(stream.len(), STREAM_BITS);

@@ -7,9 +7,8 @@
 //! and the mitigation machinery:
 //!
 //! * **Fault models** — single-bit flips in term exponent fields and
-//!   sign bits, dropped terms in the HESE/converter stage, stuck-at-zero
-//!   / stuck-at-one tMAC cells, DRAM word bit errors, and converter
-//!   stream bit flips. Every decision is a pure hash of
+//!   sign bits, dropped operand terms, stuck-at-zero / stuck-at-one tMAC
+//!   cells, and DRAM word bit errors. Every decision is a pure hash of
 //!   `(seed, site kind, site coordinates)`, so injection is fully
 //!   deterministic for a given [`FaultConfig`] and independent of
 //!   traversal order, and `rate = 0` is exactly a no-op.
@@ -68,9 +67,7 @@ mod stream {
     pub const STUCK_POLARITY: u64 = 8;
     pub const DRAM_BIT: u64 = 9;
     pub const DRAM_BIT_CHOICE: u64 = 10;
-    pub const STREAM_BIT: u64 = 11;
     pub const EXP_BIT_CHOICE: u64 = 12;
-    pub const HESE_DROP: u64 = 13;
 }
 
 /// Which operand stream a term belongs to (faults are keyed per stream).
@@ -159,8 +156,6 @@ pub struct FaultConfig {
     pub stuck_cells: bool,
     /// Arm DRAM word bit errors on stored weight codes.
     pub dram_faults: bool,
-    /// Arm converter stream bit flips.
-    pub stream_faults: bool,
     /// Mitigation in effect.
     pub mitigation: Mitigation,
 }
@@ -174,7 +169,6 @@ impl FaultConfig {
             term_faults: true,
             stuck_cells: true,
             dram_faults: true,
-            stream_faults: true,
             mitigation: Mitigation::default(),
         };
         cfg.validate()?;
@@ -211,14 +205,12 @@ pub struct FaultCounts {
     pub exp_flips: u64,
     /// Term sign-bit flips.
     pub sign_flips: u64,
-    /// Terms dropped in the HESE/converter stage.
+    /// Operand terms dropped before the tMAC.
     pub dropped_terms: u64,
     /// Stuck tMAC cell slots (counted once per stuck cell, not per use).
     pub stuck_cells: u64,
     /// DRAM word bit errors.
     pub dram_bit_flips: u64,
-    /// Converter stream bit flips.
-    pub stream_bit_flips: u64,
 }
 
 impl FaultCounts {
@@ -229,7 +221,6 @@ impl FaultCounts {
             + self.dropped_terms
             + self.stuck_cells
             + self.dram_bit_flips
-            + self.stream_bit_flips
     }
 
     /// Accumulate another count set.
@@ -239,7 +230,6 @@ impl FaultCounts {
         self.dropped_terms += other.dropped_terms;
         self.stuck_cells += other.stuck_cells;
         self.dram_bit_flips += other.dram_bit_flips;
-        self.stream_bit_flips += other.stream_bit_flips;
     }
 }
 
@@ -274,8 +264,8 @@ impl FaultReport {
 }
 
 /// The injection engine: owns a [`FaultConfig`] and tallies a
-/// [`FaultReport`] while the hooks in `tmac`/`hese_unit`/`converter`/
-/// `memory`/`systolic` consult it.
+/// [`FaultReport`] while the hooks in `systolic` and the `faults`
+/// experiment consult it.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     cfg: FaultConfig,
@@ -302,11 +292,6 @@ impl FaultInjector {
     /// Record guard detections (used by the mitigation hooks).
     pub fn note_detected(&mut self, n: u64) {
         self.report.detected += n;
-    }
-
-    /// Record vote corrections.
-    pub fn note_corrected(&mut self, n: u64) {
-        self.report.corrected += n;
     }
 
     fn strikes(&self, stream: u64, a: u64, b: u64, c: u64) -> bool {
@@ -415,40 +400,6 @@ impl FaultInjector {
                 self.report.detected += 1;
             }
             *c = v;
-        }
-        flips
-    }
-
-    /// Dropped-term faults on an encoded HESE magnitude stream: each set
-    /// magnitude bit may clear (the encoder FSM misses a term). Keyed by
-    /// `(lane, position)`.
-    pub fn drop_hese_terms(&mut self, magnitude: &mut [bool], lane: u64) -> u64 {
-        if !self.cfg.term_faults || self.cfg.rate == 0.0 {
-            return 0;
-        }
-        let mut dropped = 0u64;
-        for (i, m) in magnitude.iter_mut().enumerate() {
-            if *m && self.strikes(stream::HESE_DROP, lane, i as u64, 0) {
-                *m = false;
-                self.report.injected.dropped_terms += 1;
-                dropped += 1;
-            }
-        }
-        dropped
-    }
-
-    /// Converter stream bit flips, keyed by `(lane, bit position)`.
-    pub fn corrupt_stream_bits(&mut self, bits: &mut [bool], lane: u64) -> u64 {
-        if !self.cfg.stream_faults || self.cfg.rate == 0.0 {
-            return 0;
-        }
-        let mut flips = 0u64;
-        for (i, b) in bits.iter_mut().enumerate() {
-            if self.strikes(stream::STREAM_BIT, lane, i as u64, 0) {
-                *b = !*b;
-                self.report.injected.stream_bit_flips += 1;
-                flips += 1;
-            }
         }
         flips
     }
@@ -700,15 +651,6 @@ mod tests {
         assert_eq!(inj.vote(&mut [7, 0, 7]), 7);
         assert_eq!(inj.report().detected, 1);
         assert_eq!(inj.report().corrected, 1);
-    }
-
-    #[test]
-    fn hese_drop_only_clears_set_bits() {
-        let mut inj = FaultInjector::new(FaultConfig::new(3, 1.0).unwrap()).unwrap();
-        let mut mag = vec![true, false, true, true];
-        let dropped = inj.drop_hese_terms(&mut mag, 0);
-        assert_eq!(dropped, 3);
-        assert!(mag.iter().all(|&b| !b));
     }
 
     #[test]

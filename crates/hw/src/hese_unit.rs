@@ -109,26 +109,6 @@ impl HeseEncoderUnit {
         }
         unit.finish()
     }
-
-    /// [`HeseEncoderUnit::encode`] under a fault campaign: the encoder FSM
-    /// may miss terms (set magnitude bits clear per the injector's
-    /// deterministic dropped-term model; the paired sign bit is cleared
-    /// with them). At rate 0 this is bit-identical to `encode`.
-    pub fn encode_with_faults(
-        width: usize,
-        value: u32,
-        inj: &mut crate::fault::FaultInjector,
-        lane: u64,
-    ) -> (Vec<bool>, Vec<bool>) {
-        let (mut mag, mut sign) = Self::encode(width, value);
-        inj.drop_hese_terms(&mut mag, lane);
-        for (m, s) in mag.iter().zip(sign.iter_mut()) {
-            if !*m {
-                *s = false;
-            }
-        }
-        (mag, sign)
-    }
 }
 
 /// Decode magnitude/sign streams back into a signed value (verification).

@@ -56,21 +56,6 @@ impl MemorySubsystem {
         tile_bytes <= self.weight_buffer_bytes
     }
 
-    /// Model a DRAM read of 8-bit weight codes under a fault campaign:
-    /// each byte at address `base + i` may take one bit error per the
-    /// injector's deterministic DRAM model (with the range guard on,
-    /// codes knocked out of the symmetric 8-bit band are clamped back and
-    /// counted detected). Returns the number of flips; at rate 0 the
-    /// buffer is untouched.
-    pub fn fetch_codes_with_faults(
-        &self,
-        codes: &mut [i32],
-        base: u64,
-        inj: &mut crate::fault::FaultInjector,
-    ) -> u64 {
-        inj.corrupt_dram_codes(codes, base)
-    }
-
     /// Bytes of one weight tile: `rows × cols × g` 8-bit weights (DRAM
     /// stores the fixed-point codes; term expansion happens on chip).
     pub fn weight_tile_bytes(rows: u64, cols: u64, g: u64) -> u64 {

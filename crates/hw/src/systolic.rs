@@ -591,7 +591,6 @@ mod tests {
         let mut solo_cfg = FaultConfig::new(7, 0.4).unwrap();
         solo_cfg.term_faults = false;
         solo_cfg.dram_faults = false;
-        solo_cfg.stream_faults = false;
         let mut solo = FaultInjector::new(solo_cfg).unwrap();
         let (out_solo, _) = array.execute_with_faults(&wm, &xm, 8, &mut solo).unwrap();
         assert_ne!(out_solo, clean, "stuck cells at 40% must corrupt something");

@@ -3,46 +3,67 @@
 //! The evaluation workflow of §VI, as an API:
 //!
 //! 1. train (or load) a float model;
-//! 2. [`calibrate_model`] — one forward pass over calibration data records
-//!    per-site activation ranges and freezes the activation quantizers;
+//! 2. [`calibrate_model`] (or [`calibrate_lstm`]) — one forward pass over
+//!    calibration data records per-site activation ranges and freezes the
+//!    activation quantizers;
 //! 3. [`apply_precision`] — install the weight transform (QT, per-value
 //!    truncation, or TR) and activation caps at every site;
 //! 4. evaluate accuracy and, with [`enable_pair_counting`], collect the
 //!    term-pair-multiplication counts of Figs. 15–17.
+//!
+//! Putting a precision on a site is one operation,
+//! [`FakeQuant::install`](crate::fake_quant::FakeQuant::install) of a
+//! [`PreparedWeights`]: [`apply_precision`] is [`prepare_model_precision`]
+//! then [`apply_precision_prepared`], and [`apply_precision_per_site`]
+//! prepares and installs site by site. Every function that walks sites
+//! takes any [`QuantSites`]: a [`Layer`] model or the LSTM.
 
 use crate::data::Dataset;
 use crate::fake_quant::{prepare_weights, PairCounts, Precision, PreparedWeights};
-use crate::layer::{ForwardCtx, Layer};
+use crate::layer::{ForwardCtx, Layer, QuantSites};
 use crate::lstm::LstmLm;
 use crate::train::eval_accuracy_on;
 use tr_core::TrError;
 use tr_tensor::{Rng, Tensor};
 
-/// Put every site into calibration mode, run the batch, then freeze the
-/// activation quantizers at `act_bits`.
-pub fn calibrate_model(model: &mut dyn Layer, calib: &Tensor, act_bits: u8, rng: &mut Rng) {
+/// Put every site into calibration mode: the next forward records its
+/// activation ranges. A calibrating site's activation transform is the
+/// identity whatever quantizer it holds, and [`finish_calibration`]
+/// replaces that quantizer.
+fn begin_calibration(model: &mut (impl QuantSites + ?Sized)) {
     model.visit_quant_sites(&mut |site| {
         site.fq.calibrating = true;
         site.fq.observed_max = 0.0;
-        // Activation observation requires act_params to be unset during
-        // the pass so transform_input stays the identity.
-        site.fq.act_params = None;
     });
+}
+
+/// Freeze every site's activation quantizer at `act_bits`.
+fn finish_calibration(model: &mut (impl QuantSites + ?Sized), act_bits: u8) {
+    model.visit_quant_sites(&mut |site| site.fq.finish_calibration(act_bits));
+}
+
+/// Put every site into calibration mode, run the batch, then freeze the
+/// activation quantizers at `act_bits`.
+pub fn calibrate_model(model: &mut dyn Layer, calib: &Tensor, act_bits: u8, rng: &mut Rng) {
+    begin_calibration(model);
     let mut ctx = ForwardCtx::eval(rng);
     let _ = model.forward(calib, &mut ctx);
-    model.visit_quant_sites(&mut |site| site.fq.finish_calibration(act_bits));
+    finish_calibration(model, act_bits);
+}
+
+/// [`calibrate_model`] for the LSTM: the calibration pass runs a token
+/// stream.
+pub fn calibrate_lstm(lm: &mut LstmLm, tokens: &[usize], act_bits: u8, rng: &mut Rng) {
+    begin_calibration(lm);
+    let _ = lm.forward(tokens, false, rng);
+    finish_calibration(lm, act_bits);
 }
 
 /// Install `precision` at every quantization site of an already-calibrated
 /// model. `Precision::Float` removes all transforms.
-pub fn apply_precision(model: &mut dyn Layer, precision: &Precision) {
-    model.visit_quant_sites(&mut |site| {
-        site.fq.install_weights(&site.weight.value, precision);
-        site.fq.install_act_cap(precision);
-        if matches!(precision, Precision::Float) {
-            site.fq.act_params = None;
-        }
-    });
+pub fn apply_precision(model: &mut (impl QuantSites + ?Sized), precision: &Precision) {
+    let prepared = prepare_model_precision(model, precision);
+    apply_precision_prepared(model, precision, &prepared);
 }
 
 /// Build the per-site weight transforms for `precision` without touching
@@ -50,7 +71,7 @@ pub fn apply_precision(model: &mut dyn Layer, precision: &Precision) {
 /// order. This is the expensive half of [`apply_precision`]; pair it
 /// with [`apply_precision_prepared`] to actually flip the model.
 pub fn prepare_model_precision(
-    model: &mut dyn Layer,
+    model: &mut (impl QuantSites + ?Sized),
     precision: &Precision,
 ) -> Vec<PreparedWeights> {
     let mut prepared = Vec::new();
@@ -69,18 +90,14 @@ pub fn prepare_model_precision(
 /// # Panics
 /// If `prepared` does not hold exactly one entry per site.
 pub fn apply_precision_prepared(
-    model: &mut dyn Layer,
+    model: &mut (impl QuantSites + ?Sized),
     precision: &Precision,
     prepared: &[PreparedWeights],
 ) {
     let mut i = 0usize;
     model.visit_quant_sites(&mut |site| {
-        site.fq.install_prepared(&prepared[i]);
+        site.fq.install(&prepared[i], precision);
         i += 1;
-        site.fq.install_act_cap(precision);
-        if matches!(precision, Precision::Float) {
-            site.fq.act_params = None;
-        }
     });
     assert_eq!(i, prepared.len(), "prepared transforms do not match the model's site count");
 }
@@ -90,21 +107,17 @@ pub fn apply_precision_prepared(
 /// layer at run time with negligible delay). `choose` maps a site name to
 /// the precision it should run at.
 pub fn apply_precision_per_site(
-    model: &mut dyn Layer,
+    model: &mut (impl QuantSites + ?Sized),
     choose: &mut dyn FnMut(&str) -> Precision,
 ) {
     model.visit_quant_sites(&mut |site| {
         let precision = choose(&site.name);
-        site.fq.install_weights(&site.weight.value, &precision);
-        site.fq.install_act_cap(&precision);
-        if matches!(precision, Precision::Float) {
-            site.fq.act_params = None;
-        }
+        site.fq.install(&prepare_weights(&site.weight.value, &precision), &precision);
     });
 }
 
 /// Enable or disable term-pair counting at every site.
-pub fn enable_pair_counting(model: &mut dyn Layer, on: bool) {
+pub fn enable_pair_counting(model: &mut (impl QuantSites + ?Sized), on: bool) {
     model.visit_quant_sites(&mut |site| site.fq.count_pairs = on);
 }
 
@@ -115,17 +128,17 @@ pub fn enable_pair_counting(model: &mut dyn Layer, on: bool) {
 /// yet calibrated) fall back to the float path silently, and precision
 /// switches via [`apply_precision_prepared`] leave the flag untouched —
 /// so a serving engine can set it once and flip rungs freely.
-pub fn set_integer_exec(model: &mut dyn Layer, on: bool) {
+pub fn set_integer_exec(model: &mut (impl QuantSites + ?Sized), on: bool) {
     model.visit_quant_sites(&mut |site| site.fq.exec_integer = on);
 }
 
 /// Zero the accumulated pair counts.
-pub fn reset_pair_counting(model: &mut dyn Layer) {
+pub fn reset_pair_counting(model: &mut (impl QuantSites + ?Sized)) {
     model.visit_quant_sites(&mut |site| site.fq.pairs = PairCounts::default());
 }
 
 /// Sum pair counts across sites.
-pub fn collect_pair_counts(model: &mut dyn Layer) -> PairCounts {
+pub fn collect_pair_counts(model: &mut (impl QuantSites + ?Sized)) -> PairCounts {
     let mut total = PairCounts::default();
     let mut max_samples = 0u64;
     model.visit_quant_sites(&mut |site| {
@@ -146,11 +159,12 @@ pub fn collect_pair_counts(model: &mut dyn Layer) -> PairCounts {
 /// depthwise included, via their im2col layout `(out_channels,
 /// in_channels·kh·kw)` — so `reduction` is exactly the dot-product length
 /// of the tr-core matmul executor and of the conv GEMM
-/// (`tr_tensor::conv2d_into`) at that site. This is the only model fact the tr-analysis whole-model
-/// range prover needs.
+/// (`tr_tensor::conv2d_into`) at that site. This is the only model fact
+/// the tr-analysis whole-model range prover needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteShape {
-    /// Site name as reported by `visit_quant_sites` (e.g. `"0.linear"`).
+    /// Site name as [`QuantSites::visit_quant_sites`] reports it (e.g.
+    /// `"0.linear"`).
     pub name: String,
     /// Number of output vectors (rows of the weight matrix).
     pub rows: usize,
@@ -158,28 +172,15 @@ pub struct SiteShape {
     pub reduction: usize,
 }
 
-fn site_shape(name: String, dims: &[usize]) -> SiteShape {
-    let reduction = dims.last().copied().unwrap_or(0);
-    let rows = dims.iter().rev().skip(1).product();
-    SiteShape { name, rows, reduction }
-}
-
 /// Enumerate the weight shapes of every quantization site, in visit
 /// order (the order `prepare_model_precision` builds cache entries in).
-pub fn quant_site_shapes(model: &mut dyn Layer) -> Vec<SiteShape> {
+pub fn quant_site_shapes(model: &mut (impl QuantSites + ?Sized)) -> Vec<SiteShape> {
     let mut out = Vec::new();
     model.visit_quant_sites(&mut |site| {
-        out.push(site_shape(site.name, site.weight.value.shape().dims()));
-    });
-    out
-}
-
-/// [`quant_site_shapes`] for the LSTM language model (which is not a
-/// [`Layer`] — it consumes token ids, not tensors).
-pub fn quant_site_shapes_lstm(lm: &mut LstmLm) -> Vec<SiteShape> {
-    let mut out = Vec::new();
-    lm.visit_quant_sites(&mut |site| {
-        out.push(site_shape(site.name, site.weight.value.shape().dims()));
+        let dims = site.weight.value.shape().dims();
+        let reduction = dims.last().copied().unwrap_or(0);
+        let rows = dims.iter().rev().skip(1).product();
+        out.push(SiteShape { name: site.name, rows, reduction });
     });
     out
 }
@@ -257,38 +258,11 @@ pub fn evaluate_precision(
     // Conv sites count one representative image per forward; normalize all
     // sites to per-sample by recording the batch size here.
     counts.samples = counts.samples.max(1);
-    counts
-        .samples
-        .checked_mul(1)
-        .expect("sample count overflow");
     (accuracy, counts)
 }
 
-// --- LSTM variants -------------------------------------------------------
-
-/// Calibrate the LSTM's three sites on a token stream.
-pub fn calibrate_lstm(lm: &mut LstmLm, tokens: &[usize], act_bits: u8, rng: &mut Rng) {
-    lm.visit_quant_sites(&mut |site| {
-        site.fq.calibrating = true;
-        site.fq.observed_max = 0.0;
-        site.fq.act_params = None;
-    });
-    let _ = lm.forward(tokens, false, rng);
-    lm.visit_quant_sites(&mut |site| site.fq.finish_calibration(act_bits));
-}
-
-/// Install `precision` at the LSTM's sites.
-pub fn apply_precision_lstm(lm: &mut LstmLm, precision: &Precision) {
-    lm.visit_quant_sites(&mut |site| {
-        site.fq.install_weights(&site.weight.value, precision);
-        site.fq.install_act_cap(precision);
-        if matches!(precision, Precision::Float) {
-            site.fq.act_params = None;
-        }
-    });
-}
-
-/// Perplexity plus term-pair counts per token for the current precision.
+/// [`evaluate_precision`] for the LSTM: perplexity plus term-pair counts
+/// per token.
 pub fn evaluate_precision_lstm(
     lm: &mut LstmLm,
     valid: &[usize],
@@ -296,21 +270,14 @@ pub fn evaluate_precision_lstm(
     count_tokens: usize,
     rng: &mut Rng,
 ) -> (f64, PairCounts) {
-    apply_precision_lstm(lm, precision);
+    apply_precision(lm, precision);
     let ppl = crate::train::eval_lstm_perplexity(lm, valid, rng);
-    lm.visit_quant_sites(&mut |site| {
-        site.fq.pairs = PairCounts::default();
-        site.fq.count_pairs = true;
-    });
+    reset_pair_counting(lm);
+    enable_pair_counting(lm, true);
     let n = count_tokens.min(valid.len().saturating_sub(1)).max(2);
     let _ = lm.forward(&valid[..n], false, rng);
-    let mut counts = PairCounts::default();
-    lm.visit_quant_sites(&mut |site| {
-        site.fq.count_pairs = false;
-        counts.actual += site.fq.pairs.actual;
-        counts.bound += site.fq.pairs.bound;
-        counts.macs += site.fq.pairs.macs;
-    });
+    enable_pair_counting(lm, false);
+    let mut counts = collect_pair_counts(lm);
     // LSTM sites record per-token work with samples = 0; normalize to
     // "per token processed".
     counts.samples = n as u64;
@@ -459,7 +426,7 @@ mod tests {
         let prepared = prepare_model_precision(&mut model, &Precision::Tr(cfg));
         apply_precision_prepared(&mut model, &Precision::Tr(cfg), &prepared);
         let mut still_on = false;
-        model.visit_quant_sites(&mut |site| still_on |= site.fq.exec_integer);
+        QuantSites::visit_quant_sites(&mut model, &mut |site| still_on |= site.fq.exec_integer);
         assert!(still_on);
         set_integer_exec(&mut model, false);
         let off = forward_logits(&mut model, &x, &mut rng);

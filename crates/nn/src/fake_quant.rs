@@ -43,7 +43,7 @@ use tr_core::seal::{fnv1a_word, mix, FNV_OFFSET};
 use tr_core::{term_pairs_total_packed, MatmulPlanner, PackedTermMatrix, TrConfig};
 use tr_encoding::{Encoding, TermTable};
 use tr_quant::truncate::truncate_with;
-use tr_quant::{calibrate_max_abs, quantize, truncate_terms, QuantParams};
+use tr_quant::{calibrate_max_abs, truncate_values, QuantParams};
 use tr_tensor::Tensor;
 
 /// The precision modes of the evaluation (Figs. 15–17, Table III).
@@ -233,7 +233,7 @@ pub struct FakeQuant {
     /// When true, layers with an integer kernel (currently `Linear`)
     /// execute bit-true over the packed terms instead of the
     /// float-simulated reconstruction. Orthogonal to the installed
-    /// precision: rung switches via `install_prepared` leave it alone.
+    /// precision: rung switches via [`FakeQuant::install`] leave it alone.
     pub exec_integer: bool,
     /// When true, forwards accumulate into `pairs`.
     pub count_pairs: bool,
@@ -242,11 +242,6 @@ pub struct FakeQuant {
 }
 
 impl FakeQuant {
-    /// Reset to the float (disabled) state, keeping nothing.
-    pub fn clear(&mut self) {
-        *self = FakeQuant::default();
-    }
-
     /// Record an activation range observation during calibration.
     pub fn observe(&mut self, x: &Tensor) {
         if self.calibrating {
@@ -260,11 +255,6 @@ impl FakeQuant {
         let qmax = ((1i32 << (bits - 1)) - 1) as f32;
         let scale = if self.observed_max == 0.0 { 0.0 } else { self.observed_max / qmax };
         self.act_params = Some(QuantParams { scale, bits });
-    }
-
-    /// Whether any quantization is active at this site.
-    pub fn active(&self) -> bool {
-        self.qweight.is_some() || self.act_params.is_some()
     }
 
     /// Apply the activation transform (quantize → optional term cap →
@@ -340,17 +330,15 @@ impl FakeQuant {
         !self.calibrating && self.act_params.is_none()
     }
 
-    /// Install the weight-side transform for `precision` on weight `w`
-    /// (an `(out, in)` matrix). Also caches the term planes for pair
-    /// counting. Equivalent to `install_prepared(&prepare_weights(..))`.
-    pub fn install_weights(&mut self, w: &Tensor, precision: &Precision) {
-        self.install_prepared(&prepare_weights(w, precision));
-    }
-
-    /// Swap in an already-built weight transform. This is a handful of
-    /// `Arc` clones and field copies — the cheap half that precision
-    /// ladders call per step, against one [`prepare_weights`] per rung.
-    pub fn install_prepared(&mut self, p: &PreparedWeights) {
+    /// Put `precision` on this site: swap in its already-built weight
+    /// transform `p` (from [`prepare_weights`] for the same precision)
+    /// and the activation cap `precision` implies. `Precision::Float`
+    /// also drops the activation quantizer, so the site runs plain float;
+    /// the quantizer scale itself comes from calibration. This is a
+    /// handful of `Arc` clones and field copies: the cheap half that
+    /// precision ladders call per step, against one [`prepare_weights`]
+    /// per rung. `exec_integer` is left alone.
+    pub fn install(&mut self, p: &PreparedWeights, precision: &Precision) {
         self.qweight = p.qweight.clone();
         self.weight_params = p.weight_params;
         self.planner = p.weight_terms.as_ref().map(|_| Arc::new(MatmulPlanner));
@@ -358,16 +346,14 @@ impl FakeQuant {
         self.weight_term_bound = p.weight_term_bound;
         self.data_term_bound = p.data_term_bound;
         self.tr_config = p.tr_config;
-    }
-
-    /// Install the activation-side cap implied by `precision` (the
-    /// quantizer scale itself comes from calibration).
-    pub fn install_act_cap(&mut self, precision: &Precision) {
         self.act_cap = match precision {
             Precision::PerValue { data_terms: Some(s), .. } => Some((Encoding::Hese, *s)),
             Precision::Tr(cfg) => cfg.data_terms.map(|s| (cfg.data_encoding, s)),
             _ => None,
         };
+        if matches!(precision, Precision::Float) {
+            self.act_params = None;
+        }
     }
 
     /// Count term pairs for a dot-product batch: `data` is the quantized
@@ -396,12 +382,11 @@ impl FakeQuant {
 /// The weight-side transform for one `(weight, precision)` pair, built
 /// once and installable many times.
 ///
-/// Building one is the expensive step — quantize, then (TR) encode and
-/// reveal the term planes in one row-parallel pass
-/// ([`PackedTermMatrix::try_reveal_codes`]). Installing is a couple of
-/// `Arc` clones, which is what lets `tr-serve` cache one of these per
-/// precision rung and flip a model's operating point at run time without
-/// re-encoding anything.
+/// Building one ([`prepare_weights`]) is the expensive step: quantize,
+/// then encode the kept codes into term planes. Installing
+/// ([`FakeQuant::install`]) is a couple of `Arc` clones, which is what
+/// lets `tr-serve` cache one of these per precision rung and flip a
+/// model's operating point at run time without re-encoding anything.
 #[derive(Debug, Clone, Default)]
 pub struct PreparedWeights {
     /// Dequantized reconstruction inference should use (`None` = float).
@@ -530,61 +515,52 @@ impl PreparedWeights {
 /// Build the weight-side transform for `precision` on weight `w` (an
 /// `(out, in)` matrix). Pure: same inputs, same transform — which is the
 /// property the serve-layer rung cache relies on.
+///
+/// Every precision but `Float` runs one codes-first pipeline: quantize
+/// `w` into codes ([`QuantParams::code_into`]), apply the precision's
+/// step to the codes (none for QT, per-value truncation, or TR's
+/// one-pass reveal, [`PackedTermMatrix::try_reveal_codes`], which also
+/// builds the term planes), decompose the kept codes into term planes,
+/// and collect the reconstruction from the same codes.
 pub fn prepare_weights(w: &Tensor, precision: &Precision) -> PreparedWeights {
-    match precision {
-        Precision::Float => PreparedWeights::default(),
+    let (params, weight_term_bound, data_term_bound, tr_config) = match *precision {
+        Precision::Float => return PreparedWeights::default().seal(),
         Precision::Qt { weight_bits, act_bits } => {
-            let params = calibrate_max_abs(w, *weight_bits);
-            let q = quantize(w, params);
-            let tm = PackedTermMatrix::from_weights(&q, Encoding::Binary);
-            PreparedWeights {
-                qweight: Some(Arc::new(q.dequantize())),
-                weight_params: Some(params),
-                weight_terms: Some(Arc::new(tm)),
-                weight_term_bound: params.max_terms(),
-                data_term_bound: *act_bits as usize - 1,
-                tr_config: None,
-                checksum: 0,
-            }
+            let params = calibrate_max_abs(w, weight_bits);
+            (params, params.max_terms(), usize::from(act_bits) - 1, None)
         }
-        Precision::PerValue { encoding, weight_terms, data_terms } => {
-            let params = calibrate_max_abs(w, 8);
-            let q = quantize(w, params);
-            let truncated = truncate_terms(*encoding, &q, *weight_terms);
-            let tm = PackedTermMatrix::from_weights(&truncated, *encoding);
-            PreparedWeights {
-                qweight: Some(Arc::new(truncated.dequantize())),
-                weight_params: Some(params),
-                weight_terms: Some(Arc::new(tm)),
-                weight_term_bound: *weight_terms,
-                data_term_bound: data_terms.unwrap_or(7),
-                tr_config: None,
-                checksum: 0,
-            }
+        Precision::PerValue { weight_terms, data_terms, .. } => {
+            (calibrate_max_abs(w, 8), weight_terms, data_terms.unwrap_or(7), None)
         }
         Precision::Tr(cfg) => {
             cfg.check();
-            let params = calibrate_max_abs(w, 8);
-            let (rows, len) = w.shape().as_matrix();
-            // `quantize`'s codes, without the QTensor: the one-pass reveal
-            // overwrites them with the kept codes.
-            let mut codes = vec![0; w.numel()];
-            params.code_into(w.data(), &mut codes);
-            let (tm, codes) = PackedTermMatrix::try_reveal_codes(codes, rows, len, cfg)
-                .unwrap_or_else(|e| panic!("{e}"));
-            // Collected in place: the kept codes' buffer becomes the
-            // reconstruction's.
-            let data: Vec<f32> = codes.into_iter().map(|c| params.real(c)).collect();
-            PreparedWeights {
-                qweight: Some(Arc::new(Tensor::from_vec(data, w.shape().clone()))),
-                weight_params: Some(params),
-                weight_terms: Some(Arc::new(tm)),
-                weight_term_bound: cfg.group_budget, // per-group, see bound math
-                data_term_bound: cfg.data_terms.unwrap_or(7),
-                tr_config: Some(*cfg),
-                checksum: 0,
-            }
+            // The weight bound is per group: see `FakeQuant::count_matmul`.
+            (calibrate_max_abs(w, 8), cfg.group_budget, cfg.data_terms.unwrap_or(7), Some(cfg))
         }
+    };
+    let (rows, len) = w.shape().as_matrix();
+    let mut codes = vec![0; w.numel()];
+    params.code_into(w.data(), &mut codes);
+    let (tm, codes) = match precision {
+        Precision::Tr(cfg) => PackedTermMatrix::try_reveal_codes(codes, rows, len, cfg)
+            .unwrap_or_else(|e| panic!("{e}")),
+        Precision::PerValue { encoding, weight_terms, .. } => {
+            truncate_values(*encoding, &mut codes, *weight_terms);
+            (PackedTermMatrix::from_codes(&codes, rows, len, *encoding), codes)
+        }
+        _ => (PackedTermMatrix::from_codes(&codes, rows, len, Encoding::Binary), codes), // QT
+    };
+    // Collected in place: the kept codes' buffer becomes the
+    // reconstruction's.
+    let data: Vec<f32> = codes.into_iter().map(|c| params.real(c)).collect();
+    PreparedWeights {
+        qweight: Some(Arc::new(Tensor::from_vec(data, w.shape().clone()))),
+        weight_params: Some(params),
+        weight_terms: Some(Arc::new(tm)),
+        weight_term_bound,
+        data_term_bound,
+        tr_config,
+        checksum: 0,
     }
     .seal()
 }
@@ -603,7 +579,7 @@ mod tests {
     fn float_mode_is_identity() {
         let w = weight(1);
         let mut fq = FakeQuant::default();
-        fq.install_weights(&w, &Precision::Float);
+        fq.install(&prepare_weights(&w, &Precision::Float), &Precision::Float);
         assert!(std::ptr::eq(fq.effective_weight(&w), &w));
         let x = weight(2);
         assert_eq!(fq.transform_input(&x), x);
@@ -613,12 +589,14 @@ mod tests {
     fn qt_replaces_weights_with_reconstruction() {
         let w = weight(3);
         let mut fq = FakeQuant::default();
-        fq.install_weights(&w, &Precision::Qt { weight_bits: 8, act_bits: 8 });
+        let qt8 = Precision::Qt { weight_bits: 8, act_bits: 8 };
+        fq.install(&prepare_weights(&w, &qt8), &qt8);
         let eff = fq.effective_weight(&w);
         assert!(w.rel_l2(eff) < 0.01);
         // 4-bit is coarser.
         let mut fq4 = FakeQuant::default();
-        fq4.install_weights(&w, &Precision::Qt { weight_bits: 4, act_bits: 8 });
+        let qt4 = Precision::Qt { weight_bits: 4, act_bits: 8 };
+        fq4.install(&prepare_weights(&w, &qt4), &qt4);
         assert!(w.rel_l2(fq4.effective_weight(&w)) > w.rel_l2(eff));
     }
 
@@ -627,10 +605,9 @@ mod tests {
         let w = weight(4);
         let cfg = TrConfig::new(8, 12).with_data_terms(3);
         let mut fq = FakeQuant::default();
-        fq.install_weights(&w, &Precision::Tr(cfg));
+        fq.install(&prepare_weights(&w, &Precision::Tr(cfg)), &Precision::Tr(cfg));
         let tm = fq.weight_terms.as_ref().unwrap();
         assert!(tm.max_group_terms_for(8) <= 12);
-        fq.install_act_cap(&Precision::Tr(cfg));
         assert_eq!(fq.act_cap, Some((Encoding::Hese, 3)));
     }
 
@@ -665,7 +642,7 @@ mod tests {
         let w = weight(5);
         let cfg = TrConfig::new(8, 12).with_data_terms(3);
         let mut fq = FakeQuant::default();
-        fq.install_weights(&w, &Precision::Tr(cfg));
+        fq.install(&prepare_weights(&w, &Precision::Tr(cfg)), &Precision::Tr(cfg));
         fq.count_pairs = true;
         let data = PackedTermMatrix::from_vector(&[3; 32], Encoding::Hese);
         fq.count_matmul(&data, 1);
@@ -687,10 +664,10 @@ mod tests {
             Precision::Tr(TrConfig::new(8, 12).with_data_terms(3)),
         ] {
             let mut direct = FakeQuant::default();
-            direct.install_weights(&w, &precision);
+            direct.install(&prepare_weights(&w, &precision), &precision);
             let prepared = prepare_weights(&w, &precision);
             let mut cached = FakeQuant::default();
-            cached.install_prepared(&prepared);
+            cached.install(&prepared, &precision);
             assert_eq!(direct.qweight, cached.qweight, "{}", precision.label());
             assert_eq!(direct.weight_terms, cached.weight_terms, "{}", precision.label());
             assert_eq!(direct.weight_params, cached.weight_params);

@@ -4,16 +4,15 @@
 //! over it, so checkpoints matter. The container is a minimal named-tensor
 //! format:
 //!
-//! * `TRCKPT01` (legacy, read-only): magic, tensor count, then
-//!   `name / rank / dims / f32 LE data` per entry. No integrity check —
-//!   a corrupt file can only be detected by parse failure.
-//! * `TRCKPT02` (current, written by [`save_tensors`]): same layout plus
-//!   a per-entry payload byte length (rank + dims + data), and a trailing
-//!   CRC32 over everything before it. Truncation, bit rot, and partial
-//!   writes all fail loudly at load time instead of materialising as
-//!   silently-wrong weights.
+//! `TRCKPT02`: magic, tensor count, then `name / payload byte length /
+//! rank / dims / f32 LE data` per entry (the payload length covers rank,
+//! dims and data), and a trailing CRC32 over everything before it.
+//! Truncation, bit rot, and partial writes all fail loudly at load time
+//! instead of materialising as silently-wrong weights. The CRC-less
+//! `TRCKPT01` of the first checkpoints is not read: it is refused as a bad
+//! magic, and the zoo retrains on a load error.
 //!
-//! Both readers are fully bounds-checked: every length field is validated
+//! The reader is fully bounds-checked: every length field is validated
 //! against the bytes actually present before any allocation, so a corrupt
 //! header produces `InvalidData` — never an OOM or a capacity-overflow
 //! panic mid-experiment.
@@ -37,7 +36,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tr_tensor::{Shape, Tensor};
 
-const MAGIC_V1: &[u8; 8] = b"TRCKPT01";
 const MAGIC_V2: &[u8; 8] = b"TRCKPT02";
 
 /// Sanity bounds a well-formed checkpoint never exceeds; a header field
@@ -224,8 +222,7 @@ impl<'a> Cur<'a> {
     }
 }
 
-/// Parse one entry's `rank / dims / data` section shared by both format
-/// versions. Dim products are overflow-checked and the element count is
+/// Parse one entry's `rank / dims / data` section. Dim products are overflow-checked and the element count is
 /// validated against the bytes present before the data vector is
 /// allocated.
 fn read_entry_body(cur: &mut Cur<'_>) -> io::Result<Tensor> {
@@ -266,42 +263,36 @@ fn read_name(cur: &mut Cur<'_>) -> io::Result<String> {
     String::from_utf8(nb.to_vec()).map_err(|_| bad("bad tensor name"))
 }
 
-/// Read a named-tensor map in either `TRCKPT01` (legacy) or `TRCKPT02`
-/// format.
+/// Read a named-tensor map in `TRCKPT02` format.
 ///
 /// # Errors
-/// `InvalidData` on any corruption — wrong magic, truncation, CRC
-/// mismatch (v2), impossible lengths — and ordinary IO errors otherwise.
+/// `InvalidData` on any corruption — wrong magic (`TRCKPT01` included),
+/// truncation, CRC mismatch, impossible lengths — and ordinary IO errors
+/// otherwise.
 /// Never panics on malformed input.
 pub fn load_tensors(path: &Path) -> io::Result<Vec<(String, Tensor)>> {
     let bytes = std::fs::read(path)?;
     if bytes.len() < 8 {
         return Err(bad("truncated checkpoint: missing magic"));
     }
-    let magic = &bytes[..8];
-    if magic == MAGIC_V2 {
-        // Split off and verify the CRC seal before trusting any field.
-        if bytes.len() < 12 {
-            return Err(bad("truncated checkpoint: missing CRC"));
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-        let actual = crc32(body);
-        if stored != actual {
-            return Err(bad(format!(
-                "corrupt checkpoint: CRC32 mismatch (stored {stored:#010x}, computed {actual:#010x})"
-            )));
-        }
-        let mut cur = Cur::new(body);
-        cur.take(8, "magic")?;
-        load_entries_v2(&mut cur)
-    } else if magic == MAGIC_V1 {
-        let mut cur = Cur::new(&bytes);
-        cur.take(8, "magic")?;
-        load_entries_v1(&mut cur)
-    } else {
-        Err(bad("bad checkpoint magic"))
+    if &bytes[..8] != MAGIC_V2 {
+        return Err(bad("bad checkpoint magic"));
     }
+    // Split off and verify the CRC seal before trusting any field.
+    if bytes.len() < 12 {
+        return Err(bad("truncated checkpoint: missing CRC"));
+    }
+    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
+    let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
+    let actual = crc32(body);
+    if stored != actual {
+        return Err(bad(format!(
+            "corrupt checkpoint: CRC32 mismatch (stored {stored:#010x}, computed {actual:#010x})"
+        )));
+    }
+    let mut cur = Cur::new(body);
+    cur.take(8, "magic")?;
+    load_entries(&mut cur)
 }
 
 fn read_count(cur: &mut Cur<'_>) -> io::Result<usize> {
@@ -315,17 +306,7 @@ fn read_count(cur: &mut Cur<'_>) -> io::Result<usize> {
     Ok(count)
 }
 
-fn load_entries_v1(cur: &mut Cur<'_>) -> io::Result<Vec<(String, Tensor)>> {
-    let count = read_count(cur)?;
-    let mut out = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let name = read_name(cur)?;
-        out.push((name, read_entry_body(cur)?));
-    }
-    Ok(out)
-}
-
-fn load_entries_v2(cur: &mut Cur<'_>) -> io::Result<Vec<(String, Tensor)>> {
+fn load_entries(cur: &mut Cur<'_>) -> io::Result<Vec<(String, Tensor)>> {
     let count = read_count(cur)?;
     let mut out = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
@@ -484,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn writes_v2_magic_and_reads_legacy_v1() {
+    fn writes_v2_magic_and_rejects_legacy_v1() {
         let dir = std::env::temp_dir().join("tr_nn_io_test");
         let path = dir.join("versions.bin");
         let tensors =
@@ -493,9 +474,9 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[..8], MAGIC_V2);
 
-        // Hand-build the same content as TRCKPT01 and check it still loads.
+        // Hand-build the same content as the retired TRCKPT01: refused.
         let mut v1: Vec<u8> = Vec::new();
-        v1.extend_from_slice(MAGIC_V1);
+        v1.extend_from_slice(b"TRCKPT01");
         v1.extend_from_slice(&1u64.to_le_bytes());
         v1.extend_from_slice(&1u32.to_le_bytes());
         v1.extend_from_slice(b"w");
@@ -505,9 +486,9 @@ mod tests {
         v1.extend_from_slice(&2.0f32.to_le_bytes());
         let v1_path = dir.join("legacy.bin");
         std::fs::write(&v1_path, &v1).unwrap();
-        let back = load_tensors(&v1_path).unwrap();
-        assert_eq!(back[0].0, "w");
-        assert_eq!(back[0].1.data(), &[1.0, 2.0]);
+        let err = load_tensors(&v1_path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bad checkpoint magic"), "{err}");
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&v1_path).ok();
     }

@@ -75,6 +75,24 @@ pub trait Layer {
     fn name(&self) -> String;
 }
 
+/// A model whose quantization sites can be walked: every [`Layer`], and
+/// the LSTM language model ([`crate::lstm::LstmLm`]), which is not a
+/// `Layer` because it consumes token ids. The executor functions in
+/// [`crate::exec`] take any `QuantSites`, so one install path serves
+/// both. Where `Layer` and `QuantSites` are both in scope, a method call
+/// on a concrete `Layer` type is ambiguous: name the trait
+/// (`Layer::visit_quant_sites(&mut net, f)`).
+pub trait QuantSites {
+    /// Visit every quantization site, always in the same order.
+    fn visit_quant_sites(&mut self, f: &mut dyn FnMut(QuantSite<'_>));
+}
+
+impl<L: Layer + ?Sized> QuantSites for L {
+    fn visit_quant_sites(&mut self, f: &mut dyn FnMut(QuantSite<'_>)) {
+        Layer::visit_quant_sites(self, f);
+    }
+}
+
 /// A chain of layers applied in order.
 #[derive(Default)]
 pub struct Sequential {
@@ -234,7 +252,7 @@ mod tests {
             .push(Relu::new())
             .push(Linear::new(4, 4, &mut rng));
         let mut sites = Vec::new();
-        net.visit_quant_sites(&mut |s| sites.push(s.name));
+        Layer::visit_quant_sites(&mut net, &mut |s| sites.push(s.name));
         assert_eq!(sites.len(), 2);
         assert_ne!(sites[0], sites[1]);
     }

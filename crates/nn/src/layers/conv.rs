@@ -6,7 +6,6 @@
 use crate::fake_quant::FakeQuant;
 use crate::layer::{ForwardCtx, Layer, QuantSite};
 use crate::param::Param;
-use crate::scratch::ScratchArena;
 use tr_core::{PackedTermMatrix, TrError};
 use tr_encoding::Encoding;
 use tr_tensor::conv::tap_span;
@@ -28,7 +27,12 @@ pub struct Conv2d {
     pub fq: FakeQuant,
     cached_cols: Vec<Tensor>,
     cached_geometry: Option<Conv2dGeometry>,
-    scratch: ScratchArena,
+    /// Eval scratch, kept across images and batches so steady-state eval
+    /// forwards allocate nothing per image: the transformed image, and
+    /// the zero-padded copy `conv2d_into` reads its patches from. Both
+    /// are rewritten in full per image.
+    image: Vec<f32>,
+    padded: Vec<f32>,
 }
 
 impl Conv2d {
@@ -61,7 +65,8 @@ impl Conv2d {
             fq: FakeQuant::default(),
             cached_cols: Vec::new(),
             cached_geometry: None,
-            scratch: ScratchArena::new(),
+            image: Vec::new(),
+            padded: Vec::new(),
         }
     }
 
@@ -125,7 +130,7 @@ impl Layer for Conv2d {
         let g = self.try_geometry_for(x)?;
         let (n, oh, ow) = (x.shape().dim(0), g.out_h(), g.out_w());
         let per_in = g.in_channels * g.in_h * g.in_w;
-        // The transform runs image by image into one arena buffer, right
+        // The transform runs image by image into one reused buffer, right
         // before that image's GEMM reads it: no batch-sized copy of the
         // input is made, and without an activation transform the input
         // is read in place.
@@ -139,8 +144,9 @@ impl Layer for Conv2d {
                 self.count_pairs(&codes, &g);
             }
         }
-        let mut image = self.scratch.take_image();
-        let mut padded = self.scratch.take_padded();
+        // Taken out of the layer for the loop, which also borrows `self`.
+        let mut image = std::mem::take(&mut self.image);
+        let mut padded = std::mem::take(&mut self.padded);
         // Borrowed, not cloned: the fields the loops below write are
         // disjoint from the quant site and the weight parameter.
         let w = self.fq.effective_weight(&self.weight.value);
@@ -164,7 +170,7 @@ impl Layer for Conv2d {
                 self.cached_cols.push(owned);
             } else {
                 // Eval builds no patch matrix: the GEMM reads the patches
-                // from one arena-owned padded copy of the image.
+                // from one layer-owned padded copy of the image.
                 conv2d_into(w.data(), xq, &g, dst, self.out_channels, &mut padded);
             }
             for (c, chunk) in dst.chunks_mut(oh * ow).enumerate() {
@@ -177,8 +183,8 @@ impl Layer for Conv2d {
         if ctx.train {
             self.cached_geometry = Some(g);
         }
-        self.scratch.put_padded(padded);
-        self.scratch.put_image(image);
+        self.padded = padded;
+        self.image = image;
         Ok(out)
     }
 
@@ -579,7 +585,7 @@ mod tests {
             let x = Tensor::randn(Shape::d4(2, cin, h, w), 1.0, &mut rng).map(|v| v.max(0.0));
             let mut ctx = ForwardCtx::train(&mut rng);
             let y_train = conv.forward(&x, &mut ctx);
-            // Two eval passes: the second reuses the dirty arena buffer.
+            // Two eval passes: the second reuses the dirty padded buffer.
             for pass in 0..2 {
                 let mut ctx = ForwardCtx::eval(&mut rng);
                 let y_eval = conv.forward(&x, &mut ctx);
@@ -587,7 +593,7 @@ mod tests {
                 assert!(same, "conv {cin}->{cout} k{k} s{stride} p{pad} {h}x{w} pass {pass}");
             }
             // The padded-image buffer stuck around for the next batch.
-            assert!(conv.scratch.padded_capacity() > 0);
+            assert!(conv.padded.capacity() > 0);
         }
         let mut dw = DepthwiseConv2d::new(3, 3, 1, 1, &mut rng);
         let x = Tensor::randn(Shape::d4(2, 3, 6, 6), 1.0, &mut rng);

@@ -186,6 +186,7 @@ impl Layer for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fake_quant::prepare_weights;
     use tr_quant::QuantParams;
 
     /// Finite-difference gradient check on a scalar loss `sum(y)`.
@@ -263,8 +264,7 @@ mod tests {
         let mut layer = Linear::new(32, 8, &mut rng);
         let cfg = tr_core::TrConfig::new(8, 4).with_data_terms(2);
         let precision = crate::fake_quant::Precision::Tr(cfg);
-        layer.fq.install_weights(&layer.weight.value.clone(), &precision);
-        layer.fq.install_act_cap(&precision);
+        layer.fq.install(&prepare_weights(&layer.weight.value, &precision), &precision);
         layer.fq.act_params = Some(QuantParams { scale: 0.05, bits: 8 });
         layer.fq.exec_integer = true;
         layer.bias.value.data_mut().iter_mut().enumerate().for_each(|(i, b)| *b = i as f32);
@@ -299,8 +299,7 @@ mod tests {
         let mut layer = Linear::new(64, 16, &mut rng);
         let cfg = tr_core::TrConfig::new(8, 8).with_data_terms(3);
         let precision = crate::fake_quant::Precision::Tr(cfg);
-        layer.fq.install_weights(&layer.weight.value.clone(), &precision);
-        layer.fq.install_act_cap(&precision);
+        layer.fq.install(&prepare_weights(&layer.weight.value, &precision), &precision);
         layer.fq.act_params = Some(QuantParams { scale: 0.02, bits: 8 });
         let x = Tensor::randn(Shape::d2(5, 64), 1.0, &mut rng);
 
@@ -331,8 +330,7 @@ mod tests {
         let mut layer = Linear::new(8, 4, &mut rng);
         let cfg = tr_core::TrConfig::new(8, 8).with_data_terms(1);
         let precision = crate::fake_quant::Precision::Tr(cfg);
-        layer.fq.install_weights(&layer.weight.value.clone(), &precision);
-        layer.fq.install_act_cap(&precision);
+        layer.fq.install(&prepare_weights(&layer.weight.value, &precision), &precision);
         let act = QuantParams { scale: 1.0 / 127.0, bits: 8 };
         layer.fq.act_params = Some(act);
         let x = Tensor::from_vec(vec![1.0, 0.99, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0], Shape::d2(1, 8));
@@ -357,8 +355,7 @@ mod tests {
         let mut layer = Linear::new(32, 8, &mut rng);
         let cfg = tr_core::TrConfig::new(8, 4).with_data_terms(2);
         let precision = crate::fake_quant::Precision::Tr(cfg);
-        layer.fq.install_weights(&layer.weight.value.clone(), &precision);
-        layer.fq.install_act_cap(&precision);
+        layer.fq.install(&prepare_weights(&layer.weight.value, &precision), &precision);
         layer.fq.act_params = Some(QuantParams { scale: 0.05, bits: 8 });
         layer.fq.exec_integer = true;
         // The weight terms of another layer's 8x31 weights: one input
@@ -394,10 +391,8 @@ mod tests {
         let x = Tensor::randn(Shape::d2(4, 32), 1.0, &mut rng);
         let mut ctx = ForwardCtx::eval(&mut rng);
         let y_float = layer.forward(&x, &mut ctx);
-        layer.fq.install_weights(
-            &layer.weight.value.clone(),
-            &crate::fake_quant::Precision::Qt { weight_bits: 8, act_bits: 8 },
-        );
+        let qt8 = crate::fake_quant::Precision::Qt { weight_bits: 8, act_bits: 8 };
+        layer.fq.install(&prepare_weights(&layer.weight.value, &qt8), &qt8);
         let mut ctx = ForwardCtx::eval(&mut rng);
         let y_q = layer.forward(&x, &mut ctx);
         assert!(y_float.rel_l2(&y_q) < 0.02, "rel {}", y_float.rel_l2(&y_q));

@@ -21,7 +21,10 @@
 //!   Markov text corpus with a measurable perplexity floor;
 //! * **Post-training quantization executors** ([`fake_quant`], [`exec`]):
 //!   uniform QT at 4–8 bits, per-value term truncation, and full Term
-//!   Revealing, plus the term-pair accounting behind Figs. 15–17;
+//!   Revealing, plus the term-pair accounting behind Figs. 15–17. Each
+//!   precision's weights come from one codes-first [`prepare_weights`],
+//!   a site takes a precision through one [`FakeQuant::install`], and the
+//!   [`exec`] walks take any [`QuantSites`] model, the LSTM included;
 //! * **Checkpoint IO** ([`io`]) so experiments train once and sweep many
 //!   TR configurations.
 //!
@@ -40,14 +43,12 @@ pub mod models;
 pub mod optim;
 pub mod param;
 pub mod qat;
-pub mod scratch;
 pub mod train;
 
 pub use exec::{
-    apply_precision, calibrate_model, evaluate_accuracy, quant_site_shapes,
-    quant_site_shapes_lstm, reset_pair_counting, SiteShape,
+    apply_precision, calibrate_model, evaluate_accuracy, quant_site_shapes, reset_pair_counting,
+    SiteShape,
 };
 pub use fake_quant::{prepare_weights, FakeQuant, PairCounts, Precision, PreparedWeights};
-pub use scratch::ScratchArena;
-pub use layer::{ForwardCtx, Layer, QuantSite, Sequential};
+pub use layer::{ForwardCtx, Layer, QuantSite, QuantSites, Sequential};
 pub use param::Param;

@@ -6,11 +6,12 @@
 //! dimensionality, dropout) at synthetic-corpus scale.
 //!
 //! The LSTM is not a [`crate::layer::Layer`] (its input is token ids, not
-//! a float tensor), so it carries its own forward/backward plumbing and
-//! exposes its two weight matrices as quantization sites.
+//! a float tensor), so it carries its own forward/backward plumbing. It
+//! walks its three weight matrices as quantization sites through
+//! [`QuantSites`], the walk the [`crate::exec`] functions take.
 
 use crate::fake_quant::FakeQuant;
-use crate::layer::QuantSite;
+use crate::layer::{QuantSite, QuantSites};
 use crate::param::Param;
 use tr_core::PackedTermMatrix;
 use tr_tensor::{Rng, Shape, Tensor};
@@ -61,6 +62,15 @@ struct BpttCache {
     drop_mask: Option<Vec<Vec<f32>>>,
 }
 
+/// The quantization sites are the three weight matmuls.
+impl QuantSites for LstmLm {
+    fn visit_quant_sites(&mut self, f: &mut dyn FnMut(QuantSite<'_>)) {
+        f(QuantSite { name: "lstm.w_ih".to_string(), weight: &mut self.w_ih, fq: &mut self.fq_ih });
+        f(QuantSite { name: "lstm.w_hh".to_string(), weight: &mut self.w_hh, fq: &mut self.fq_hh });
+        f(QuantSite { name: "lstm.w_out".to_string(), weight: &mut self.w_out, fq: &mut self.fq_out });
+    }
+}
+
 impl LstmLm {
     /// A new model with the given vocabulary and hidden width.
     pub fn new(vocab: usize, hidden: usize, dropout: f32, rng: &mut Rng) -> LstmLm {
@@ -90,13 +100,6 @@ impl LstmLm {
         f("bias", &mut self.bias);
         f("w_out", &mut self.w_out);
         f("b_out", &mut self.b_out);
-    }
-
-    /// Visit the quantization sites (the three weight matmuls).
-    pub fn visit_quant_sites(&mut self, f: &mut dyn FnMut(QuantSite<'_>)) {
-        f(QuantSite { name: "lstm.w_ih".to_string(), weight: &mut self.w_ih, fq: &mut self.fq_ih });
-        f(QuantSite { name: "lstm.w_hh".to_string(), weight: &mut self.w_hh, fq: &mut self.fq_hh });
-        f(QuantSite { name: "lstm.w_out".to_string(), weight: &mut self.w_out, fq: &mut self.fq_out });
     }
 
     fn gates(&mut self, x: &[f32], h: &[f32], count_pairs: bool) -> Vec<f32> {

@@ -598,7 +598,7 @@ mod tests {
     fn tiny_spec() -> tr_analysis::ModelSpec {
         let mut rng = Rng::seed_from_u64(99);
         let mut twin = Sequential::new().push(Linear::new(4, 3, &mut rng));
-        tr_analysis::ModelSpec::from_layer("tiny", &mut twin).unwrap()
+        tr_analysis::ModelSpec::from_sites("tiny", &mut twin).unwrap()
     }
 
     #[test]

@@ -8,6 +8,11 @@
 # this; run it before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# A run must leave the tracked files as it found them: every artifact it
+# writes goes under target/, and a rewritten tracked file (a repro
+# artifact, or perfbench/Cargo.lock, which its unlocked build may
+# rewrite) fails the gate at the end.
+status_before=$(git status --porcelain)
 # The repro artifacts land here, so a run leaves the committed files as
 # they are.
 out=target/artifacts
@@ -82,3 +87,10 @@ test -s "$out/SOAK_PR8.json"
 # perfbench's mlp_serve workload, not here. CI archives the artifacts.
 TR_BENCH_OUT="$out/BENCH_PR10.json" cargo run -q --release -p tr-bench --bin repro -- --quick bench
 test -s "$out/BENCH_PR10.json"
+# The working tree must be as the run found it (see the top).
+status_after=$(git status --porcelain)
+if [ "$status_after" != "$status_before" ]; then
+    echo "check.sh: the run changed the working tree:" >&2
+    diff <(echo "$status_before") <(echo "$status_after") >&2 || true
+    exit 1
+fi

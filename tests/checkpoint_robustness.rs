@@ -29,20 +29,22 @@ fn sample_tensors() -> Vec<(String, Tensor)> {
     ]
 }
 
-/// Loading `bytes` must return Err without panicking.
-fn assert_clean_error(bytes: &[u8], what: &str) {
+/// Loading `bytes` must return Err without panicking; returns the
+/// error's message.
+fn assert_clean_error(bytes: &[u8], what: &str) -> String {
     let dir = std::env::temp_dir().join("tr-ckpt-robust-scratch");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("case-{}.bin", bytes.len()));
     std::fs::write(&path, bytes).unwrap();
     let p = path.clone();
     let result = catch_unwind(move || load_tensors(&p));
-    match result {
+    let message = match result {
         Ok(Ok(_)) => panic!("{what}: corrupt checkpoint loaded successfully"),
-        Ok(Err(_)) => {}
+        Ok(Err(e)) => e.to_string(),
         Err(_) => panic!("{what}: load_tensors panicked on corrupt input"),
-    }
+    };
     std::fs::remove_file(&path).ok();
+    message
 }
 
 #[test]
@@ -87,34 +89,73 @@ fn wrong_magic_and_junk_fail_cleanly() {
     assert_clean_error(&junk, "random junk");
 }
 
+/// The reflected CRC32 (IEEE 802.3), bit by bit: seals hand-built
+/// checkpoint bodies so they get past the loader's CRC check.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// A `TRCKPT02` file from a hand-built body after the magic, with a
+/// valid CRC seal, so the loader parses the body's header fields.
+fn sealed_v2(body: &[u8]) -> Vec<u8> {
+    let mut bytes = b"TRCKPT02".to_vec();
+    bytes.extend_from_slice(body);
+    let crc = crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+/// `bytes` fails cleanly, and with an error naming `why`: the bounds
+/// check rejected it, not the CRC or magic check in front of it.
+fn assert_rejected_by_bounds(bytes: &[u8], what: &str, why: &str) {
+    let err = assert_clean_error(bytes, what);
+    assert!(err.contains(why), "{what}: {err}");
+}
+
 #[test]
 fn hostile_header_fields_cannot_force_huge_allocations() {
-    // A legacy-format (no CRC) header claiming absurd sizes: the loader
-    // must reject from the bytes actually present, not allocate first.
-    // Before the bounds-checked parser this was a capacity-overflow
-    // panic / OOM vector.
+    // CRC-valid headers claiming absurd sizes: the loader must reject
+    // from the bytes actually present, not allocate first. Before the
+    // bounds-checked parser this was a capacity-overflow panic / OOM
+    // vector.
     let mut evil: Vec<u8> = Vec::new();
-    evil.extend_from_slice(b"TRCKPT01");
     evil.extend_from_slice(&1u64.to_le_bytes()); // one tensor
     evil.extend_from_slice(&1u32.to_le_bytes());
     evil.push(b'w');
+    evil.extend_from_slice(&20u64.to_le_bytes()); // payload: rank + 2 dims
     evil.extend_from_slice(&2u32.to_le_bytes()); // rank 2
     evil.extend_from_slice(&u64::MAX.to_le_bytes()); // dim0 = 2^64-1
     evil.extend_from_slice(&u64::MAX.to_le_bytes()); // dim1 = 2^64-1
-    assert_clean_error(&evil, "overflowing dims");
+    assert_rejected_by_bounds(&sealed_v2(&evil), "overflowing dims", "overflows");
 
     // Huge tensor count with no entries behind it.
-    let mut evil2: Vec<u8> = Vec::new();
-    evil2.extend_from_slice(b"TRCKPT01");
-    evil2.extend_from_slice(&u64::MAX.to_le_bytes());
-    assert_clean_error(&evil2, "huge tensor count");
+    let evil2 = u64::MAX.to_le_bytes();
+    assert_rejected_by_bounds(&sealed_v2(&evil2), "huge tensor count", "exceeds limit");
 
     // Huge name length.
     let mut evil3: Vec<u8> = Vec::new();
-    evil3.extend_from_slice(b"TRCKPT01");
     evil3.extend_from_slice(&1u64.to_le_bytes());
     evil3.extend_from_slice(&u32::MAX.to_le_bytes());
-    assert_clean_error(&evil3, "huge name length");
+    assert_rejected_by_bounds(&sealed_v2(&evil3), "huge name length", "exceeds limit");
+
+    // Huge payload length behind a valid name.
+    let mut evil4: Vec<u8> = Vec::new();
+    evil4.extend_from_slice(&1u64.to_le_bytes());
+    evil4.extend_from_slice(&1u32.to_le_bytes());
+    evil4.push(b'w');
+    evil4.extend_from_slice(&u64::MAX.to_le_bytes());
+    assert_rejected_by_bounds(&sealed_v2(&evil4), "huge payload length", "declares");
 }
 
 #[test]

@@ -249,7 +249,8 @@ fn every_zoo_model_and_ladder_rung_seals_identically() {
         models.push((kind.name().into(), sites));
     }
     let mut sites = Vec::new();
-    LstmLm::new(40, 64, 0.0, &mut rng).visit_quant_sites(&mut record_sites(&mut sites));
+    let mut lstm = LstmLm::new(40, 64, 0.0, &mut rng);
+    tr_nn::QuantSites::visit_quant_sites(&mut lstm, &mut record_sites(&mut sites));
     models.push(("lstm".into(), sites));
     let ladder = LadderConfig::default_tr_ladder();
     for (model, sites) in &models {
@@ -311,8 +312,7 @@ fn assert_integer_linear_is_the_pair_walk(w: &Tensor, what: &str) {
     let mut rng = Rng::seed_from_u64(27);
     let mut layer = Linear::new(ins, outs, &mut rng);
     let k4 = Precision::Tr(TrConfig::new(8, 4).with_data_terms(1));
-    layer.fq.install_weights(w, &k4);
-    layer.fq.install_act_cap(&k4);
+    layer.fq.install(&prepare_weights(w, &k4), &k4);
     let act = QuantParams { scale: 1.0 / 127.0, bits: 8 };
     layer.fq.act_params = Some(act);
     layer.fq.exec_integer = true;
