@@ -4,11 +4,12 @@
 //! the histogram reveal, so a regression in either is visible without
 //! running the full `repro bench` experiment. `packed/serial` runs the
 //! matmul at the integer `Linear` shapes of the perfbench workloads,
-//! batch-major data against TR weights, as `Linear`'s integer forward
-//! passes them.
+//! batch-major data planes against TR weights, and `packed/codes` the
+//! same products with the data as capped codes, as `Linear`'s integer
+//! forward passes them.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use tr_core::{try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
+use tr_core::{try_code_matmul_i64, try_packed_term_matmul_i64, PackedTermMatrix, TrConfig};
 use tr_encoding::Encoding;
 use tr_quant::{calibrate_max_abs, quantize, QTensor};
 use tr_tensor::{Rng, Shape, Tensor};
@@ -57,20 +58,32 @@ const LINEAR_SITES: [(&str, usize, usize, usize, usize, usize, usize); 3] = [
 ];
 
 fn bench_serial_code_plane(c: &mut Criterion) {
-    let mut group = c.benchmark_group("packed/serial");
     for (label, batch, k, n, g, budget, s) in LINEAR_SITES {
-        group.throughput(Throughput::Elements((batch * k * n) as u64));
         let cfg = TrConfig::new(g, budget).with_data_terms(s);
         let data = PackedTermMatrix::from_weights(&quantized(batch, k, 5), Encoding::Hese).cap_terms(s);
+        let codes: Vec<i32> =
+            data.reconstruct_codes().into_iter().map(|c| i32::try_from(c).expect("8-bit codes")).collect();
         let weights = PackedTermMatrix::from_weights(&quantized(n, k, 6), Encoding::Hese).reveal(&cfg);
+        let elements = Throughput::Elements((batch * k * n) as u64);
+        let mut group = c.benchmark_group("packed/serial");
+        group.throughput(elements);
         group.bench_function(BenchmarkId::new("code_plane", label), |b| {
             b.iter(|| {
                 try_packed_term_matmul_i64(black_box(&data), black_box(&weights))
                     .expect("reduction dims agree")
             })
         });
+        group.finish();
+        let mut group = c.benchmark_group("packed/codes");
+        group.throughput(elements);
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                try_code_matmul_i64(black_box(&codes), batch, black_box(&weights))
+                    .expect("reduction dims agree")
+            })
+        });
+        group.finish();
     }
-    group.finish();
 }
 
 fn bench_reveal(c: &mut Criterion) {

@@ -24,11 +24,12 @@
 //! * [`termpairs`] — the term-pair-multiplication cost proxy (§III-B,
 //!   Figs. 5/15);
 //! * [`matmul`] — the exact term-pair matmul (what the tMAC hardware
-//!   computes), [`try_packed_term_matmul_i64`];
+//!   computes), [`try_packed_term_matmul_i64`], and
+//!   [`try_code_matmul_i64`] for a left operand that is plain codes;
 //! * [`error_bound`] — the §III-F truncation-error bounds.
 //!
-//! **Which kernel runs.** Every integer matmul rebuilds both operands'
-//! codes and runs one of two kernels: the narrow kernel (`i16` codes,
+//! **Which kernel runs.** Every integer matmul rebuilds its term
+//! operands' codes and runs one of two kernels: the narrow kernel (`i16` codes,
 //! `i32` sums, the widest of baseline/AVX2/AVX-512BW the host has) when
 //! every code fits ±32767 and `max|w| · max|x| · K_pad < 2³¹`, and a
 //! scalar `i64` loop otherwise. Both are exact, so the choice never
@@ -76,7 +77,7 @@ pub use config::TrConfig;
 pub use error::TrError;
 pub use error_bound::{dot_product_error_bound, value_sigma, waterline_sigma_bound};
 pub use matmul::{
-    try_packed_term_matmul_i64, try_packed_term_matmul_i64_planned_cached, MatmulPlan,
+    try_code_matmul_i64, try_packed_term_matmul_i64, try_packed_term_matmul_i64_planned_cached, MatmulPlan,
     MatmulPlanner, ACCUMULATOR_BITS,
 };
 pub use packed::PackedTermMatrix;

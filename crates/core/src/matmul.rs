@@ -6,9 +6,10 @@
 //! matmul over the *reconstructed* (post-TR) codes, which is the property
 //! the hardware simulator and the paper-claims tests verify.
 //!
-//! One function computes it, [`try_packed_term_matmul_i64`]: the narrow
-//! `i16`/`i32` kernel when a per-call overflow bound admits the operands,
-//! the `i64` loop otherwise.
+//! One body computes it, behind [`try_packed_term_matmul_i64`] (both
+//! operands term planes) and [`try_code_matmul_i64`] (the left operand
+//! plain codes): the narrow `i16`/`i32` kernel when a per-call overflow
+//! bound admits the operands, the `i64` loop otherwise.
 
 use crate::error::TrError;
 use crate::narrow::{self, NarrowCodes};
@@ -98,8 +99,9 @@ static CODEPLANE_WIDE: Counter = Counter::new("core.matmul.codeplane.wide");
 
 /// `W (M,K) @ X (K,N)` over packed term matrices, producing exact `i64`
 /// accumulators in row-major `(M, N)` order (span `core.matmul`,
-/// `core.matmul.*` counters). The one integer matmul: every caller runs
-/// it, single-threaded.
+/// `core.matmul.*` counters). With [`try_code_matmul_i64`], whose left
+/// operand is codes, the one integer matmul: every caller runs one of
+/// the two, single-threaded, through one body.
 ///
 /// It rests on distributivity: an element's term-pair sum
 /// `Σ_w Σ_x ±2^(e_w+e_x)` factors exactly into
@@ -137,27 +139,75 @@ pub fn try_packed_term_matmul_i64(
             x.len()
         )));
     }
-    let (m, n, k) = (w.rows(), x.rows(), w.len());
+    Ok(matmul(w.rows(), x, || NarrowCodes::of(w, x), || w.reconstruct_codes()))
+}
+
+/// `X (batch,K) @ Wᵀ` with `X` given as row-major integer codes and `W`
+/// as packed term planes of `K`-long rows: exact `i64` accumulators in
+/// row-major `(batch, W.rows())` order. The codes enter the kernel as
+/// they are: narrowed straight into its zero-padded `i16` rows, or
+/// widened to `i64`, never decomposed into terms. Everything else is
+/// [`try_packed_term_matmul_i64`] with `X` packed in any encoding that
+/// reconstructs its codes (all four do): the same bits, the same
+/// admission bound and kernel choice, the same span and counters.
+///
+/// This is the integer `Linear` forward, whose capped activation codes
+/// already are what the tMAC's encoder would hand the array (§V).
+///
+/// # Errors
+/// [`TrError::ShapeMismatch`] when `x_codes` is not `batch` rows of
+/// `W.len()` codes.
+pub fn try_code_matmul_i64(
+    x_codes: &[i32],
+    batch: usize,
+    w: &PackedTermMatrix,
+) -> Result<Vec<i64>, TrError> {
+    let k = w.len();
+    if x_codes.len() != batch * k {
+        return Err(TrError::ShapeMismatch(match x_codes.len().checked_div(batch) {
+            Some(kx) if kx * batch == x_codes.len() => format!("reduction dims differ: {kx} vs {k}"),
+            _ => format!("{} codes do not fill {batch} rows of {k}", x_codes.len()),
+        }));
+    }
+    Ok(matmul(
+        batch,
+        w,
+        || NarrowCodes::from_codes(x_codes, batch, w),
+        || x_codes.iter().map(|&c| i64::from(c)).collect(),
+    ))
+}
+
+/// The body both matmuls share: `m` left rows against `rhs`. Only the
+/// kernel that runs builds its operands: `narrowed` gives both sides'
+/// narrow rows (`None` when the bound refuses them), `widened` the left
+/// side's `i64` codes.
+fn matmul(
+    m: usize,
+    rhs: &PackedTermMatrix,
+    narrowed: impl FnOnce() -> Option<NarrowCodes>,
+    widened: impl FnOnce() -> Vec<i64>,
+) -> Vec<i64> {
+    let (n, k) = (rhs.rows(), rhs.len());
     MATMUL_CALLS.inc();
     MATMUL_ROWS.add(as_u64(m));
     MATMUL_CELLS.add(as_u64(m).saturating_mul(as_u64(n)));
     let _span = tr_obs::span("core.matmul");
     let mut out = vec![0i64; m * n];
     if m * n == 0 || k == 0 {
-        return Ok(out);
+        return out;
     }
-    if let Some(codes) = NarrowCodes::of(w, x) {
+    if let Some(codes) = narrowed() {
         CODEPLANE_NARROW.inc();
         narrow::rows_with(narrow::Tier::detect(), &codes.w, &codes.x, codes.stride, &mut out);
     } else {
         CODEPLANE_WIDE.inc();
-        let wcodes = w.reconstruct_codes();
-        let xcodes = x.reconstruct_codes();
+        let lcodes = widened();
+        let rcodes = rhs.reconstruct_codes();
         for (i, orow) in out.chunks_mut(n).enumerate() {
-            code_row(&wcodes, &xcodes, i, orow, k);
+            code_row(&lcodes, &rcodes, i, orow, k);
         }
     }
-    Ok(out)
+    out
 }
 
 /// The route a [`MatmulPlanner`] names: there is one.

@@ -4,8 +4,10 @@
 //! runs a narrow datapath (§V). [`crate::matmul`]'s one integer matmul
 //! does the same whenever one call's operands allow it:
 //! [`NarrowCodes::of`] rebuilds both operands in one pass each into
-//! `i16` rows zero-padded to a multiple of [`PAD`] codes, and admits the
-//! call only when every code fits in ±32767 and
+//! `i16` rows zero-padded to a multiple of [`PAD`] codes
+//! ([`NarrowCodes::from_codes`] narrows an operand that is already
+//! codes, the integer `Linear`'s activations, without term planes), and
+//! admits the call only when every code fits in ±32767 and
 //! `max|w| · max|x| · K_pad < 2³¹`. The kernel then runs one data row
 //! against four weight rows at a time, summing each dot product in
 //! `i32`; the vectorizer lowers the four sums to `pmaddwd` lanes.
@@ -46,10 +48,55 @@ impl NarrowCodes {
     /// [`fits_i32_lanes`]); the caller then runs the `i64` loop.
     pub(crate) fn of(w: &PackedTermMatrix, x: &PackedTermMatrix) -> Option<NarrowCodes> {
         let stride = w.len().next_multiple_of(PAD);
-        let (wc, max_w) = w.reconstruct_codes_i16(stride)?;
-        let (xc, max_x) = x.reconstruct_codes_i16(stride)?;
-        fits_i32_lanes(max_w, max_x, stride).then_some(NarrowCodes { stride, w: wc, x: xc })
+        let w = w.reconstruct_codes_i16(stride)?;
+        let x = x.reconstruct_codes_i16(stride)?;
+        NarrowCodes::admit(stride, w, x)
     }
+
+    /// [`NarrowCodes::of`] with the `w` side given as row-major codes,
+    /// `rows` rows of `x.len()` each: the codes are narrowed straight
+    /// into the padded rows, with no term planes in between. The same
+    /// refusals and the same bound.
+    ///
+    /// # Panics
+    /// If `codes.len() != rows * x.len()`.
+    pub(crate) fn from_codes(codes: &[i32], rows: usize, x: &PackedTermMatrix) -> Option<NarrowCodes> {
+        let stride = x.len().next_multiple_of(PAD);
+        let w = narrow_rows(codes, rows, x.len(), stride)?;
+        let x = x.reconstruct_codes_i16(stride)?;
+        NarrowCodes::admit(stride, w, x)
+    }
+
+    /// Both operands' rows with their largest `|code|`, admitted when
+    /// [`fits_i32_lanes`] holds.
+    fn admit(stride: usize, (w, max_w): (Vec<i16>, u16), (x, max_x): (Vec<i16>, u16)) -> Option<NarrowCodes> {
+        fits_i32_lanes(max_w, max_x, stride).then_some(NarrowCodes { stride, w, x })
+    }
+}
+
+/// Row-major codes `(rows, len)` as `i16` rows of `stride` codes, the
+/// tail past `len` zero-padded, with the largest `|code|`; `None` when a
+/// code leaves ±32767, as in `PackedTermMatrix::reconstruct_codes_i16`.
+///
+/// # Panics
+/// If `codes.len() != rows * len` or `stride < len`.
+fn narrow_rows(codes: &[i32], rows: usize, len: usize, stride: usize) -> Option<(Vec<i16>, u16)> {
+    assert_eq!(codes.len(), rows * len, "codes do not fill {rows} rows of {len}");
+    assert!(stride >= len, "a {stride}-code row cannot hold {len} codes");
+    let max_abs = codes.iter().fold(0u32, |m, &c| m.max(c.unsigned_abs()));
+    let max_abs = u16::try_from(max_abs).ok().filter(|&m| m <= i16::MAX.unsigned_abs())?;
+    let mut out = vec![0i16; rows * stride];
+    if len > 0 {
+        for (row, src) in out.chunks_exact_mut(stride).zip(codes.chunks_exact(len)) {
+            for (o, &c) in row.iter_mut().zip(src) {
+                // Lossless: every `|c|` is at most `max_abs ≤ 32767`.
+                #[allow(clippy::cast_possible_truncation)]
+                let c = c as i16;
+                *o = c;
+            }
+        }
+    }
+    Some((out, max_abs))
 }
 
 /// Whether no partial sum of a `k_pad`-long dot product of codes bounded

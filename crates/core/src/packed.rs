@@ -249,8 +249,10 @@ impl PackedTermMatrix {
 
     /// Decompose row-major integer codes `(rows, len)` in one pass — the
     /// [`PackedTermMatrix::from_weights`] layout without a [`QTensor`]
-    /// around the codes, for callers that already hold them (the
-    /// activation pack of the integer forward).
+    /// around the codes, for callers that already hold them and need
+    /// their terms: pair counting, the codes-first weight prepare. A
+    /// matmul over codes needs no planes: see
+    /// [`try_code_matmul_i64`](crate::try_code_matmul_i64).
     ///
     /// # Panics
     /// If `codes.len() != rows * len`.

@@ -236,7 +236,13 @@ pub fn try_classify_batch(
 
 /// One-call sweep step: calibrate (if needed), apply a precision, and
 /// report `(accuracy, pair_counts)` measured over `count_samples` test
-/// inputs.
+/// inputs, forwarded as one batch.
+///
+/// Every `Linear` site counts the whole batch. A `Conv2d` site counts
+/// the batch's first image and scales those counts to the batch (one
+/// representative image keeps a counting pass affordable).
+/// `DepthwiseConv2d` counts nothing, so a model's depthwise layers are
+/// missing from its totals.
 pub fn evaluate_precision(
     model: &mut dyn Layer,
     dataset: &Dataset,
@@ -255,8 +261,8 @@ pub fn evaluate_precision(
     let _ = model.forward(&x, &mut ctx);
     enable_pair_counting(model, false);
     let mut counts = collect_pair_counts(model);
-    // Conv sites count one representative image per forward; normalize all
-    // sites to per-sample by recording the batch size here.
+    // Every counting site covered the whole batch, so `samples` is the
+    // batch size; a model with no counting site reads zero pairs per one.
     counts.samples = counts.samples.max(1);
     (accuracy, counts)
 }
@@ -431,6 +437,39 @@ mod tests {
         set_integer_exec(&mut model, false);
         let off = forward_logits(&mut model, &x, &mut rng);
         assert_eq!(off, sim);
+    }
+
+    /// A batch of `n` identical images counts exactly `n` times one image
+    /// at every site, conv and linear alike, so pairs per sample do not
+    /// depend on the counting batch.
+    #[test]
+    fn identical_images_count_n_times_one_image() {
+        use crate::layers::{Conv2d, Flatten, Linear};
+        use tr_tensor::{Shape, Tensor};
+        let mut rng = Rng::seed_from_u64(5);
+        let mut model = crate::Sequential::new()
+            .push(Conv2d::new(3, 4, 3, 1, 1, &mut rng))
+            .push(Flatten::new())
+            .push(Linear::new(4 * 6 * 6, 5, &mut rng));
+        let image = Tensor::randn(Shape::d4(1, 3, 6, 6), 1.0, &mut rng);
+        calibrate_model(&mut model, &image, 8, &mut rng);
+        apply_precision(&mut model, &Precision::Tr(TrConfig::new(8, 12).with_data_terms(3)));
+        let mut count = |x: &Tensor| {
+            reset_pair_counting(&mut model);
+            enable_pair_counting(&mut model, true);
+            let _ = model.forward(x, &mut ForwardCtx::eval(&mut Rng::seed_from_u64(6)));
+            enable_pair_counting(&mut model, false);
+            let mut sites = Vec::new();
+            QuantSites::visit_quant_sites(&mut model, &mut |site| sites.push(site.fq.pairs));
+            sites
+        };
+        let one = count(&image);
+        assert!(one.iter().all(|c| c.actual > 0 && c.samples == 1), "{one:?}");
+        for n in [2usize, 8] {
+            let sites = count(&Tensor::from_vec(image.data().repeat(n), Shape::d4(n, 3, 6, 6)));
+            let want: Vec<_> = one.iter().map(|c| c.times(n as u64)).collect();
+            assert_eq!(sites, want, "batch {n}");
+        }
     }
 
     #[test]

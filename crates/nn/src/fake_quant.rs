@@ -20,7 +20,7 @@
 //! where a code's top-`s` value is a single load — no per-value encoding
 //! and no allocation, and the same f32 bits the encoder-based cap gave.
 //! [`FakeQuant::transform_input_codes`] also returns the capped codes,
-//! so integer consumers pack exactly what the cap produced (including
+//! so integer consumers read exactly what the cap produced (including
 //! the `2^(bits-1)` a cap can round up to) instead of re-quantizing the
 //! dequantized floats.
 //!
@@ -135,6 +135,18 @@ impl PairCounts {
             0.0
         } else {
             self.actual as f64 / self.samples as f64
+        }
+    }
+
+    /// These counts repeated `n` times: what `n` samples that each cost
+    /// these counts add up to.
+    #[must_use]
+    pub(crate) fn times(&self, n: u64) -> PairCounts {
+        PairCounts {
+            actual: self.actual * n,
+            bound: self.bound * n,
+            macs: self.macs * n,
+            samples: self.samples * n,
         }
     }
 
@@ -360,10 +372,18 @@ impl FakeQuant {
     /// data operand as packed term planes aligned with the cached weight
     /// terms, `samples` the number of inference samples it covers.
     pub fn count_matmul(&mut self, data: &PackedTermMatrix, samples: u64) {
-        if !self.count_pairs {
-            return;
+        if let Some(counts) = self.matmul_pair_counts(data, samples) {
+            self.pairs.merge(&counts);
         }
-        let Some(wt) = &self.weight_terms else { return };
+    }
+
+    /// The counts [`FakeQuant::count_matmul`] would add, without adding
+    /// them; `None` when the site is not counting or has no weight terms.
+    pub(crate) fn matmul_pair_counts(&self, data: &PackedTermMatrix, samples: u64) -> Option<PairCounts> {
+        if !self.count_pairs {
+            return None;
+        }
+        let wt = self.weight_terms.as_deref()?;
         let macs = (wt.rows() * wt.len() * data.rows()) as u64;
         let actual = term_pairs_total_packed(wt, data);
         let bound = match self.tr_config {
@@ -375,7 +395,7 @@ impl FakeQuant {
             }
             None => macs * (self.weight_term_bound * self.data_term_bound) as u64,
         };
-        self.pairs.merge(&PairCounts { actual, bound, macs, samples });
+        Some(PairCounts { actual, bound, macs, samples })
     }
 }
 

@@ -102,10 +102,11 @@ impl Conv2d {
         Ok(g)
     }
 
-    /// Count term pairs for one image of capped activation codes (CHW,
-    /// as the cap produced them), unrolled to the patch columns the
-    /// weight rows meet in the matmul.
-    fn count_pairs(&mut self, image_codes: &[i32], g: &Conv2dGeometry) {
+    /// Count term pairs for a batch of `images` from the first one's
+    /// capped activation codes (CHW, as the cap produced them), unrolled
+    /// to the patch columns the weight rows meet in the matmul: that
+    /// image's counts, `samples` included, times `images`.
+    fn count_pairs(&mut self, image_codes: &[i32], g: &Conv2dGeometry, images: usize) {
         let enc = self.fq.act_cap.map_or(Encoding::Binary, |(e, _)| e);
         let mut cols = Vec::new();
         im2col_into(image_codes, g, &mut cols);
@@ -114,7 +115,9 @@ impl Conv2d {
         let cols = &cols;
         let dots: Vec<i32> = (0..np).flat_map(|n| (0..patch).map(move |k| cols[k * np + n])).collect();
         let dm = PackedTermMatrix::from_codes(&dots, np, patch, enc);
-        self.fq.count_matmul(&dm, 1);
+        if let Some(image) = self.fq.matmul_pair_counts(&dm, 1) {
+            self.fq.pairs.merge(&image.times(images as u64));
+        }
     }
 }
 
@@ -139,9 +142,10 @@ impl Layer for Conv2d {
         if !passthrough && self.fq.count_pairs && self.fq.weight_terms.is_some() && n > 0 {
             // Count pairs on the first image only (one representative
             // sample per batch keeps counting passes affordable), scaled
-            // by the batch size at the accounting level.
+            // to the batch, so the site counts `n` samples as `Linear`
+            // does.
             if let Some(codes) = self.fq.capped_codes(&x.data()[..per_in]) {
-                self.count_pairs(&codes, &g);
+                self.count_pairs(&codes, &g, n);
             }
         }
         // Taken out of the layer for the loop, which also borrows `self`.

@@ -70,15 +70,17 @@ impl Linear {
         self.fq.count_matmul(&dm, batch as u64);
     }
 
-    /// Bit-true integer forward over the packed term kernel.
+    /// Bit-true integer forward: the layer's output, bias included.
     ///
-    /// Packs the capped input codes `transform_input_codes` produced
-    /// (`batch` rows of `in` codes) and multiplies them against the
-    /// cached weight term planes with
-    /// [`tr_core::try_packed_term_matmul_i64`]. The exact `i64` dot
-    /// products are rescaled by the two quantizer scales, so the only
-    /// float rounding is one multiply per output — the same arithmetic
-    /// the paper's tMAC array performs.
+    /// Multiplies the capped input codes `capped_codes` produced (`batch`
+    /// rows of `in` codes) against the cached weight term planes with
+    /// [`tr_core::try_code_matmul_i64`]: the codes go straight into the
+    /// kernel, as the tMAC's encoder hands its terms straight to the
+    /// array, with no term planes built for them. Each exact `i64` dot
+    /// product is rescaled by the two quantizer scales and the bias
+    /// added in the same pass, `v as f32 * scale + b`: one float multiply
+    /// and one add per output, the same roundings as rescaling first and
+    /// adding the bias after.
     ///
     /// `None` when the site lacks integer state (float mode, calibrating,
     /// no packed weights): the caller takes the float-simulated path.
@@ -92,14 +94,28 @@ impl Linear {
         let act = self.fq.act_params?;
         let wp = self.fq.weight_params?;
         let wt = self.fq.weight_terms.as_deref()?;
-        let enc = self.fq.act_cap.map_or(Encoding::Hese, |(e, _)| e);
-        let data = PackedTermMatrix::from_codes(codes, batch, self.in_features, enc);
-        let y = tr_core::try_packed_term_matmul_i64(&data, wt);
+        let y = tr_core::try_code_matmul_i64(codes, batch, wt);
         let scale = act.scale.max(f32::MIN_POSITIVE) * wp.scale;
+        let bias = self.bias.value.data();
         Some(y.inspect_err(|_| INTEGER_REFUSALS.inc()).map(|y| {
-            let out: Vec<f32> = y.iter().map(|&v| v as f32 * scale).collect();
+            let out = y.iter().zip(bias.iter().cycle()).map(|(&v, &b)| v as f32 * scale + b).collect();
             Tensor::from_vec(out, Shape::d2(batch, self.out_features))
         }))
+    }
+
+    /// The float-simulated input: `real` of the capped `codes` when the
+    /// caller has them, else the activation transform of `x` (the
+    /// identity while inactive or calibrating), as a `(batch, in)` matrix.
+    fn float_input(&self, x: &Tensor, batch: usize, codes: Option<&[i32]>) -> Tensor {
+        let data = match (codes, self.fq.act_params) {
+            (Some(codes), Some(p)) => codes.iter().map(|&c| p.real(c)).collect(),
+            _ => {
+                let mut out = Vec::new();
+                self.fq.transform_slice_into(x.data(), &mut out);
+                out
+            }
+        };
+        Tensor::from_vec(data, Shape::d2(batch, self.in_features))
     }
 }
 
@@ -114,42 +130,46 @@ impl Layer for Linear {
     /// The forward, with a batch of the wrong width refused as
     /// [`TrError::ShapeMismatch`] and the integer kernel's error
     /// returned as it is.
+    ///
+    /// An input of any rank is read as the `(batch, in)` matrix
+    /// `as_matrix` names, in place. The integer forward builds no float
+    /// input: the f32 transform runs only for the float path or for
+    /// training's cached input.
     fn try_forward(&mut self, x: &Tensor, ctx: &mut ForwardCtx) -> Result<Tensor, TrError> {
-        let features = x.shape().as_matrix().1;
+        let (batch, features) = x.shape().as_matrix();
         if features != self.in_features {
             return Err(TrError::ShapeMismatch(format!(
                 "linear expected {} input features, got {features}",
                 self.in_features
             )));
         }
-        let x2 = if x.shape().rank() == 2 {
-            x.clone()
-        } else {
-            let (rows, cols) = x.shape().as_matrix();
-            x.reshape(Shape::d2(rows, cols))
-        };
-        let batch = x2.shape().dim(0);
+        self.fq.observe(x);
         // Only the integer consumers need the capped codes themselves.
-        let (xq, codes) = if self.fq.exec_integer || self.fq.count_pairs {
-            self.fq.transform_input_codes(&x2)
+        let codes = if self.fq.exec_integer || self.fq.count_pairs {
+            self.fq.capped_codes(x.data())
         } else {
-            (self.fq.transform_input(&x2), None)
+            None
         };
         if let Some(codes) = &codes {
             self.count_pairs(codes, batch);
         }
-        if ctx.train {
-            self.cached_input = Some(xq.clone());
+        let codes = codes.as_deref();
+        if let Some(y) = codes.and_then(|c| self.integer_forward(c, batch)) {
+            if ctx.train {
+                self.cached_input = Some(self.float_input(x, batch, codes));
+            }
+            return y;
         }
-        let mut y = match codes.and_then(|c| self.integer_forward(&c, batch)) {
-            Some(y) => y?,
-            None => xq.matmul_transb(self.fq.effective_weight(&self.weight.value)),
-        };
+        let xq = self.float_input(x, batch, codes);
+        let mut y = xq.matmul_transb(self.fq.effective_weight(&self.weight.value));
         let b = self.bias.value.data();
         for row in 0..y.shape().dim(0) {
             for (o, &bv) in y.row_mut(row).iter_mut().zip(b) {
                 *o += bv;
             }
+        }
+        if ctx.train {
+            self.cached_input = Some(xq);
         }
         Ok(y)
     }
@@ -373,6 +393,94 @@ mod tests {
         let narrow = Tensor::zeros(Shape::d2(1, 31));
         let err = layer.try_forward(&narrow, &mut ctx).unwrap_err();
         assert!(matches!(&err, TrError::ShapeMismatch(m) if m.contains("32 input features")), "{err}");
+    }
+
+    /// The integer forward as the layer ran it before the code operand:
+    /// a rank-2 copy of the input, the f32 transform with its codes, the
+    /// codes packed into term planes for
+    /// [`tr_core::try_packed_term_matmul_i64`], rescaled, and the bias
+    /// added in a second pass. Runs on a copy of the quant site.
+    fn pack_path_forward(layer: &Linear, x: &Tensor) -> Tensor {
+        let mut fq = layer.fq.clone();
+        let (rows, cols) = x.shape().as_matrix();
+        let x2 = x.reshape(Shape::d2(rows, cols));
+        let (xq, codes) = if fq.exec_integer || fq.count_pairs {
+            fq.transform_input_codes(&x2)
+        } else {
+            (fq.transform_input(&x2), None)
+        };
+        let integer = codes.filter(|_| fq.exec_integer && !fq.calibrating).and_then(|codes| {
+            let (act, wp) = (fq.act_params?, fq.weight_params?);
+            let wt = fq.weight_terms.as_deref()?;
+            let enc = fq.act_cap.map_or(Encoding::Hese, |(e, _)| e);
+            let data = PackedTermMatrix::from_codes(&codes, rows, cols, enc);
+            let y = tr_core::try_packed_term_matmul_i64(&data, wt).unwrap();
+            let scale = act.scale.max(f32::MIN_POSITIVE) * wp.scale;
+            let y = y.iter().map(|&v| v as f32 * scale).collect();
+            Some(Tensor::from_vec(y, Shape::d2(rows, layer.out_features)))
+        });
+        let mut y = integer.unwrap_or_else(|| xq.matmul_transb(fq.effective_weight(&layer.weight.value)));
+        for row in 0..rows {
+            for (o, &b) in y.row_mut(row).iter_mut().zip(layer.bias.value.data()) {
+                *o += b;
+            }
+        }
+        y
+    }
+
+    /// At the integer `Linear` sites of the zoo MLP (784→512→10) and VGG
+    /// head (1536→192→10), batches 1, 8 and 32, the forward gives the
+    /// f32 bits of the pack path: integer TR and QT rungs, and the
+    /// float fallbacks (calibrating, a float rung, integer execution
+    /// off, pair counting on the float path), each ticking
+    /// `core.matmul.calls` once per integer forward and none otherwise.
+    #[test]
+    fn forward_matches_the_pack_path_bitwise_at_the_zoo_sites() {
+        use crate::fake_quant::Precision;
+        let tr = |k, s| Precision::Tr(tr_core::TrConfig::new(8, k).with_data_terms(s));
+        let qt8 = Precision::Qt { weight_bits: 8, act_bits: 8 };
+        let calls = || tr_obs::recorder().snapshot().counter("core.matmul.calls");
+        let was = tr_obs::enabled();
+        tr_obs::set_enabled(true);
+        let mut rng = Rng::seed_from_u64(16);
+        for (fan_in, fan_out) in [(784, 512), (512, 10), (1536, 192), (192, 10)] {
+            let mut layer = Linear::new(fan_in, fan_out, &mut rng);
+            layer.bias.value.data_mut().iter_mut().for_each(|b| *b = rng.normal() * 0.1);
+            for precision in [tr(24, 3), tr(8, 2), qt8, Precision::Float] {
+                layer.fq.install(&prepare_weights(&layer.weight.value, &precision), &precision);
+                for batch in [1, 8, 32] {
+                    let x = Tensor::randn(Shape::d2(batch, fan_in), 1.0, &mut rng);
+                    let max = x.max_abs();
+                    // (integer, calibrating, counting): the integer forward,
+                    // then the float paths around it.
+                    let modes =
+                        [(true, false, false), (true, true, false), (false, false, false), (false, false, true)];
+                    for (integer, calibrating, counting) in modes {
+                        if !matches!(precision, Precision::Float) {
+                            layer.fq.act_params = Some(QuantParams { scale: max / 127.0, bits: 8 });
+                        }
+                        layer.fq.exec_integer = integer;
+                        layer.fq.calibrating = calibrating;
+                        layer.fq.count_pairs = counting;
+                        let want = pack_path_forward(&layer, &x);
+                        let before = calls();
+                        let got = layer.forward(&x, &mut ForwardCtx::eval(&mut rng));
+                        let ran_integer = calls() - before;
+                        let site = format!("{fan_out}x{fan_in} {} b{batch}", precision.label());
+                        let label = format!("{site} {integer}/{calibrating}/{counting}");
+                        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(got.shape(), want.shape(), "{label}");
+                        assert_eq!(bits(&got), bits(&want), "{label}");
+                        let integer_ran = integer && !calibrating && !matches!(precision, Precision::Float);
+                        // Other tests may run matmuls meanwhile: a lower bound.
+                        assert!(ran_integer >= u64::from(integer_ran), "{label}: {ran_integer} calls");
+                    }
+                    layer.fq.calibrating = false;
+                    layer.fq.count_pairs = false;
+                }
+            }
+        }
+        tr_obs::set_enabled(was);
     }
 
     #[test]

@@ -30,6 +30,11 @@ cargo test -q --workspace
 cargo test -q --release -p tr-tensor
 cargo test -q --release -p tr-quant
 cargo test -q --release -p tr-core
+# The bit-identity suites (the packed planes and the code operand against
+# the pair-walk oracle, the one-pass prepare against the chain) run in
+# the dev profile above; run them on optimized code too, where the
+# integer matmuls take the vectorized narrow kernel.
+cargo test -q --release -p tr-bench --test packed_equivalence --test prepare_equivalence
 # Conv2d's eval forward (`conv2d_into`, patches read from a zero-padded
 # image) must give the bits of its training forward (im2col, then the
 # GEMM) at every zoo conv geometry; check that on optimized code too.

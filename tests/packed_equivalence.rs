@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 use tr_core::reveal::reveal_row;
 use tr_core::{
-    group_pair_histogram, term_pairs_total_packed, try_packed_term_matmul_i64, PackedTermMatrix,
-    TrConfig,
+    group_pair_histogram, term_pairs_total_packed, try_code_matmul_i64, try_packed_term_matmul_i64,
+    PackedTermMatrix, TrConfig,
 };
 use tr_encoding::{Encoding, TermExpr};
 use tr_nn::exec::{
@@ -126,6 +126,63 @@ fn pair_histogram(w: &Oracle, x: &Oracle, g: usize) -> (CountHistogram, u64) {
     (hist, total)
 }
 
+/// Batches the code operand is checked at: none, one row, rows off the
+/// kernel's 4-row block, and `mlp_int_k8`'s 32.
+const CODE_BATCHES: [usize; 4] = [0, 1, 3, 32];
+/// Reduction lengths: one code, either side of the 32-code padding step,
+/// and the MLP's 784.
+const CODE_LENS: [usize; 5] = [1, 31, 32, 33, 784];
+
+/// `n` activation codes in ±255 (the code-term table's edge), a quarter
+/// of them drawn from the 8-bit edges ±127, ±128 (a cap rounding 127
+/// up) and ±255.
+fn edge_codes(n: usize, seed: u64) -> Vec<i32> {
+    const EDGES: [i32; 6] = [127, -127, 128, -128, 255, -255];
+    let mut rng = Rng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| match rng.below(4) {
+            0 => EDGES[rng.below(EDGES.len())],
+            _ => i32::try_from(rng.below(511)).expect("fits") - 255,
+        })
+        .collect()
+}
+
+/// Runs `f` with the recorder on and returns how many matmuls took the
+/// narrow and the wide kernel meanwhile. Other tests may run matmuls of
+/// their own, so callers assert lower bounds only.
+fn kernel_calls(f: impl FnOnce()) -> (u64, u64) {
+    static RECORDER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _serial = RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let count = || {
+        let snap = tr_obs::recorder().snapshot();
+        let get = |kernel: &str| snap.counter(&format!("core.matmul.codeplane.{kernel}"));
+        (get("narrow"), get("wide"))
+    };
+    let was = tr_obs::enabled();
+    tr_obs::set_enabled(true);
+    let before = count();
+    f();
+    let after = count();
+    tr_obs::set_enabled(was);
+    (after.0 - before.0, after.1 - before.1)
+}
+
+/// `codes` (`batch` rows) against `w` three ways — the code operand, the
+/// same codes packed as term planes, and the oracle's pair walk — which
+/// must agree bit for bit; returns the product.
+fn race_code_operand(codes: &[i32], batch: usize, w: &PackedTermMatrix, w_oracle: &Oracle) -> Vec<i64> {
+    let k = w.len();
+    let by_codes = try_code_matmul_i64(codes, batch, w).expect("codes fill the batch");
+    for enc in Encoding::ALL {
+        let terms = PackedTermMatrix::from_codes(codes, batch, k, enc);
+        let by_terms = try_packed_term_matmul_i64(&terms, w).expect("shapes agree");
+        assert_eq!(by_codes, by_terms, "{enc}: code operand vs term operand");
+        let walk = pair_walk_matmul(&Oracle::from_codes(codes, batch, k, enc), w_oracle);
+        assert_eq!(by_codes, walk, "{enc}: code operand vs pair walk");
+    }
+    by_codes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -188,6 +245,24 @@ proptest! {
         // the oracle's per-cell pair walk.
         let got = try_packed_term_matmul_i64(&pw, &px).expect("shapes agree");
         prop_assert_eq!(got, pair_walk_matmul(&w, &x));
+    }
+
+    #[test]
+    fn code_operand_matches_the_term_operand_and_the_pair_walk(
+        (batch, k) in (0..CODE_BATCHES.len(), 0..CODE_LENS.len())
+            .prop_map(|(b, k)| (CODE_BATCHES[b], CODE_LENS[k])),
+        (n, seed) in (1usize..4, any::<u64>()),
+        enc in encoding(),
+        cfg in tr_config(),
+    ) {
+        // `Linear`'s integer forward: capped activation codes straight
+        // into the kernel against revealed weights, versus the codes
+        // packed in every encoding, versus the §III-B pair walk.
+        let codes = edge_codes(batch * k, seed);
+        let qw = quantized(n, k, seed.wrapping_add(1));
+        let w = PackedTermMatrix::from_weights(&qw, enc).reveal(&cfg);
+        let got = race_code_operand(&codes, batch, &w, &Oracle::weights(&qw, enc).reveal(&cfg));
+        prop_assert_eq!(got.len(), batch * n);
     }
 
     #[test]
@@ -352,4 +427,46 @@ fn activation_transform_matches_the_term_expr_path_bitwise() {
             }
         }
     }
+}
+
+/// The code operand takes the `i64` loop exactly where the term operand
+/// does: at a code no `i16` holds (+32768, and -32768, whose square
+/// would wrap a pair sum) and at a pair whose bound reaches exactly
+/// `2³¹`, with the pair one below it still narrow; a code row of the
+/// wrong width is refused.
+#[test]
+fn code_operand_goes_wide_where_the_bound_refuses() {
+    let weights = |rows: usize, k: usize, v: i32| {
+        let w = PackedTermMatrix::from_codes(&vec![v; rows * k], rows, k, Encoding::Hese);
+        let oracle = Oracle::from_codes(&vec![v; rows * k], rows, k, Encoding::Hese);
+        (w, oracle)
+    };
+    let (w, oracle) = weights(4, 40, 3);
+    for big in [32768, -32768] {
+        let mut codes = edge_codes(2 * 40, 29);
+        codes[41] = big;
+        let (_, wide) = kernel_calls(|| {
+            race_code_operand(&codes, 2, &w, &oracle);
+        });
+        assert!(wide >= 5, "code {big}: the code and term operands must all run wide");
+    }
+    // 2¹³ · 2¹³ · 32 = 2³¹: every dot is exactly 2³¹, one past i32::MAX.
+    // K = 31 pads to the same 32 codes, so the bound refuses it too.
+    for k in [32, 31] {
+        let (w, oracle) = weights(1, k, 8192);
+        let codes = vec![8192; 3 * k];
+        let (_, wide) = kernel_calls(|| {
+            let want = i64::from(8192 * 8192) * i64::try_from(k).expect("small");
+            assert_eq!(race_code_operand(&codes, 3, &w, &oracle), vec![want; 3]);
+        });
+        assert!(wide >= 5, "k {k}: a 2^31 bound must run wide");
+    }
+    let (w, oracle) = weights(1, 32, 8191);
+    let (narrow, _) = kernel_calls(|| {
+        race_code_operand(&[8192; 3 * 32], 3, &w, &oracle);
+    });
+    assert!(narrow >= 5, "a bound one pair below 2^31 runs narrow");
+    let err = try_code_matmul_i64(&[1; 4 * 33], 4, &w).expect_err("33 codes a row against 32");
+    assert!(err.to_string().contains("33 vs 32"), "{err}");
+    assert!(try_code_matmul_i64(&[1; 5], 2, &w).is_err(), "5 codes fill no 2 rows");
 }
